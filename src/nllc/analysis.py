@@ -19,7 +19,7 @@ from scipy.signal import fftconvolve
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, local_energy, local_form
 from .kernel import SampledKernel
-from .limit import ManifoldField, SingularSetReport
+from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
 
 
@@ -132,15 +132,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs if rhs > 0 else np.inf
 
 
-def _central_diff_sq(values: np.ndarray, h: float) -> np.ndarray:
-    """|grad v|^2 per cell by central differences (all cells)."""
-    acc = np.zeros(values.shape[:3])
-    for i in range(3):
-        d = (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2.0 * h)
-        acc += np.sum(d * d, axis=-1)
-    return acc
-
-
 def mollify_h1_check(
     field: OrderField,
     moll: Mollifier,
@@ -161,7 +152,8 @@ def mollify_h1_check(
         raise ResolutionMismatch("outer ball plus mollifier reach leaves the box")
     v = mollify(moll, field.values, dom.h)
     inner = ball_mask(dom, center, 0.5 * radius)
-    lhs = float(np.sum(_central_diff_sq(v, dom.h)[inner])) * dom.cell_volume
+    g = _central_gradient(v, dom.h, inner)
+    lhs = float(np.sum(g * g)) * dom.cell_volume
     outer = ball_mask(dom, center, radius)
     rhs = 4.0 * local_form(field, outer, sampled)
     return lhs, rhs, _ratio(lhs, rhs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +57,6 @@ class ExperimentConfig:
     solver: solver_mod.SolverConfig
     out_dir: Path
     seed: int
-    workers: int
     ball_radius: float | None  # probe ball for gamma/holder pipelines
 
     @property
@@ -133,7 +131,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     )
 
     out_dir = Path(_get(parser, "output", "dir", str, default="out"))
-    workers = int(os.environ.get("NLLC_WORKERS", _get(parser, "output", "workers", int, default=1)))
     ball_radius = _get(parser, "probe", "ball_radius", float)
 
     return ExperimentConfig(
@@ -151,7 +148,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
         solver=solver_cfg,
         out_dir=out_dir,
         seed=seed,
-        workers=workers,
         ball_radius=ball_radius,
     )
 

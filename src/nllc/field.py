@@ -23,8 +23,10 @@ from .errors import LayerTooThin, OutsideMomentDomain, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, max_eigen
 from .potential import (
     BulkPotential,
+    dual_map,
     make_bulk_potential,
     psi_b,
+    psi_b_at_dual,
     psi_s,
     q_tensor_coords,
 )
@@ -89,44 +91,41 @@ class Domain:
         )
         return pad
 
+    def centre_distance(self) -> np.ndarray:
+        """Per-cell distance from the box centre in the geometry's norm:
+        Euclidean for a ball, max-norm for a cube."""
+        x = self.cell_centers()
+        if self.geometry == "ball":
+            return np.linalg.norm(x, axis=-1)
+        return np.max(np.abs(x), axis=-1)
+
     def layer_thickness(self) -> float:
         """Smallest distance from Omega to the exterior region (inf if no exterior)."""
         if not self.exterior_mask.any():
             return np.inf
-        x = self.cell_centers()
-        if self.geometry == "ball":
-            r_ext = np.linalg.norm(x[self.exterior_mask], axis=-1).min()
-            r_om = np.linalg.norm(x[self.omega_mask], axis=-1).max()
-            return float(r_ext - r_om)
-        d_ext = np.max(np.abs(x[self.exterior_mask]), axis=-1).min()
-        d_om = np.max(np.abs(x[self.omega_mask]), axis=-1).max()
-        return float(d_ext - d_om)
+        d = self.centre_distance()
+        return float(d[self.exterior_mask].min() - d[self.omega_mask].max())
+
+
+def _centred_domain(n, h, geometry, size, layer_thickness, size_name) -> Domain:
+    dom = Domain(h, np.full((n, n, n), EXTERIOR, dtype=np.uint8), geometry, size)
+    d = dom.centre_distance()
+    dom.region[d <= size + layer_thickness] = LAYER
+    dom.region[d <= size] = INTERIOR
+    if not dom.omega_mask.any():
+        raise ValueError(f"{size_name} too small: no interior cells")
+    return dom
 
 
 def ball_domain(n: int, h: float, omega_radius: float, layer_thickness: float = np.inf) -> Domain:
     """Ball Omega of the given radius centred in an n^3 box; the collar out to
     omega_radius + layer_thickness is tagged as layer, the rest exterior."""
-    c = (np.arange(n) - (n - 1) / 2.0) * h
-    r = np.sqrt(c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2)
-    region = np.full((n, n, n), EXTERIOR, dtype=np.uint8)
-    region[r <= omega_radius + layer_thickness] = LAYER
-    region[r <= omega_radius] = INTERIOR
-    if not (region == INTERIOR).any():
-        raise ValueError("omega_radius too small: no interior cells")
-    return Domain(h, region, "ball", omega_radius)
+    return _centred_domain(n, h, "ball", omega_radius, layer_thickness, "omega_radius")
 
 
 def cube_domain(n: int, h: float, omega_half_width: float, layer_thickness: float = np.inf) -> Domain:
-    c = (np.arange(n) - (n - 1) / 2.0) * h
-    d = np.maximum.reduce(
-        np.meshgrid(np.abs(c), np.abs(c), np.abs(c), indexing="ij")
-    )
-    region = np.full((n, n, n), EXTERIOR, dtype=np.uint8)
-    region[d <= omega_half_width + layer_thickness] = LAYER
-    region[d <= omega_half_width] = INTERIOR
-    if not (region == INTERIOR).any():
-        raise ValueError("omega_half_width too small: no interior cells")
-    return Domain(h, region, "cube", omega_half_width)
+    """Cube Omega of the given half width, tagged like ball_domain in the max-norm."""
+    return _centred_domain(n, h, "cube", omega_half_width, layer_thickness, "omega_half_width")
 
 
 def ball_mask(domain: Domain, center, radius: float) -> np.ndarray:
@@ -162,19 +161,20 @@ def boundary_values(
     smooth-angle   degree-0 angle field phi = slope * x1 on the S^1 orbit
     vortex         phi = winding * atan2(x2, x1): a singular line along x3
     """
-    x = domain.cell_centers()
     if preset == "constant":
         e = np.asarray(params.get("direction", [1.0] + [0.0] * (m - 1)), dtype=float)
         e = e / np.linalg.norm(e)
         return np.broadcast_to(s0 * e, domain.shape + (m,)).copy()
+    return _orbit_field(boundary_angle(preset, domain, **params), s0, m)
+
+
+def boundary_angle(preset: str, domain: Domain, **params) -> np.ndarray:
+    """Orbit angle phi of the smooth-angle and vortex presets on the full box."""
+    x = domain.cell_centers()
     if preset == "smooth-angle":
-        slope = float(params.get("slope", 1.0))
-        phi = slope * x[..., 0]
-        return _orbit_field(phi, s0, m)
+        return float(params.get("slope", 1.0)) * x[..., 0]
     if preset == "vortex":
-        w = float(params.get("winding", 1.0))
-        phi = w * np.arctan2(x[..., 1], x[..., 0])
-        return _orbit_field(phi, s0, m)
+        return float(params.get("winding", 1.0)) * np.arctan2(x[..., 1], x[..., 0])
     raise ValueError(f"unknown boundary preset {preset!r}")
 
 
@@ -409,24 +409,40 @@ def energy_oscillation(
     """(1/4eps^2) double-sum K_eps (u(x)-u(y))^tensor2 + (1/eps^2) sum_Omega psi_b.
 
     method "fast" expands the square through two convolutions; "pairwise"
-    evaluates the defining double sum shift by shift.
+    evaluates the defining double sum shift by shift.  b0 warm-starts the
+    dual solve on Omega.
+    """
+    require_padding(field.domain, sampled)
+    if method not in ("fast", "pairwise"):
+        raise ValueError(f"unknown oscillation method {method!r}")
+    v = convolve(sampled, field.values, field.domain.h) if method == "fast" else None
+    b = dual_map(bulk.model, field.values[field.domain.omega_mask], b0=b0)
+    return energy_oscillation_from(field, sampled, bulk, v, b)
+
+
+def energy_oscillation_from(
+    field: OrderField,
+    sampled: SampledKernel,
+    bulk: BulkPotential,
+    v: np.ndarray | None,
+    b: np.ndarray,
+) -> EnergyBreakdown:
+    """energy_oscillation from v = K_eps*u and the duals b = Lambda(u) on Omega.
+
+    It runs neither the convolution nor the dual solve, so a caller that
+    holds both pays for neither again; v None sums the interaction pairwise.
     """
     dom = field.domain
-    require_padding(dom, sampled)
     eps2 = field.eps**2
     h3 = dom.cell_volume
-    if method == "pairwise":
+    if v is None:
         pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
-    elif method == "fast":
-        S_B = box_moment_field(sampled, dom)
-        v = convolve(sampled, field.values, dom.h)
-        quad = _quadratic_sum(field.values, S_B) * h3
+    else:
+        quad = _quadratic_sum(field.values, box_moment_field(sampled, dom)) * h3
         cross = float(np.sum(field.values * v)) * h3
         pair = 0.5 * (quad - cross) / eps2
-    else:
-        raise ValueError(f"unknown oscillation method {method!r}")
-    om = dom.omega_mask
-    bulk_term = float(np.sum(psi_b(bulk, field.values[om], b0=b0))) * h3 / eps2
+    u_om = field.values[dom.omega_mask]
+    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * h3 / eps2
     total = pair + bulk_term
     return EnergyBreakdown(
         "oscillation", pair, bulk_term, 0.0, total, {"omega": bulk_term}
@@ -606,17 +622,12 @@ def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float) -> tuple:
     layer neighbourhood; bounded here through the radial tail beyond
     dist(x, exterior)/eps, which is exact for radially dominated kernels.
     """
-    x = domain.cell_centers()
     om = domain.omega_mask
     if not domain.exterior_mask.any():
         dist = np.full(om.sum(), np.inf)
     else:
-        if domain.geometry == "ball":
-            r_ext = np.linalg.norm(x[domain.exterior_mask], axis=-1).min()
-            dist = r_ext - np.linalg.norm(x[om], axis=-1)
-        else:
-            d_ext = np.max(np.abs(x[domain.exterior_mask]), axis=-1).min()
-            dist = d_ext - np.max(np.abs(x[om]), axis=-1)
+        d = domain.centre_distance()
+        dist = d[domain.exterior_mask].min() - d[om]
     tail_fn = _radial_tail_table(spec)
     vals = tail_fn(np.maximum(dist, 0.0) / eps) / eps**2
     field = np.zeros(domain.shape)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterations, ResolutionMismatch
-from .field import Domain, OrderField, ball_mask, local_energy
+from .field import Domain, OrderField, ball_mask, boundary_angle, local_energy
 from .kernel import ElasticTensor, SampledKernel
 from .potential import BulkPotential, q_tensor_coords
 
@@ -444,15 +444,10 @@ def orbit_boundary(preset: str, domain: Domain, s0: float, kind: str, **params) 
     angle slope * x1 (bounded gradients, degree 0).  vortex: planar argument
     function times the winding (singular along the x3-axis).
     """
-    x = domain.cell_centers()
     if preset == "constant":
         phi = np.zeros(domain.shape)
-    elif preset == "smooth-angle":
-        phi = params.get("slope", 1.0) * x[..., 0]
-    elif preset == "vortex":
-        phi = params.get("winding", 1.0) * np.arctan2(x[..., 1], x[..., 0])
     else:
-        raise ValueError(f"unknown boundary preset {preset!r}")
+        phi = boundary_angle(preset, domain, **params)
     if kind == "s1":
         return ManifoldField(domain, s0, kind, angle=phi)
     half = 0.5 * phi

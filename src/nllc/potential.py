@@ -310,8 +310,13 @@ def make_bulk_potential(model: MicroModel, intK: np.ndarray) -> BulkPotential:
 def psi_b(bulk: BulkPotential, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
     """Bulk potential; nonnegative on the moment set and zero on the vacuum orbit."""
     u = np.asarray(u, dtype=float)
+    return psi_b_at_dual(bulk, u, dual_map(bulk.model, u, b0=b0))
+
+
+def psi_b_at_dual(bulk: BulkPotential, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """psi_b(u) = b.u - lnZ(b) - (1/2) (intK u).u + c0 given the dual b = Lambda(u)."""
     quad = 0.5 * np.einsum("...a,ab,...b->...", u, bulk.intK, u)
-    return psi_s(bulk.model, u, b0=b0) - quad + bulk.c0
+    return np.einsum("...a,...a->...", b, u) - log_partition(bulk.model, b) - quad + bulk.c0
 
 
 @dataclass(frozen=True)

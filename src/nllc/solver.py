@@ -1,10 +1,11 @@
 """Minimisation of the non-local energy on the admissible lattice class.
 
-Two independent solvers are provided: the damped Euler-Lagrange
-self-consistency iteration u <- (1-alpha) u + alpha Lambda^{-1}(K_eps * u),
+Two update rules share one monotone accept/reject driver: the damped
+Euler-Lagrange self-consistency iteration u <- (1-alpha) u + alpha Lambda^{-1}(K_eps * u),
 whose iterates stay strictly inside the moment set automatically, and a
-projected gradient descent used as a cross-check.  Both monitor the
-oscillation-form energy and only accept non-increasing steps.
+projected gradient descent.  The driver monitors the oscillation-form energy
+and only accepts non-increasing steps, so the two solvers differ only in their
+update rule, and agreement of their minima cross-checks the two rules.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import MaxIterations
 from .field import OrderField, ball_mask, convolve, energy_oscillation
+from .field import energy_oscillation_from, require_padding
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, lambda_inverse
 
@@ -87,14 +89,6 @@ def lipschitz_estimate(field: OrderField) -> float:
     return worst / field.domain.h
 
 
-def _residual(field: OrderField, v: np.ndarray, bulk: BulkPotential, b_warm=None):
-    """sup-norm of Lambda(u) - K_eps*u over interior cells; returns (res, b)."""
-    om = field.domain.omega_mask
-    b = dual_map(bulk.model, field.values[om], b0=b_warm)
-    r = np.linalg.norm(b - v[om], axis=-1)
-    return float(r.max()) if r.size else 0.0, b
-
-
 def el_fixed_point(
     init: OrderField,
     sampled: SampledKernel,
@@ -109,46 +103,95 @@ def el_fixed_point(
     of damping or iterations raises MaxIterations with the best result
     attached.
     """
+
+    def propose(u_om, v_om, b, alpha):
+        return (1.0 - alpha) * u_om + alpha * lambda_inverse(bulk.model, v_om)
+
+    return _monotone_solve(init, sampled, bulk, config, "el_fixed_point", propose,
+                           step=config.alpha, grow=1.0, floor=config.alpha_min,
+                           exhausted=("damping_exhausted", "damping"))
+
+
+def gradient_descent(
+    init: OrderField,
+    sampled: SampledKernel,
+    bulk: BulkPotential,
+    config: SolverConfig = SolverConfig(),
+) -> SolveResult:
+    """Projected gradient descent with backtracking.
+
+    It shares the accept/reject driver with el_fixed_point and differs only
+    in the update: a step along -energy_gradient that grows by 1.1 on every
+    accepted step.  Steps that would leave the moment set are clipped
+    radially to a safe interior radius; the clip is inactive at strictly
+    physical minimisers.
+    """
+    safe = 0.995 * bulk.model.sigma_max
+
+    def propose(u_om, v_om, b, step):
+        cand = u_om - step * ((b - v_om) / init.eps**2)
+        norms = np.linalg.norm(cand, axis=-1, keepdims=True)
+        return np.where(norms > safe, cand * (safe / norms), cand)
+
+    return _monotone_solve(init, sampled, bulk, config, "gradient_descent", propose,
+                           step=config.descent_step, grow=1.1, floor=1e-12,
+                           exhausted=("step_exhausted", "step size"))
+
+
+def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, floor, exhausted):
+    """Accept/reject driver of el_fixed_point and gradient_descent.
+
+    propose(u_om, v_om, b, step) returns the trial values on Omega from the
+    current ones, v = K_eps*u and the duals b = Lambda(u) there.  A trial
+    that raises the oscillation energy is rejected and the step halved;
+    below floor the solve ends with the reason and message of exhausted.
+    An accepted step multiplies the step by grow.  Each trial costs one
+    convolution and one dual solve warm-started from b; an accepted trial
+    keeps both as the next iterate's, whose residual sup |b - v| on Omega
+    then costs nothing more.
+    """
     u = init.copy()
     om = u.domain.omega_mask
-    alpha = config.alpha
+    require_padding(u.domain, sampled)
     v = convolve(sampled, u.values, u.domain.h)
-    res, b_warm = _residual(u, v, bulk, None)
-    residuals = [res]
-    energies = [energy_oscillation(u, sampled, bulk, b0=b_warm).total]
-    reason = "max_iterations"
+    b = dual_map(bulk.model, u.values[om])
+    residuals = [_sup_residual(v[om], b)]
+    energies = [energy_oscillation_from(u, sampled, bulk, v, b).total]
     it = 0
     while it < config.max_iter:
         if residuals[-1] <= config.tol:
-            reason = "converged"
-            break
+            return _finish(u, residuals, energies, it, "converged", method, bulk)
         it += 1
-        target = lambda_inverse(bulk.model, v[om])
         trial = u.copy()
-        trial.values[om] = (1.0 - alpha) * u.values[om] + alpha * target
-        e_trial = energy_oscillation(trial, sampled, bulk, b0=b_warm).total
+        trial.values[om] = propose(u.values[om], v[om], b, step)
+        v_trial = convolve(sampled, trial.values, u.domain.h)
+        b_trial = dual_map(bulk.model, trial.values[om], b0=b)
+        e_trial = energy_oscillation_from(trial, sampled, bulk, v_trial, b_trial).total
         if e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1])):
-            alpha *= 0.5
-            if alpha < config.alpha_min:
-                result = _finish(u, residuals, energies, it, "damping_exhausted",
-                                 "el_fixed_point", bulk)
+            step *= 0.5
+            if step < floor:
+                reason, what = exhausted
+                result = _finish(u, residuals, energies, it, reason, method, bulk)
                 raise MaxIterations(
-                    f"damping exhausted at residual {residuals[-1]:g}", result=result
+                    f"{what} exhausted at residual {residuals[-1]:g}", result=result
                 )
             continue
-        u = trial
+        step *= grow
+        u, v, b = trial, v_trial, b_trial
         energies.append(e_trial)
-        v = convolve(sampled, u.values, u.domain.h)
-        res, b_warm = _residual(u, v, bulk, b_warm)
-        residuals.append(res)
-    else:
-        result = _finish(u, residuals, energies, it, reason, "el_fixed_point", bulk)
-        raise MaxIterations(
-            f"no convergence in {config.max_iter} iterations "
-            f"(residual {residuals[-1]:g})",
-            result=result,
-        )
-    return _finish(u, residuals, energies, it, reason, "el_fixed_point", bulk)
+        residuals.append(_sup_residual(v[om], b))
+    result = _finish(u, residuals, energies, it, "max_iterations", method, bulk)
+    raise MaxIterations(
+        f"no convergence in {config.max_iter} iterations "
+        f"(residual {residuals[-1]:g})",
+        result=result,
+    )
+
+
+def _sup_residual(v_om, b):
+    """sup-norm of Lambda(u) - K_eps*u over interior cells."""
+    r = np.linalg.norm(b - v_om, axis=-1)
+    return float(r.max()) if r.size else 0.0
 
 
 def _finish(u, residuals, energies, it, reason, method, bulk):
@@ -177,65 +220,6 @@ def energy_gradient(field: OrderField, sampled: SampledKernel, bulk: BulkPotenti
     g = np.zeros_like(field.values)
     g[om] = (b - v[om]) / field.eps**2
     return g
-
-
-def gradient_descent(
-    init: OrderField,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    config: SolverConfig = SolverConfig(),
-) -> SolveResult:
-    """Projected gradient descent with backtracking; independent of the EL path.
-
-    Steps that would leave the moment set are clipped radially to a safe
-    interior radius; the clip is inactive at strictly physical minimisers.
-    """
-    u = init.copy()
-    om = u.domain.omega_mask
-    model = bulk.model
-    safe = 0.995 * model.sigma_max
-    step = config.descent_step
-    v = convolve(sampled, u.values, u.domain.h)
-    res, b_warm = _residual(u, v, bulk)
-    residuals = [res]
-    energies = [energy_oscillation(u, sampled, bulk, b0=b_warm).total]
-    reason = "max_iterations"
-    it = 0
-    while it < config.max_iter:
-        if residuals[-1] <= config.tol:
-            reason = "converged"
-            break
-        it += 1
-        g = (b_warm - v[om]) / u.eps**2
-        trial = u.copy()
-        cand = u.values[om] - step * g
-        norms = np.linalg.norm(cand, axis=-1, keepdims=True)
-        cand = np.where(norms > safe, cand * (safe / norms), cand)
-        trial.values[om] = cand
-        e_trial = energy_oscillation(trial, sampled, bulk, b0=b_warm).total
-        if e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1])):
-            step *= 0.5
-            if step < 1e-12:
-                result = _finish(u, residuals, energies, it, "step_exhausted",
-                                 "gradient_descent", bulk)
-                raise MaxIterations(
-                    f"step size exhausted at residual {residuals[-1]:g}", result=result
-                )
-            continue
-        step *= 1.1
-        u = trial
-        energies.append(e_trial)
-        v = convolve(sampled, u.values, u.domain.h)
-        res, b_warm = _residual(u, v, bulk, b_warm)
-        residuals.append(res)
-    else:
-        result = _finish(u, residuals, energies, it, reason, "gradient_descent", bulk)
-        raise MaxIterations(
-            f"no convergence in {config.max_iter} iterations "
-            f"(residual {residuals[-1]:g})",
-            result=result,
-        )
-    return _finish(u, residuals, energies, it, reason, "gradient_descent", bulk)
 
 
 def minimize_multistart(

@@ -198,6 +198,29 @@ def test_h_eps_profile_decreasing_in_thickness():
     assert sup == 0.0
 
 
+def test_cube_domain_regions_padding_and_layer():
+    spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
+    n, h, half = 20, 0.1, 0.351
+    c = np.abs((np.arange(n) - (n - 1) / 2.0) * h)
+    dist = np.maximum.reduce(np.meshgrid(c, c, c, indexing="ij"))
+    sups = []
+    for lt in (0.095, 0.195, 0.295):
+        dom = fld.cube_domain(n, h, half, layer_thickness=lt)
+        assert dom.geometry == "cube"
+        assert np.array_equal(dom.omega_mask, dist <= half)
+        assert np.array_equal(dom.layer_mask, (dist > half) & (dist <= half + lt))
+        assert np.array_equal(dom.exterior_mask, dist > half + lt)
+        # interior cells sit at |x|_inf <= 0.35, i.e. indices 6..13 per axis
+        assert dom.padding_cells() == 6
+        assert lt <= dom.layer_thickness() <= lt + h
+        _, sup = fld.h_eps_profile(dom, spec, 0.5)
+        sups.append(sup)
+    assert sups[0] > sups[1] > sups[2] > 0.0
+    dom = fld.cube_domain(n, h, half)
+    assert dom.layer_thickness() == np.inf
+    assert fld.h_eps_profile(dom, spec, 0.5)[1] == 0.0
+
+
 def test_boundary_presets_shapes_and_norms():
     dom = fld.ball_domain(12, 0.1, 0.35)
     s0 = 0.6

@@ -60,6 +60,27 @@ def test_el_and_descent_find_the_same_energy():
     assert e_gd == pytest.approx(e_el, rel=1e-6, abs=1e-8)
 
 
+def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
+    # one convolution and one dual solve per trial plus one of each for the
+    # start: an accepted trial's pair is kept, not recomputed
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0)
+    calls = {"convolve": 0, "dual_map": 0}
+    for name, original in (("convolve", fld.convolve), ("dual_map", potential.dual_map)):
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (fld, potential, solver):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
+    assert res.converged and res.iterations > 5
+    assert calls["convolve"] <= res.iterations + 1
+    assert calls["dual_map"] <= res.iterations + 1
+
+
 def test_solvers_preserve_boundary_bitwise():
     dom, sampled, bulk = setup_case()
     f = boundary_field(dom, 0.5, bulk.manifold.s0)
