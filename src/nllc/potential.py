@@ -161,18 +161,14 @@ def dual_map(
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 
 
-def psi_s(
-    model: MicroModel,
-    u: np.ndarray,
-    b_cap: float = DEFAULT_B_CAP,
-    b0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Singular potential via duality: psi_s(u) = b.u - lnZ(b) at b = Lambda(u).
-
-    b0 warm-starts the dual Newton solve (e.g. the previous iterate's duals).
-    """
+def psi_s(model: MicroModel, u: np.ndarray, b_cap: float = DEFAULT_B_CAP) -> np.ndarray:
+    """Singular potential via duality: psi_s(u) = b.u - lnZ(b) at b = Lambda(u)."""
     u = np.asarray(u, dtype=float)
-    b = dual_map(model, u, b_cap=b_cap, b0=b0)
+    return psi_s_at_dual(model, u, dual_map(model, u, b_cap=b_cap))
+
+
+def psi_s_at_dual(model: MicroModel, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """psi_s(u) = b.u - lnZ(b) given the dual b = Lambda(u)."""
     return np.einsum("...a,...a->...", b, u) - log_partition(model, b)
 
 
@@ -307,16 +303,16 @@ def make_bulk_potential(model: MicroModel, intK: np.ndarray) -> BulkPotential:
     return BulkPotential(model, np.asarray(intK, dtype=float), c0, manifold)
 
 
-def psi_b(bulk: BulkPotential, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
+def psi_b(bulk: BulkPotential, u: np.ndarray) -> np.ndarray:
     """Bulk potential; nonnegative on the moment set and zero on the vacuum orbit."""
     u = np.asarray(u, dtype=float)
-    return psi_b_at_dual(bulk, u, dual_map(bulk.model, u, b0=b0))
+    return psi_b_at_dual(bulk, u, dual_map(bulk.model, u))
 
 
 def psi_b_at_dual(bulk: BulkPotential, u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """psi_b(u) = b.u - lnZ(b) - (1/2) (intK u).u + c0 given the dual b = Lambda(u)."""
+    """psi_b(u) = psi_s(u) - (1/2) (intK u).u + c0 given the dual b = Lambda(u)."""
     quad = 0.5 * np.einsum("...a,ab,...b->...", u, bulk.intK, u)
-    return np.einsum("...a,...a->...", b, u) - log_partition(bulk.model, b) - quad + bulk.c0
+    return psi_s_at_dual(bulk.model, u, b) - quad + bulk.c0
 
 
 @dataclass(frozen=True)
