@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_dilation
-from scipy.signal import fftconvolve
 
 from .errors import PreconditionNotMet, ResolutionMismatch
-from .field import OrderField, ball_mask, local_energy, local_form
-from .kernel import SampledKernel
+from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
+from .kernel import SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
 
@@ -79,9 +78,7 @@ def build_mollifier(sampled: SampledKernel, shrink: float = 0.1) -> Mollifier:
     a, b = rho1 + shrink * w, rho2 - shrink * w
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
-    idx = np.arange(-S, S + 1) * h
-    Z = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1)
-    r = np.linalg.norm(Z, axis=-1) / eps
+    r = np.linalg.norm(stencil_offsets(S, h), axis=-1) / eps
     t = (r - mid) / half
     vals = _bump(t)
     mass = vals.sum() * h**3
@@ -110,10 +107,7 @@ def mollify(moll: Mollifier, values: np.ndarray, h: float) -> np.ndarray:
     """Lattice convolution phi_eps * u (componentwise, zero extension)."""
     if abs(h - moll.h) > 1e-12:
         raise ResolutionMismatch("mollifier sampled on a different grid spacing")
-    out = np.empty_like(values)
-    for a in range(values.shape[-1]):
-        out[..., a] = fftconvolve(values[..., a], moll.values, mode="same") * h**3
-    return out
+    return convolve_stencil(moll.values, values) * h**3
 
 
 # ---------------------------------------------------------------------------

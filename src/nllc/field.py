@@ -233,27 +233,33 @@ def require_padding(domain: Domain, sampled: SampledKernel):
         )
 
 
-def _padded_shape(shape, radius):
-    return tuple(scipy.fft.next_fast_len(n + 2 * radius) for n in shape)
+def _stencil_fft(stencil: np.ndarray, pshape) -> np.ndarray:
+    """Spectrum of a centred (2S+1)^3 stencil, any trailing shape, wrapped onto pshape."""
+    S = len(stencil) // 2
+    kern = np.zeros(pshape + stencil.shape[3:])
+    kern[np.ix_(*(np.mod(np.arange(-S, S + 1), p) for p in pshape))] = stencil
+    return scipy.fft.rfftn(kern, axes=(0, 1, 2))
 
 
 def _kernel_fft(sampled: SampledKernel, pshape):
     key = ("kfft", pshape)
     if key not in sampled._cache:
-        S = sampled.radius_cells
-        m = sampled.m
-        kern = np.zeros(pshape + (m, m))
-        idx = np.arange(-S, S + 1)
-        wrapped = [np.mod(idx, p) for p in pshape]
-        kern[np.ix_(*wrapped)] = sampled.values
-        sampled._cache[key] = scipy.fft.rfftn(kern, axes=(0, 1, 2))
+        sampled._cache[key] = _stencil_fft(sampled.values, pshape)
     return sampled._cache[key]
+
+
+def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
+    """Zero-extend x over its box axes to next_fast_len(n + 2 radius), map the spectrum
+    through times(spectrum, padded shape) and crop the inverse back to x's box."""
+    n, axes = x.shape[:3], (0, 1, 2)
+    p = tuple(scipy.fft.next_fast_len(k + 2 * radius) for k in n)
+    out = scipy.fft.irfftn(times(scipy.fft.rfftn(x, s=p, axes=axes), p), s=p, axes=axes)
+    return out[: n[0], : n[1], : n[2]]
 
 
 def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
     """(K_eps * u)(x) = sum_z K_eps(z) u(x - z) h^3 with zero extension off the box."""
     u = np.asarray(field_values, dtype=float)
-    shape = u.shape[:3]
     m = sampled.m
     if u.shape[-1] != m:
         raise ResolutionMismatch(f"field has {u.shape[-1]} components, kernel expects {m}")
@@ -270,23 +276,22 @@ def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method:
         return out * h**3
     if method != "fft":
         raise ValueError(f"unknown convolution method {method!r}")
-    pshape = _padded_shape(shape, sampled.radius_cells)
-    kf = _kernel_fft(sampled, pshape)
-    uf = scipy.fft.rfftn(u, s=pshape, axes=(0, 1, 2))
-    outf = np.einsum("...ab,...b->...a", kf, uf)
-    out = scipy.fft.irfftn(outf, s=pshape, axes=(0, 1, 2))
-    return out[: shape[0], : shape[1], : shape[2]] * h**3
+    return _fft_convolve(u, sampled.radius_cells, lambda uf, p: np.einsum(
+        "...ab,...b->...a", _kernel_fft(sampled, p), uf)) * h**3
 
 
 def convolve_mask(sampled: SampledKernel, mask: np.ndarray, h: float) -> np.ndarray:
     """(K_eps * 1_G)(x) h^3 as an (Nx,Ny,Nz,m,m) matrix field."""
-    shape = mask.shape
-    pshape = _padded_shape(shape, sampled.radius_cells)
-    kf = _kernel_fft(sampled, pshape)
-    mf = scipy.fft.rfftn(mask.astype(float), s=pshape, axes=(0, 1, 2))
-    outf = kf * mf[..., None, None]
-    out = scipy.fft.irfftn(outf, s=pshape, axes=(0, 1, 2))
-    return out[: shape[0], : shape[1], : shape[2]] * h**3
+    return _fft_convolve(mask.astype(float), sampled.radius_cells,
+                         lambda mf, p: _kernel_fft(sampled, p) * mf[..., None, None]) * h**3
+
+
+def convolve_stencil(stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_z stencil(z) u(x - z) for a centred scalar (2S+1)^3 stencil, with zero
+    extension off the box; u may carry trailing component axes."""
+    u = np.asarray(values, dtype=float)
+    trail = (...,) + (None,) * (u.ndim - 3)
+    return _fft_convolve(u, len(stencil) // 2, lambda uf, p: _stencil_fft(stencil, p)[trail] * uf)
 
 
 def box_moment_field(sampled: SampledKernel, domain: Domain) -> np.ndarray:

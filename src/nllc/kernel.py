@@ -233,11 +233,10 @@ def integrate_radial_angular(
     return np.tensordot(w.reshape(-1), vals, axes=(0, 0))
 
 
-def _converged_integral(spec, integrand, r_max, rtol, divergence_check=False):
+def _converged_integral(spec, integrand, r_max, rtol):
     """Refine radial/angular resolution until the value stabilises to rtol.
 
-    With divergence_check, also extend the outer radius for unbounded supports;
-    returns (value, converged flag).
+    Returns (value, converged flag).
     """
     levels = [(24, 10), (48, 14), (96, 18), (144, 22)]
     prev = None
@@ -252,11 +251,11 @@ def _converged_integral(spec, integrand, r_max, rtol, divergence_check=False):
     return value, False
 
 
-def _moment_scalar(spec, weight, rtol=1e-9):
-    """Integral of g(z) * weight(|z|) dz, with tail handling for unbounded supports."""
+def _moment_scalar(spec, p, rtol=1e-9):
+    """Integral of g(z) |z|^p dz, with tail handling for unbounded supports."""
 
     def integrand(z):
-        return min_eigen_g(spec, z) * weight(np.linalg.norm(z, axis=-1))
+        return min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** p
 
     R = spec.support_radius
     if np.isfinite(R):
@@ -269,8 +268,6 @@ def _moment_scalar(spec, weight, rtol=1e-9):
     val, ok = _converged_integral(spec, integrand, R0, rtol)
     if not ok:
         raise QuadratureUnderresolved("radial-angular refinement did not stabilise")
-    # weight is r^p for the moments used here; recover p from two probes
-    p = np.log(weight(2.0) / max(weight(1.0), 1e-300)) / np.log(2.0) if weight(1.0) > 0 else 0.0
     tail = spec.f1.tail_radial_moment(p + 2, R0)
     if tail is None:
         raise QuadratureUnderresolved("no analytic tail available at this radius")
@@ -321,9 +318,9 @@ def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
         if tail is not None and np.isfinite(tail):
             intK = intK + 4.0 * np.pi * tail * np.eye(spec.m)
 
-    intG = _moment_scalar(spec, lambda r: np.ones_like(r), rtol)
-    m2 = _moment_scalar(spec, lambda r: r**2, rtol)
-    mq = _moment_scalar(spec, lambda r: r**spec.q, rtol)
+    intG = _moment_scalar(spec, 0, rtol)
+    m2 = _moment_scalar(spec, 2, rtol)
+    mq = _moment_scalar(spec, spec.q, rtol)
 
     def g3(z):
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
@@ -591,6 +588,12 @@ def truncation_radius(spec: KernelSpec, eps: float, tol: float, moments: KernelM
     return R, err
 
 
+def stencil_offsets(radius_cells: int, h: float) -> np.ndarray:
+    """Offsets z of the centred (2S+1)^3 lattice stencil, shape (2S+1,)*3 + (3,)."""
+    idx = np.arange(-radius_cells, radius_cells + 1) * h
+    return np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1)
+
+
 def sample_on_lattice(
     spec: KernelSpec,
     eps: float,
@@ -624,8 +627,7 @@ def sample_on_lattice(
             moments = compute_moments(spec)
         err = moments.mq * (eps / r_trunc) ** (q - 2.0) if q > 2 else np.inf
     S = int(np.floor(r_trunc / h + 1e-12))
-    idx = np.arange(-S, S + 1)
-    Z = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1) * h
+    Z = stencil_offsets(S, h)
     r = np.linalg.norm(Z, axis=-1)
     vals = evaluate_kernel(spec, Z / eps) / eps**3
     vals = np.where((r <= r_trunc)[..., None, None], vals, 0.0)

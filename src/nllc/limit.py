@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterations, ResolutionMismatch
-from .field import Domain, OrderField, ball_mask, boundary_angle, local_energy
-from .kernel import ElasticTensor, SampledKernel
+from .field import Domain, OrderField, ball_mask, boundary_angle, convolve_stencil, local_energy
+from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import BulkPotential, q_tensor_coords
 
 
@@ -332,15 +332,11 @@ def singular_set(
     omega = dom.omega_mask
     g = _central_gradient(mfield.values, dom.h, omega)
     dens = np.sum(g * g, axis=(-2, -1)) * dom.cell_volume  # per-cell energy
-    from scipy.signal import fftconvolve
-
     tables = np.empty((radii.size,) + dom.shape)
     for k, rho in enumerate(radii):
         S = int(np.floor(rho / dom.h + 1e-12))
-        idx = np.arange(-S, S + 1) * dom.h
-        Z = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1)
-        ball = (np.linalg.norm(Z, axis=-1) <= rho).astype(float)
-        tables[k] = fftconvolve(dens, ball, mode="same") / rho
+        ball = (np.linalg.norm(stencil_offsets(S, dom.h), axis=-1) <= rho).astype(float)
+        tables[k] = convolve_stencil(ball, dens) / rho
     flagged = (tables[-1] > threshold) & omega
     return SingularSetReport(radii, tables, flagged, threshold)
 

@@ -223,7 +223,6 @@ def compute_c0_and_NN(
     model: MicroModel,
     intK: np.ndarray,
     *,
-    n_scan: int = 400,
     degeneracy_tol: float = 1e-6,
 ) -> tuple[float, float, VacuumManifold]:
     """Normalising constant c0 and the vacuum orbit of the bulk potential.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterations
+from .errors import MaxIterations, OutsideMomentDomain
 from .field import OrderField, ball_mask, convolve, energy_oscillation
 from .field import energy_oscillation_from, require_padding
 from .kernel import SampledKernel
@@ -143,8 +143,9 @@ def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, fl
 
     propose(u_om, v_om, b, step) returns the trial values on Omega from the
     current ones, v = K_eps*u and the duals b = Lambda(u) there.  A trial
-    that raises the oscillation energy is rejected and the step halved;
-    below floor the solve ends with the reason and message of exhausted.
+    that raises the oscillation energy, or whose dual solve leaves the moment
+    set, is rejected and the step halved; below floor the solve ends with
+    the reason and message of exhausted.
     An accepted step multiplies the step by grow.  Each trial costs one
     convolution and one dual solve warm-started from b; an accepted trial
     keeps both as the next iterate's, whose residual sup |b - v| on Omega
@@ -165,8 +166,12 @@ def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, fl
         trial = u.copy()
         trial.values[om] = propose(u.values[om], v[om], b, step)
         v_trial = convolve(sampled, trial.values, u.domain.h)
-        b_trial = dual_map(bulk.model, trial.values[om], b0=b)
-        e_trial = energy_oscillation_from(trial, sampled, bulk, v_trial, b_trial).total
+        try:
+            b_trial = dual_map(bulk.model, trial.values[om], b0=b)
+        except OutsideMomentDomain:
+            e_trial = np.inf
+        else:
+            e_trial = energy_oscillation_from(trial, sampled, bulk, v_trial, b_trial).total
         if e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1])):
             step *= 0.5
             if step < floor:

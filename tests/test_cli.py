@@ -1,4 +1,9 @@
 import csv
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +201,23 @@ def test_holder_probe_table(tmp_path):
     for r in rows:
         assert float(r[2]) >= 0
         assert float(r[5]) >= 0
+
+
+def test_holder_probe_runs_on_the_readme_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ini = write_ini(tmp_path / "exp.ini", re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    out = tmp_path / "out"
+    assert cli.main(["holder-probe", ini, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "holder.csv")
+    assert rows
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, nllc.cli; sys.exit('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_required_key_exit_2(tmp_path, capsys):

@@ -60,6 +60,21 @@ def test_el_and_descent_find_the_same_energy():
     assert e_gd == pytest.approx(e_el, rel=1e-6, abs=1e-8)
 
 
+def test_descent_rejects_trials_beyond_the_dual_cap():
+    # a large step clips trials to 0.995 sigma_max, past |u| ~ 0.990 where the
+    # dual solve meets its cap |b| <= 50; such a trial is rejected, not fatal
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0)
+    r_el = solver.el_fixed_point(
+        f.copy(), sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=3000)
+    )
+    r_gd = solver.gradient_descent(
+        f.copy(), sampled, bulk, solver.SolverConfig(tol=2e-5, max_iter=4000, descent_step=5.0)
+    )
+    assert r_gd.converged
+    assert r_gd.energies[-1] == pytest.approx(r_el.energies[-1], rel=1e-6, abs=1e-8)
+
+
 def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
     # one convolution and one dual solve per trial plus one of each for the
     # start: an accepted trial's pair is kept, not recomputed
