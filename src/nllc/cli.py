@@ -220,7 +220,7 @@ def _run_kernel_report(cfg: ExperimentConfig) -> None:
     spec = _spec(cfg)
     report = kernel_mod.check_assumptions(spec)
     tensor = kernel_mod.elastic_tensor(spec)
-    bounds = kernel_mod.ellipticity_bounds(spec, tensor, report.moments)
+    bounds = kernel_mod.ellipticity_bounds(spec, tensor, report)
     rows = [
         ("preset", cfg.kernel_preset),
         ("assumptions_passed", report.all_pass()),

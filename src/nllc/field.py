@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .errors import LayerTooThin, OutsideMomentDomain, ResolutionMismatch
+from .errors import LayerTooThin, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, max_eigen
 from .potential import (
     BulkPotential,
@@ -206,13 +206,6 @@ def make_field(domain: Domain, eps: float, boundary: np.ndarray, interior=None) 
     return OrderField(domain, eps, vals)
 
 
-def check_admissible(field: OrderField, sigma_max: float, tol: float = 0.0):
-    norms = np.linalg.norm(field.values, axis=-1)
-    worst = float(norms.max())
-    if worst > sigma_max + tol:
-        raise OutsideMomentDomain(f"|u| reaches {worst:g} > sigma_max = {sigma_max:g}")
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -316,9 +309,6 @@ class EnergyBreakdown:
     c_eps: float
     total: float
     region_bulk: dict = dc_field(default_factory=dict)
-
-    def csv_row(self, eps: float) -> str:
-        return f"{eps!r},{self.total!r},{self.interaction!r},{self.bulk!r},{self.c_eps!r}"
 
 
 def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:

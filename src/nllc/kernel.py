@@ -504,26 +504,28 @@ class EllipticityBounds:
 def ellipticity_bounds(
     spec: KernelSpec,
     tensor: ElasticTensor | None = None,
-    moments: KernelMoments | None = None,
+    report: AssumptionReport | None = None,
     n_rayleigh: int = 100,
     seed: int = 7,
 ) -> EllipticityBounds:
     """Structural ellipticity bounds for L plus a sampled Rayleigh cross-check.
 
-    Two annulus lower-bound constants are emitted: the dimensionally
-    consistent one, k*pi*(rho2^5 - rho1^5)/15 (the annulus second-moment with
-    the r^2 Jacobian), and the quoted k*pi*(rho2^3 - rho1^3)/9 which omits it.
+    k, C and m2 come from the assumption report (check_assumptions(spec, 32)
+    when none is given).  Two annulus lower-bound constants are emitted: the
+    dimensionally consistent one, k*pi*(rho2^5 - rho1^5)/15 (the annulus
+    second-moment with the r^2 Jacobian), and the quoted
+    k*pi*(rho2^3 - rho1^3)/9 which omits it.
     """
     if tensor is None:
         tensor = elastic_tensor(spec)
-    if moments is None:
-        moments = compute_moments(spec)
+    if report is None:
+        report = check_assumptions(spec, 32)
     rho1, rho2 = spec.annulus
-    rep = check_assumptions(spec, 32)
-    k = max(rep.annulus[2], 0.0)
+    k = max(report.annulus[2], 0.0)
     lower = k * np.pi * (rho2**5 - rho1**5) / 15.0
     lower_quoted = k * np.pi * (rho2**3 - rho1**3) / 9.0
-    upper = 0.25 * rep.lambda_max_constant * moments.m2
+    # a divergent second moment (no moments in the report) bounds nothing above
+    upper = np.inf if report.moments is None else 0.25 * report.lambda_max_constant * report.moments.m2
 
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_rayleigh, spec.m, 3))

@@ -307,9 +307,6 @@ class SingularSetReport:
     def flagged_fraction(self) -> float:
         return float(self.flagged.sum()) / float(max(1, self.flagged.size))
 
-    def flagged_at(self, threshold: float) -> np.ndarray:
-        return self.densities[-1] > threshold
-
 
 def singular_set(
     mfield: ManifoldField,

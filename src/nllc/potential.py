@@ -136,27 +136,31 @@ def dual_map(
 ) -> np.ndarray:
     """Lambda(u): the dual variable b with grad lnZ(b) = u, by damped Newton.
 
-    Batched over leading axes.  Raises OutsideMomentDomain if the iteration
-    diverges or |b| exceeds the cap anywhere, which is the finite-precision
-    image of psi_s blowing up towards the boundary of the moment set.
+    Batched over leading axes.  A cell stops updating once its residual is
+    within tol, so each cell follows the Newton sequence of a one-cell call.
+    Raises OutsideMomentDomain if the iteration diverges or |b| exceeds the
+    cap anywhere, which is the finite-precision image of psi_s blowing up
+    towards the boundary of the moment set.
     """
     u = np.asarray(u, dtype=float)
     if np.any(np.linalg.norm(u, axis=-1) >= model.sigma_max):
         raise OutsideMomentDomain("|u| >= sigma_max")
     b = np.zeros_like(u) if b0 is None else np.array(b0, dtype=float)
+    live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within tol (a NaN stays live)
     eye = np.eye(model.m)
     for _ in range(max_iter):
-        r = lambda_inverse(model, b) - u
-        rn = np.linalg.norm(r, axis=-1)
-        if rn.max() <= tol:
+        r = lambda_inverse(model, b[live]) - u[live]
+        keep = ~(np.linalg.norm(r, axis=-1) <= tol)
+        if not keep.any():
             return b
-        cov = covariance(model, b)
+        live[live] = keep
+        r = r[keep]
+        cov = covariance(model, b[live])
         # tiny Tikhonov guard keeps the batched solve well posed near the cap
         step = np.linalg.solve(cov + 1e-14 * eye, r[..., None])[..., 0]
         sn = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
-        b = b - step
-        if np.linalg.norm(b, axis=-1).max() > b_cap:
+        b[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
+        if np.linalg.norm(b[live], axis=-1).max() > b_cap:
             raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 
@@ -215,8 +219,8 @@ def representative_direction(model: MicroModel) -> np.ndarray:
 
 
 def _radial_bulk_derivative(model, e, kappa, s):
-    b = dual_map(model, s * e)
-    return float(b @ e) - kappa * s
+    """d/ds [psi_s(s e) - kappa s^2/2] = b(s e).e - kappa s, at one radius or a grid of them."""
+    return dual_map(model, np.multiply.outer(s, e)) @ e - kappa * s
 
 
 def compute_c0_and_NN(
@@ -265,7 +269,7 @@ def compute_c0_and_NN(
     return c0, s0, manifold
 
 
-def _radial_ray_minimum(model, e, kappa, n_scan: int = 400):
+def _radial_ray_minimum(model, e, kappa):
     """Minimise psi_s(s e) - kappa s^2/2 over s in [0, sigma_max)."""
     # back off from the orbit-boundary until the dual Newton solve converges;
     # psi_s blows up there, so the minimum cannot hide beyond this point
@@ -276,16 +280,16 @@ def _radial_ray_minimum(model, e, kappa, n_scan: int = 400):
             break
         except OutsideMomentDomain:
             smax *= 0.97
-    grid = np.linspace(0.0, smax, n_scan)
+    grid = np.linspace(0.0, smax, 400)
+    d = _radial_bulk_derivative(model, e, kappa, grid[1:])  # one batched dual solve
+    if d[-1] < 0:
+        raise OutsideMomentDomain("bulk minimum beyond the resolvable radius")
     crit = [0.0]
-    d_prev = _radial_bulk_derivative(model, e, kappa, grid[1])
-    for a, bnd in zip(grid[1:-1], grid[2:]):
-        d_next = _radial_bulk_derivative(model, e, kappa, bnd)
-        if d_prev == 0.0:
+    for a, bnd, d_a, d_b in zip(grid[1:-1], grid[2:], d[:-1], d[1:]):
+        if d_a == 0.0:
             crit.append(a)
-        elif d_prev * d_next < 0:
+        elif d_a * d_b < 0:
             crit.append(brentq(lambda s: _radial_bulk_derivative(model, e, kappa, s), a, bnd, xtol=1e-12))
-        d_prev = d_next
 
     def raw(s):
         if s == 0.0:

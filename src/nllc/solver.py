@@ -50,18 +50,6 @@ class SolveResult:
     def converged(self):
         return self.reason == "converged"
 
-    def log_text(self) -> str:
-        lines = [
-            f"method = {self.method}",
-            f"iterations = {self.iterations}",
-            f"reason = {self.reason}",
-            f"final_residual = {self.residuals[-1]!r}",
-            f"final_energy = {self.energies[-1]!r}",
-            f"physicality_margin = {self.margin!r}",
-            f"lipschitz_estimate = {self.lipschitz!r}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def physicality_margin(field: OrderField, sigma_max: float) -> float:
     """Radial distance of the interior values from the moment-set boundary."""

@@ -160,6 +160,36 @@ def test_hessian_diagnostics_consistency():
     potential.check_nondegenerate(bulk)
 
 
+def test_strong_coupling_raises_instead_of_a_wrong_vacuum():
+    # the minimiser (s near 0.975) lies beyond the radius the dual solve
+    # resolves; returning s0 = 0 would leave psi_b negative along the ray
+    with pytest.raises(OutsideMomentDomain, match="beyond the resolvable radius"):
+        potential.make_bulk_potential(S1, 20.0 * np.eye(2))
+
+
+def test_bulk_potential_solves_the_radial_scan_in_one_batch(monkeypatch):
+    calls = []
+    dual_map = potential.dual_map
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dual_map(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "dual_map", counted)
+    potential.make_bulk_potential(S1, 5.0 * np.eye(2))
+    assert len(calls) <= 15
+
+
+def test_batched_dual_map_matches_one_cell_solves():
+    # an easy cell converges many Newton steps before a near-cap one; it
+    # must stop where a one-cell solve stops
+    e = np.array([0.6, 0.8])
+    u = np.stack([0.1 * e, 0.97 * e, 0.5 * e[::-1]])
+    batch = potential.dual_map(S1, u)
+    for cell, b in zip(u, batch):
+        assert np.max(np.abs(b - potential.dual_map(S1, cell))) <= 1e-12
+
+
 def test_warm_start_matches_cold_start():
     rng = np.random.default_rng(7)
     u = 0.5 * rng.standard_normal((30, 2))
