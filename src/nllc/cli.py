@@ -295,6 +295,14 @@ def _run_eps_sweep(cfg: ExperimentConfig) -> None:
     model, ladder = _sampled_ladder(cfg, spec)
     dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
     _, limit_res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0, spec)
+    _write_kv(
+        cfg.out_dir / "limit_reference.txt",
+        [
+            ("reason", limit_res.reason),
+            ("iterations", limit_res.iterations),
+            ("residual", limit_res.residuals[-1] if limit_res.residuals else float("nan")),
+        ],
+    )
     v0 = limit_res.mfield.values
     rows = []
     for eps, sk, bulk in ladder:

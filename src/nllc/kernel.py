@@ -97,7 +97,12 @@ class InverseSixthProfile:
         return np.where(r <= self.r_on, 0.0, np.nan_to_num(val, posinf=0.0))
 
     def breakpoints(self):
-        return [self.r_on, self.r_full, 4.0 * self.r_full]
+        # the profile peaks inside (r_on, r_full), where |f'| has a kink that
+        # the gradient moment's Gauss rule only resolves when split there:
+        # f' = 0 <=> d t^2 - (2d + r_on) t + r_on = 0 with d = r_full - r_on
+        d = self.r_full - self.r_on
+        t_peak = 2.0 * self.r_on / (2.0 * d + self.r_on + np.hypot(2.0 * d, self.r_on))
+        return [self.r_on, self.r_on + d * t_peak, self.r_full, 4.0 * self.r_full]
 
     def tail_radial_moment(self, power, r):
         # int_r^inf amplitude * s^(power-6) ds, valid once the cutoff is 1
@@ -281,7 +286,7 @@ class KernelMoments:
     intK: np.ndarray  # (m, m)
     intG: float
     m2: float  # int g |z|^2
-    m3grad: float  # int |grad K| |z|^3
+    m3grad: float  # int |grad K| |z|^3, nan when its quadrature does not converge
     mq: float  # int g |z|^q
 
     def finite(self) -> bool:
@@ -326,7 +331,7 @@ def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
 
     m3grad_val, ok = _converged_integral(spec, g3, r_int, max(rtol, 1e-6))
-    m3grad = float(m3grad_val) if ok else float(m3grad_val)
+    m3grad = float(m3grad_val) if ok else np.nan
 
     intK = 0.5 * (intK + intK.T)
     return KernelMoments(intK, intG, m2, m3grad, mq)

@@ -3,9 +3,10 @@
 The small-scale problems relax toward fields valued in the vacuum orbit
 N = s0 * O; this module provides the quadratic elastic energy with tensor L
 on such fields, a projected-gradient minimiser that keeps the constraint
-exact per cell, a detector for concentration of the limit Dirichlet density,
-and the two-sided convergence diagnostics comparing small-scale energies with
-the limit energy on balls.
+exact per cell (it descends on the forward-difference energy, assembled once
+per solve as a sparse operator on the cells its links touch), a detector for
+concentration of the limit Dirichlet density, and the two-sided convergence
+diagnostics comparing small-scale energies with the limit energy on balls.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import MaxIterations, ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_angle, convolve_stencil, local_energy
@@ -158,8 +160,8 @@ def dirichlet_energy(mfield: ManifoldField, region: np.ndarray | None = None) ->
     return float(np.sum(g * g) * dom.cell_volume)
 
 
-def _forward_objective(values: np.ndarray, L: ElasticTensor, dom: Domain):
-    """Forward-difference form of the limit energy and its Euclidean gradient.
+def _limit_operator(dom: Domain, M: np.ndarray):
+    """Forward-difference form of the limit energy as a sparse quadratic form.
 
     The central-difference quadrature of limit_energy is blind to
     checkerboard modes (odd/even sublattices decouple), so descending on it
@@ -169,21 +171,37 @@ def _forward_objective(values: np.ndarray, L: ElasticTensor, dom: Domain):
     reporting quadrature.
 
     Links count when either endpoint lies in Omega; keeping only Omega-based
-    links would leave the negative-side boundary trace uncoupled.
+    links would leave the negative-side boundary trace uncoupled.  The links
+    must not reach the box faces (padding_cells() >= 1).
+
+    Returns ``cells``, the sorted flat box indices that a live link touches,
+    and the CSR matrix ``K = D^T (I x M) D`` on their values x (shape
+    ``(len(cells), m)``, flattened): D holds the forward differences of the
+    live links of each axis at their base cell and M[(i,a),(j,b)] = L[i,j,a,b].
+    The energy is cell_volume * x.Kx and its Euclidean gradient is 2Kx.
     """
     omega = dom.omega_mask
-    h = dom.h
-    g = np.zeros(values.shape[:3] + (3,) + values.shape[3:])
+    m = M.shape[0] // 3
+    flat = np.arange(omega.size).reshape(omega.shape)
+    links = []
     for i in range(3):
-        live = omega | np.roll(omega, -1, axis=i)
-        d = (np.roll(values, -1, axis=i) - values) / h
-        g[..., i, :] = np.where(live[..., None], d, 0.0)
-    flux = np.einsum("ijab,xyzjb->xyzia", L.L, g)
-    energy = float(np.sum(flux * g)) * dom.cell_volume
-    grad = np.zeros_like(values)
-    for i in range(3):
-        grad += (np.roll(flux[..., i, :], 1, axis=i) - flux[..., i, :]) * (2.0 / h)
-    return energy, grad
+        lo = tuple(slice(0, -1) if a == i else slice(None) for a in range(3))
+        hi = tuple(slice(1, None) if a == i else slice(None) for a in range(3))
+        live = omega[lo] | omega[hi]
+        links.append((flat[lo][live], flat[hi][live]))
+    cells = np.unique(np.concatenate([end for pair in links for end in pair]))
+    comp = np.arange(m)
+    rows, cols, data = [], [], []
+    for i, pair in enumerate(links):
+        base, ahead = (np.searchsorted(cells, end)[:, None] for end in pair)
+        row = (3 * base + i) * m + comp
+        rows += [row, row]
+        cols += [ahead * m + comp, base * m + comp]
+        data += [np.full(row.shape, 1.0 / dom.h), np.full(row.shape, -1.0 / dom.h)]
+    rows, cols, data = (np.concatenate(a, axis=None) for a in (rows, cols, data))
+    D = sparse.csr_matrix((data, (rows, cols)), shape=(3 * m * cells.size, m * cells.size))
+    K = D.T @ sparse.kron(sparse.identity(cells.size), M, format="csr") @ D
+    return cells, K.tocsr()
 
 
 @dataclass
@@ -211,23 +229,38 @@ def harmonic_minimize(
 
     Projected gradient descent: Euclidean step on the interior cells followed
     by the closest-point retraction onto the orbit.  The descent objective is
-    the forward-difference quadrature (see _forward_objective); recorded
-    energies are its values.  Stationarity is measured as the sup-norm of the
-    retracted update per unit step.  Raises MaxIterations (with the best
-    iterate attached) when the budget runs out.
+    the forward-difference quadrature, assembled once as the sparse operator
+    K of _limit_operator; the iteration runs on the values of the cells that
+    K touches, so each trial costs one sparse product K @ x, and the values
+    go back into the box at the end (cells outside Omega keep their trace
+    bitwise).  Recorded energies are the objective's values.  Stationarity
+    is measured as the sup-norm of the retracted update per unit step.
+    Raises ResolutionMismatch when Omega touches a box face, and
+    MaxIterations (with the best iterate attached) when the budget runs out.
     """
     dom = boundary.domain
-    om = dom.omega_mask
-    s0, kind = boundary.s0, boundary.kind
+    if dom.n_omega and dom.padding_cells() < 1:
+        raise ResolutionMismatch("Omega touches the box face: the limit solve needs padding >= 1")
+    omega = dom.omega_mask
+    s0, kind, m = boundary.s0, boundary.kind, boundary.m
     vals = boundary.values
     if interior_init is not None:
-        vals[om] = project_orbit(interior_init[om], s0, kind)
+        vals[omega] = project_orbit(interior_init[omega], s0, kind)
+    M = L.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
     if step is None:
         # Rayleigh bound: the discrete operator norm is <= lam_max * 24/h^2
-        flat = L.L.transpose(0, 2, 1, 3).reshape(3 * boundary.m, 3 * boundary.m)
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (flat + flat.T)))))
+        lam = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
         step = dom.h**2 / (24.0 * max(lam, 1e-300))
-    energy, grad = _forward_objective(vals, L, dom)
+    cells, K = _limit_operator(dom, M)
+    box = vals.reshape(-1, m)
+    x = box[cells]
+    om = omega.reshape(-1)[cells]
+
+    def objective(x):
+        grad = 2.0 * (K @ x.reshape(-1)).reshape(x.shape)
+        return 0.5 * dom.cell_volume * float(np.vdot(x, grad)), grad
+
+    energy, grad = objective(x)
     energies = [energy]
     residuals: list = []
     reason = "max_iterations"
@@ -240,24 +273,26 @@ def harmonic_minimize(
         it += 1
         sup_g = float(np.max(np.linalg.norm(grad[om], axis=-1))) if om.any() else 0.0
         tau_eff = min(tau, move_cap / sup_g) if sup_g > 0 else tau
-        trial = vals.copy()
-        trial[om] = project_orbit(vals[om] - tau_eff * grad[om], s0, kind)
-        res = float(np.max(np.linalg.norm(trial[om] - vals[om], axis=-1))) / tau_eff if om.any() else 0.0
-        e_trial, g_trial = _forward_objective(trial, L, dom)
+        trial = x.copy()
+        trial[om] = project_orbit(x[om] - tau_eff * grad[om], s0, kind)
+        res = float(np.max(np.linalg.norm(trial[om] - x[om], axis=-1))) / tau_eff if om.any() else 0.0
+        e_trial, g_trial = objective(trial)
         if e_trial > energies[-1] + 1e-14 * (1.0 + abs(energies[-1])):
             tau *= 0.5
             if tau < 1e-8 * step:
                 reason = "step_exhausted"
                 break
             continue
-        vals, grad = trial, g_trial
+        x, grad = trial, g_trial
         energies.append(e_trial)
         residuals.append(res)
         tau = min(tau * 1.5, 8.0 * step)
         if res <= tol:
             reason = "converged"
             break
-    result = LimitSolveResult(ManifoldField.from_ambient(dom, s0, kind, vals), energies, residuals, it, reason)
+    box[cells] = x
+    mfield = ManifoldField.from_ambient(dom, s0, kind, box.reshape(vals.shape))
+    result = LimitSolveResult(mfield, energies, residuals, it, reason)
     if reason == "max_iterations":
         raise MaxIterations(
             f"no stationarity below {tol:g} in {max_iter} iterations", result=result

@@ -137,6 +137,19 @@ def test_eps_sweep_table(tmp_path):
         assert f.eps == eps
 
 
+def test_eps_sweep_reports_limit_reference_status(tmp_path):
+    ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI)
+    out = tmp_path / "out"
+    assert cli.main(["eps-sweep", ini, "--out", str(out)]) == 0
+    kv = read_kv(out / "limit_reference.txt")
+    assert list(kv) == ["reason", "iterations", "residual"]
+    assert kv["reason"] in ("'converged'", "'max_iterations'", "'step_exhausted'")
+    assert 1 <= int(kv["iterations"]) <= 4000
+    residual = float(kv["residual"])
+    if kv["reason"] == "'converged'":
+        assert residual <= 1e-5  # the reference solve's tolerance
+
+
 def test_limit_solve_report(tmp_path):
     ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI)
     out = tmp_path / "out"

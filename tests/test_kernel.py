@@ -191,3 +191,18 @@ def test_quadrature_convergence_levels_agree():
     )
     moments = kernel.compute_moments(GAUSS)
     assert np.allclose(val, moments.intK, rtol=1e-9)
+
+
+def test_unconverged_grad_moment_fails_k6(monkeypatch):
+    # an m3grad quadrature that never stabilises must not report K6 as passed
+    real = kernel._converged_integral
+
+    def m3grad_unconverged(spec, integrand, r_max, rtol):
+        value, ok = real(spec, integrand, r_max, rtol)
+        return value, ok and integrand.__name__ != "g3"
+
+    monkeypatch.setattr(kernel, "_converged_integral", m3grad_unconverged)
+    assert np.isnan(kernel.compute_moments(ANNULUS).m3grad)
+    report = kernel.check_assumptions(ANNULUS)
+    assert not report.passed["K6_grad_moment"]
+    assert "assumption_K6_grad_moment = FAIL" in report.to_text()

@@ -243,3 +243,68 @@ def test_orbit_boundary_matches_field_presets():
         assert np.allclose(mf.values, arr, atol=1e-12)
     with pytest.raises(ValueError):
         limit.orbit_boundary("nope", dom, s0, "s1")
+
+
+def forward_objective_reference(values, L, dom):
+    """Forward-difference energy and Euclidean gradient on the whole box with
+    np.roll shifts: the einsum form the assembled operator replaces."""
+    omega = dom.omega_mask
+    h = dom.h
+    g = np.zeros(values.shape[:3] + (3,) + values.shape[3:])
+    for i in range(3):
+        live = omega | np.roll(omega, -1, axis=i)
+        d = (np.roll(values, -1, axis=i) - values) / h
+        g[..., i, :] = np.where(live[..., None], d, 0.0)
+    flux = np.einsum("ijab,xyzjb->xyzia", L.L, g)
+    energy = float(np.sum(flux * g)) * dom.cell_volume
+    grad = np.zeros_like(values)
+    for i in range(3):
+        grad += (np.roll(flux[..., i, :], 1, axis=i) - flux[..., i, :]) * (2.0 / h)
+    return energy, grad
+
+
+@pytest.mark.parametrize(
+    "tensor, dom",
+    [
+        (LT, fld.ball_domain(14, 1.0 / 14, 0.35)),
+        (LT, fld.cube_domain(12, 1.0 / 12, 0.3)),
+        (kernel.elastic_tensor(kernel.kernel_preset(
+            "gaussian-nematic", 5, {"strength": 3.0, "width": 0.3, "cut": 2.5, "f2": 0.5, "f3": 0.25}
+        )), fld.ball_domain(12, 1.0 / 12, 0.3)),
+    ],
+    ids=["annulus-ball", "annulus-cube", "nematic-ball"],
+)
+def test_limit_operator_matches_forward_difference_reference(tensor, dom):
+    m = tensor.L.shape[-1]
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(dom.shape + (m,))
+    e_ref, g_ref = forward_objective_reference(values, tensor, dom)
+    M = tensor.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+    cells, K = limit._limit_operator(dom, M)
+    assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
+    x = values.reshape(-1, m)[cells]
+    grad = 2.0 * (K @ x.reshape(-1)).reshape(x.shape)
+    energy = 0.5 * dom.cell_volume * float(np.vdot(x, grad))
+    assert energy == pytest.approx(e_ref, rel=1e-12)
+    # the descent reads the gradient on Omega; off Omega the reference also
+    # carries cross-axis flux through links that do not count
+    om = dom.omega_mask.reshape(-1)[cells]
+    g_om = g_ref[dom.omega_mask]
+    assert np.max(np.abs(grad[om] - g_om)) <= 1e-12 * np.max(np.abs(g_om))
+    # values on cells no live link touches do not enter the reference energy
+    rest = np.ones(values.size // m, dtype=bool)
+    rest[cells] = False
+    moved = values.copy().reshape(-1, m)
+    moved[rest] += 1.0
+    assert forward_objective_reference(moved.reshape(values.shape), tensor, dom)[0] == pytest.approx(
+        e_ref, rel=1e-12
+    )
+
+
+def test_harmonic_minimize_rejects_omega_on_the_box_face():
+    # padding 0: the forward links would wrap around the box
+    dom = fld.ball_domain(10, 0.1, 0.5)
+    assert dom.padding_cells() == 0
+    bc = limit.orbit_boundary("smooth-angle", dom, 0.6, "s1", slope=1.5)
+    with pytest.raises(ResolutionMismatch):
+        limit.harmonic_minimize(bc, LT, tol=1e-6, max_iter=50)
