@@ -313,9 +313,12 @@ class EnergyBreakdown:
 
 def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:
     """sum over cells of u(x) . S(x) u(x), optionally restricted to a mask."""
-    if mask is None:
-        mask = np.ones(u.shape[:-1], dtype=bool)
-    return float(np.einsum("nab,na,nb->", S[mask], u[mask], u[mask]))
+    m = u.shape[-1]
+    if mask is None:  # views of the whole box, no boolean-index copies
+        S, u = S.reshape(-1, m, m), u.reshape(-1, m)
+    else:
+        S, u = S[mask], u[mask]
+    return float(np.einsum("nab,na,nb->", S, u, u))
 
 
 def c_eps_constant(field: OrderField, sampled: SampledKernel, bulk: BulkPotential) -> float:

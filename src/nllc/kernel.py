@@ -113,6 +113,11 @@ class InverseSixthProfile:
             return np.inf
         return -self.amplitude * r ** (expo + 1) / (expo + 1)
 
+    def tail_gradient_moment(self, power, r):
+        # int_r^inf |f'(s)| s^power ds; beyond r_full |f'(s)| = 6 f(s) / s
+        tail = self.tail_radial_moment(power - 1, r)
+        return None if tail is None else 6.0 * tail
+
 
 ZERO_PROFILE = AnnulusProfile(k=0.0, r1=0.0, r2=1.0)
 
@@ -311,7 +316,10 @@ def _grad_norm(spec, z, h=1e-6):
 
 
 def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
-    """Kernel moments by adaptive radial-spherical quadrature."""
+    """Kernel moments by adaptive radial-spherical quadrature.
+
+    An unbounded profile adds its closed-form tail beyond the last breakpoint.
+    """
     R = spec.support_radius
     r_int = R if np.isfinite(R) else max(b for p in spec.profiles for b in p.breakpoints())
 
@@ -332,6 +340,11 @@ def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
 
     m3grad_val, ok = _converged_integral(spec, g3, r_int, max(rtol, 1e-6))
     m3grad = float(m3grad_val) if ok else np.nan
+    if not np.isfinite(R):
+        # scalar profile tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
+        tail = spec.f1.tail_gradient_moment(5, r_int)
+        if tail is not None:
+            m3grad += 4.0 * np.pi * np.sqrt(spec.m) * tail
 
     intK = 0.5 * (intK + intK.T)
     return KernelMoments(intK, intG, m2, m3grad, mq)
@@ -553,6 +566,10 @@ def frank_constants(L1: float, L2: float, L3: float, s0: float) -> tuple:
 # ---------------------------------------------------------------------------
 # lattice sampling
 
+# largest (2S+1)^3 stencil sample_on_lattice builds; its kernel values take
+# 430 MB at m = 5, and an unbounded tail can ask for far more
+MAX_STENCIL_SAMPLES = 129**3
+
 
 @dataclass(frozen=True)
 class SampledKernel:
@@ -633,7 +650,13 @@ def sample_on_lattice(
         if moments is None:
             moments = compute_moments(spec)
         err = moments.mq * (eps / r_trunc) ** (q - 2.0) if q > 2 else np.inf
-    S = int(np.floor(r_trunc / h + 1e-12))
+    S = np.floor(r_trunc / h + 1e-12)
+    if not (2 * S + 1) ** 3 <= MAX_STENCIL_SAMPLES:
+        raise ResolutionMismatch(
+            f"stencil of {2 * S + 1:.0f}^3 samples (radius {S:.0f} cells) exceeds the "
+            f"{MAX_STENCIL_SAMPLES} allowed; pass r_max or loosen trunc_tol"
+        )
+    S = int(S)
     Z = stencil_offsets(S, h)
     r = np.linalg.norm(Z, axis=-1)
     vals = evaluate_kernel(spec, Z / eps) / eps**3

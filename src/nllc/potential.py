@@ -8,7 +8,7 @@ log-partition function lnZ(b), with Lambda = grad psi_s and
 Lambda^{-1} = grad lnZ forming a Legendre pair.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -61,11 +61,15 @@ class MicroModel:
     sigma: np.ndarray  # (n_nodes, m) order-parameter samples
     weights: np.ndarray  # (n_nodes,), positive, sums to 1
     sigma_max: float
+    # (n_nodes, m*m) table of sigma_a sigma_b: second moments as one matmul
+    sigma2: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.weights
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
+        s = self.sigma
+        object.__setattr__(self, "sigma2", (s[:, :, None] * s[:, None, :]).reshape(len(s), -1))
 
 
 def make_s1_model(n_nodes: int = 256) -> MicroModel:
@@ -93,37 +97,44 @@ def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
     return MicroModel("s2", 5, q_tensor_coords(p), w, 1.0)
 
 
+def _shifted_exp(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(b . sigma_i - amax) per node and its shift amax (keepdims), for b of shape (..., m)."""
+    a = np.asarray(b, dtype=float) @ model.sigma.T  # (..., n)
+    amax = a.max(axis=-1, keepdims=True)
+    return np.exp(a - amax), amax
+
+
+def _tilted_density(model: MicroModel, b: np.ndarray) -> np.ndarray:
+    """Quadrature weights of the tilted density w_i exp(b . sigma_i) / Z(b), shape (..., n)."""
+    e = _shifted_exp(model, b)[0] * model.weights
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _covariance_of(model: MicroModel, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Covariance of sigma under node weights f with mean u: sum_i f_i sigma_i sigma_i^T - u u^T."""
+    m = model.m
+    second = (f @ model.sigma2).reshape(f.shape[:-1] + (m, m))
+    return second - u[..., :, None] * u[..., None, :]
+
+
 def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """lnZ(b) = ln sum_i w_i exp(b . sigma_i), max-shifted for stability.
 
     Accepts b of shape (..., m); returns shape (...).
     """
-    b = np.asarray(b, dtype=float)
-    a = b @ model.sigma.T  # (..., n)
-    amax = a.max(axis=-1, keepdims=True)
-    return (amax[..., 0] + np.log(np.exp(a - amax) @ model.weights))
+    e, amax = _shifted_exp(model, b)
+    return amax[..., 0] + np.log(e @ model.weights)
 
 
 def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda."""
-    b = np.asarray(b, dtype=float)
-    a = b @ model.sigma.T
-    amax = a.max(axis=-1, keepdims=True)
-    e = np.exp(a - amax) * model.weights
-    z = e.sum(axis=-1, keepdims=True)
-    return (e / z) @ model.sigma
+    return _tilted_density(model, b) @ model.sigma
 
 
 def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m)."""
-    b = np.asarray(b, dtype=float)
-    a = b @ model.sigma.T
-    amax = a.max(axis=-1, keepdims=True)
-    e = np.exp(a - amax) * model.weights
-    f = e / e.sum(axis=-1, keepdims=True)  # (..., n)
-    u = f @ model.sigma
-    second = np.einsum("...n,na,nb->...ab", f, model.sigma, model.sigma)
-    return second - u[..., :, None] * u[..., None, :]
+    f = _tilted_density(model, b)
+    return _covariance_of(model, f, f @ model.sigma)
 
 
 def dual_map(
@@ -136,11 +147,13 @@ def dual_map(
 ) -> np.ndarray:
     """Lambda(u): the dual variable b with grad lnZ(b) = u, by damped Newton.
 
-    Batched over leading axes.  A cell stops updating once its residual is
-    within tol, so each cell follows the Newton sequence of a one-cell call.
-    Raises OutsideMomentDomain if the iteration diverges or |b| exceeds the
-    cap anywhere, which is the finite-precision image of psi_s blowing up
-    towards the boundary of the moment set.
+    Batched over leading axes.  Each Newton step takes one exponential: the
+    tilted density of the live cells gives both the residual lambda_inverse(b)
+    - u and, on the cells still above tol, the covariance.  A cell stops
+    updating once its residual is within tol, so each cell follows the Newton
+    sequence of a one-cell call.  Raises OutsideMomentDomain if the iteration
+    diverges or |b| exceeds the cap anywhere, which is the finite-precision
+    image of psi_s blowing up towards the boundary of the moment set.
     """
     u = np.asarray(u, dtype=float)
     if np.any(np.linalg.norm(u, axis=-1) >= model.sigma_max):
@@ -149,15 +162,16 @@ def dual_map(
     live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within tol (a NaN stays live)
     eye = np.eye(model.m)
     for _ in range(max_iter):
-        r = lambda_inverse(model, b[live]) - u[live]
+        f = _tilted_density(model, b[live])
+        mean = f @ model.sigma
+        r = mean - u[live]
         keep = ~(np.linalg.norm(r, axis=-1) <= tol)
         if not keep.any():
             return b
         live[live] = keep
-        r = r[keep]
-        cov = covariance(model, b[live])
+        cov = _covariance_of(model, f[keep], mean[keep])
         # tiny Tikhonov guard keeps the batched solve well posed near the cap
-        step = np.linalg.solve(cov + 1e-14 * eye, r[..., None])[..., 0]
+        step = np.linalg.solve(cov + 1e-14 * eye, r[keep][..., None])[..., 0]
         sn = np.linalg.norm(step, axis=-1, keepdims=True)
         b[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
         if np.linalg.norm(b[live], axis=-1).max() > b_cap:

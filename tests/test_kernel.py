@@ -147,6 +147,29 @@ def test_sample_on_lattice_resolution_guard():
         kernel.sample_on_lattice(ANNULUS, eps=0.1, h=0.05)
 
 
+def test_unbounded_stencil_too_large_raises_before_allocating(monkeypatch):
+    # INV6's tail-moment radius at eps 0.5 spans about 4e10 cells per axis
+
+    def no_stencil(*args):
+        raise AssertionError("stencil allocated")
+
+    monkeypatch.setattr(kernel, "stencil_offsets", no_stencil)
+    with pytest.raises(ResolutionMismatch, match="stencil of"):
+        kernel.sample_on_lattice(INV6, eps=0.5, h=0.1)
+
+
+def test_inverse6_grad_moment_includes_its_tail():
+    # quadrature of |grad K| |z|^3 out to r = 400, plus the closed-form
+    # remainder 4 pi sqrt(m) int_400^inf 6 A r^-2 dr of the scalar profile
+    def g3(z):
+        return kernel._grad_norm(INV6, z) * np.linalg.norm(z, axis=-1) ** 3
+
+    r_far = 400.0
+    near = kernel.integrate_radial_angular(INV6, g3, r_far, n_radial=96)
+    far = 24.0 * np.pi * 2.0 * np.sqrt(2.0) / r_far
+    assert kernel.compute_moments(INV6).m3grad == pytest.approx(near + far, rel=1e-8)
+
+
 def test_sampled_kernel_truncation_and_moments():
     sampled = kernel.sample_on_lattice(GAUSS, eps=0.3, h=1.0 / 24)
     assert sampled.trunc_error == 0.0  # compact support

@@ -27,11 +27,14 @@ def test_log_partition_matches_trapezoid_oracle():
 
 
 def test_lambda_inverse_is_gradient_of_log_partition():
+    # and the covariance is the symmetric Jacobian of lambda_inverse
     rng = np.random.default_rng(1)
     d = 1e-6
     for model in (S1, S2):
         b = rng.uniform(-2, 2, (5, model.m))
         u = potential.lambda_inverse(model, b)
+        cov = potential.covariance(model, b)
+        assert np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=0.0, atol=1e-15)
         for k in range(model.m):
             e = np.zeros(model.m)
             e[k] = d
@@ -39,6 +42,10 @@ def test_lambda_inverse_is_gradient_of_log_partition():
                 potential.log_partition(model, b + e) - potential.log_partition(model, b - e)
             ) / (2 * d)
             assert np.allclose(u[:, k], fd, atol=1e-7)
+            fd_u = (
+                potential.lambda_inverse(model, b + e) - potential.lambda_inverse(model, b - e)
+            ) / (2 * d)
+            assert np.allclose(cov[:, :, k], fd_u, atol=1e-7)
 
 
 def test_dual_map_inverts_lambda_inverse():
@@ -180,14 +187,25 @@ def test_bulk_potential_solves_the_radial_scan_in_one_batch(monkeypatch):
     assert len(calls) <= 15
 
 
-def test_batched_dual_map_matches_one_cell_solves():
+E1 = np.array([0.6, 0.8])
+E2 = np.array([0.2, -0.4, 0.4, 0.8, 0.0])  # unit; |u| = 0.8 along it is outside the s2 set
+UNIAXIAL = potential.representative_direction(S2)
+
+
+@pytest.mark.parametrize(
+    "model, u",
+    [
+        (S1, np.stack([0.1 * E1, 0.97 * E1, 0.5 * E1[::-1]])),
+        (S2, np.stack([0.1 * E2, 0.9 * UNIAXIAL, 0.45 * E2[::-1], -0.45 * UNIAXIAL])),
+    ],
+    ids=["s1", "s2"],
+)
+def test_batched_dual_map_matches_one_cell_solves(model, u):
     # an easy cell converges many Newton steps before a near-cap one; it
     # must stop where a one-cell solve stops
-    e = np.array([0.6, 0.8])
-    u = np.stack([0.1 * e, 0.97 * e, 0.5 * e[::-1]])
-    batch = potential.dual_map(S1, u)
+    batch = potential.dual_map(model, u)
     for cell, b in zip(u, batch):
-        assert np.max(np.abs(b - potential.dual_map(S1, cell))) <= 1e-12
+        assert np.max(np.abs(b - potential.dual_map(model, cell))) <= 1e-12
 
 
 def test_warm_start_matches_cold_start():
