@@ -29,6 +29,12 @@ class ResolutionMismatch(NllcError):
     tag = "resolution_mismatch"
 
 
+class DumpFormatError(NllcError, ValueError):
+    """A field dump has the wrong magic or a size its header does not declare."""
+
+    tag = "dump_format_error"
+
+
 class OutsideMomentDomain(NllcError):
     """An order-parameter value is at or outside the boundary of the moment set."""
 

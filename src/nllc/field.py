@@ -19,7 +19,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .errors import LayerTooThin, ResolutionMismatch
+from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, max_eigen
 from .potential import (
     BulkPotential,
@@ -691,14 +691,25 @@ def write_nllc1(path, field: OrderField):
 
 
 def read_nllc1(path) -> OrderField:
+    """Read a dump of write_nllc1.
+
+    Raises DumpFormatError on a wrong magic and on a file whose size is not
+    the one its header declares (a truncated dump or trailing bytes).
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}: not an NLLC1 dump")
-        nx, ny, nz, m = struct.unpack("<4I", fh.read(16))
-        h, eps = struct.unpack("<2d", fh.read(16))
-        region = np.frombuffer(fh.read(nx * ny * nz), dtype=np.uint8).reshape(nx, ny, nz)
-        raw = fh.read(nx * ny * nz * m * 8)
-        values = np.frombuffer(raw, dtype="<f8").reshape(nx, ny, nz, m).copy()
+        data = fh.read()
+    if not data.startswith(_MAGIC):
+        raise DumpFormatError(f"bad magic {data[:len(_MAGIC)]!r}: not an NLLC1 dump")
+    header = len(_MAGIC) + 32
+    if len(data) < header:
+        raise DumpFormatError(f"NLLC1 dump of {len(data)} bytes is shorter than its header")
+    nx, ny, nz, m = struct.unpack_from("<4I", data, len(_MAGIC))
+    h, eps = struct.unpack_from("<2d", data, len(_MAGIC) + 16)
+    cells = nx * ny * nz
+    size = header + cells * (1 + 8 * m)
+    if len(data) != size:
+        raise DumpFormatError(f"NLLC1 dump of {len(data)} bytes; its header declares {size}")
+    region = np.frombuffer(data, np.uint8, cells, header).reshape(nx, ny, nz)
+    values = np.frombuffer(data, "<f8", cells * m, header + cells).reshape(nx, ny, nz, m).copy()
     dom = Domain(h, region.copy(), "ball", 0.0)
     return OrderField(dom, eps, values)

@@ -125,9 +125,11 @@ class ManifoldField:
 def _central_gradient(values: np.ndarray, h: float, omega: np.ndarray) -> np.ndarray:
     """(Nx,Ny,Nz,3,m) central differences, zeroed off Omega.
 
-    Every Omega cell has neighbours in the box (the domain keeps a padding
-    layer), so the one-cell shifts never wrap meaningful data into Omega.
+    Raises ResolutionMismatch when Omega touches a box face, where the
+    one-cell shifts would wrap the opposite face into the difference.
     """
+    if any(np.take(omega, (0, -1), axis=i).any() for i in range(3)):
+        raise ResolutionMismatch("Omega touches the box face: central differences need padding >= 1")
     g = np.zeros(values.shape[:3] + (3,) + values.shape[3:])
     for i in range(3):
         g[..., i, :] = (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2.0 * h)

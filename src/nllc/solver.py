@@ -1,11 +1,14 @@
 """Minimisation of the non-local energy on the admissible lattice class.
 
-Two update rules share one monotone accept/reject driver: the damped
-Euler-Lagrange self-consistency iteration u <- (1-alpha) u + alpha Lambda^{-1}(K_eps * u),
-whose iterates stay strictly inside the moment set automatically, and a
-projected gradient descent.  The driver monitors the oscillation-form energy
-and only accepts non-increasing steps, so the two solvers differ only in their
-update rule, and agreement of their minima cross-checks the two rules.
+Two update rules share one monotone accept/reject driver: the Anderson-
+accelerated Euler-Lagrange self-consistency iteration for the fixed point
+u = Lambda^{-1}(K_eps * u), and a projected gradient descent.  The driver
+monitors the oscillation-form energy and only accepts non-increasing trials
+whose dual solve succeeds, so the two solvers differ only in their update
+rule, and agreement of their minima cross-checks the two rules.  A damped
+fixed-point step stays inside the moment set, because Lambda^{-1} maps into
+it; an extrapolated Anderson trial can leave it, and is then rejected
+through OutsideMomentDomain like any other failed trial.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,9 @@ from .field import OrderField, ball_mask, convolve, energy_oscillation
 from .field import energy_oscillation_from, require_padding
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, lambda_inverse
+
+# number of past iterate and residual differences the Anderson proposal mixes
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -83,17 +89,38 @@ def el_fixed_point(
     bulk: BulkPotential,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Damped Euler-Lagrange self-consistency iteration.
+    """Anderson-accelerated Euler-Lagrange self-consistency iteration.
 
-    Every iterate lies strictly inside the moment set because the update
-    target Lambda^{-1}(K_eps*u) is a mean of micro-states.  Steps that raise
-    the oscillation energy are rejected and the damping halved; running out
-    of damping or iterations raises MaxIterations with the best result
-    attached.
+    The fixed-point map is G(u) = Lambda^{-1}(K_eps*u) on Omega, with residual
+    f = G(x) - x, evaluated once per accepted iterate x.  Over the last
+    ANDERSON_DEPTH + 1 accepted iterates the proposal solves the small
+    least-squares problem min |f - dF gamma| on the residual differences dF
+    and extrapolates to x + alpha f - (dX + alpha dF) gamma, where dX are the
+    iterate differences.  config.alpha is both the mixing weight and the
+    damping of the plain step x + alpha f = (1-alpha) x + alpha G(x), which is
+    the first trial and the trial after a rejection (or a non-finite gamma).
+    A damped trial lies strictly inside the moment set; an extrapolated one
+    can leave it, and its dual solve then raises OutsideMomentDomain.  Trials
+    that leave the set or raise the oscillation energy are rejected: the
+    history is dropped and the step halved.  Running out of damping or
+    iterations raises MaxIterations with the best result attached.
     """
+    xs, fs = [], []  # flattened accepted iterates on Omega and their residuals
 
-    def propose(u_om, v_om, b, alpha):
-        return (1.0 - alpha) * u_om + alpha * lambda_inverse(bulk.model, v_om)
+    def propose(u_om, v_om, b, alpha, rejected):
+        if rejected:
+            del xs[:-1], fs[:-1]
+        else:
+            xs.append(u_om.ravel())
+            fs.append((lambda_inverse(bulk.model, v_om) - u_om).ravel())
+            del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
+        trial = xs[-1] + alpha * fs[-1]
+        if len(xs) > 1:
+            dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            gamma = np.linalg.lstsq(dF, fs[-1], rcond=None)[0]
+            if np.all(np.isfinite(gamma)):
+                trial -= (dX + alpha * dF) @ gamma
+        return trial.reshape(u_om.shape)
 
     return _monotone_solve(init, sampled, bulk, config, "el_fixed_point", propose,
                            step=config.alpha, grow=1.0, floor=config.alpha_min,
@@ -116,7 +143,7 @@ def gradient_descent(
     """
     safe = 0.995 * bulk.model.sigma_max
 
-    def propose(u_om, v_om, b, step):
+    def propose(u_om, v_om, b, step, rejected):
         cand = u_om - step * ((b - v_om) / init.eps**2)
         norms = np.linalg.norm(cand, axis=-1, keepdims=True)
         return np.where(norms > safe, cand * (safe / norms), cand)
@@ -129,11 +156,13 @@ def gradient_descent(
 def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, floor, exhausted):
     """Accept/reject driver of el_fixed_point and gradient_descent.
 
-    propose(u_om, v_om, b, step) returns the trial values on Omega from the
-    current ones, v = K_eps*u and the duals b = Lambda(u) there.  A trial
-    that raises the oscillation energy, or whose dual solve leaves the moment
-    set, is rejected and the step halved; below floor the solve ends with
-    the reason and message of exhausted.
+    propose(u_om, v_om, b, step, rejected) returns the trial values on Omega
+    from the current ones, v = K_eps*u and the duals b = Lambda(u) there;
+    rejected says whether the previous trial, from the same iterate, was
+    rejected.  A trial that raises the oscillation energy, or whose dual
+    solve leaves the moment set (OutsideMomentDomain), is rejected and the
+    step halved; below floor the solve ends with the reason and message of
+    exhausted.
     An accepted step multiplies the step by grow.  Each trial costs one
     convolution and one dual solve warm-started from b; an accepted trial
     keeps both as the next iterate's, whose residual sup |b - v| on Omega
@@ -147,12 +176,13 @@ def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, fl
     residuals = [_sup_residual(v[om], b)]
     energies = [energy_oscillation_from(u, sampled, bulk, v, b).total]
     it = 0
+    rejected = False
     while it < config.max_iter:
         if residuals[-1] <= config.tol:
             return _finish(u, residuals, energies, it, "converged", method, bulk)
         it += 1
         trial = u.copy()
-        trial.values[om] = propose(u.values[om], v[om], b, step)
+        trial.values[om] = propose(u.values[om], v[om], b, step, rejected)
         v_trial = convolve(sampled, trial.values, u.domain.h)
         try:
             b_trial = dual_map(bulk.model, trial.values[om], b0=b)
@@ -160,7 +190,8 @@ def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, fl
             e_trial = np.inf
         else:
             e_trial = energy_oscillation_from(trial, sampled, bulk, v_trial, b_trial).total
-        if e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1])):
+        rejected = e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1]))
+        if rejected:
             step *= 0.5
             if step < floor:
                 reason, what = exhausted

@@ -3,7 +3,7 @@ import pytest
 
 from nllc import field as fld
 from nllc import kernel, potential
-from nllc.errors import LayerTooThin, ResolutionMismatch
+from nllc.errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 
 S1 = potential.make_s1_model()
 
@@ -134,6 +134,23 @@ def test_nllc1_bad_magic():
         with open(p, "wb") as fh:
             fh.write(b"GARBAGE")
         with pytest.raises(ValueError):
+            fld.read_nllc1(p)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "append"])
+def test_nllc1_size_mismatch_is_a_format_error(damage):
+    import tempfile, os
+
+    dom, _, bulk = setup_case(n=14, omega_radius=0.14)
+    f = random_field(dom, 0.5, bulk.manifold.s0, seed=10)
+    with tempfile.TemporaryDirectory() as td:
+        p = os.path.join(td, "f.nllc1")
+        fld.write_nllc1(p, f)
+        with open(p, "rb") as fh:
+            data = fh.read()
+        with open(p, "wb") as fh:
+            fh.write(data[:-8] if damage == "truncate" else data + b"\0")
+        with pytest.raises(DumpFormatError):
             fld.read_nllc1(p)
 
 

@@ -308,3 +308,14 @@ def test_harmonic_minimize_rejects_omega_on_the_box_face():
     bc = limit.orbit_boundary("smooth-angle", dom, 0.6, "s1", slope=1.5)
     with pytest.raises(ResolutionMismatch):
         limit.harmonic_minimize(bc, LT, tol=1e-6, max_iter=50)
+
+
+def test_central_difference_energies_reject_omega_on_the_box_face():
+    # padding 0: the central differences would wrap around the box
+    dom = fld.ball_domain(10, 0.1, 0.5)
+    assert dom.padding_cells() == 0
+    v = limit.orbit_boundary("smooth-angle", dom, 0.6, "s1", slope=1.5)
+    with pytest.raises(ResolutionMismatch):
+        limit.limit_energy(v, LT)
+    with pytest.raises(ResolutionMismatch):
+        limit.dirichlet_energy(v)

@@ -3,7 +3,7 @@ import pytest
 
 from nllc import field as fld
 from nllc import kernel, potential, solver
-from nllc.errors import MaxIterations
+from nllc.errors import MaxIterations, OutsideMomentDomain
 
 S1 = potential.make_s1_model()
 
@@ -94,6 +94,40 @@ def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
     assert res.converged and res.iterations > 5
     assert calls["convolve"] <= res.iterations + 1
     assert calls["dual_map"] <= res.iterations + 1
+
+
+def test_el_fixed_point_is_anderson_accelerated():
+    # the damped iteration alone needs 29 iterations on this case
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=1.5)
+    res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
+    assert res.converged and res.iterations <= 12
+    assert res.energies[-1] == pytest.approx(1.0931182077837558, rel=1e-10)
+
+
+def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
+    # the first extrapolated trial (the second trial) leaves the moment set;
+    # the solve drops the history, takes a damped step and still converges
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=1.5)
+    cfg = solver.SolverConfig(tol=1e-9)
+    ref = solver.el_fixed_point(f.copy(), sampled, bulk, cfg)
+    calls = {"n": 0}
+    original = solver.dual_map
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 3:  # start, first (damped) trial, first extrapolation
+            raise OutsideMomentDomain("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dual_map", failing)
+    res = solver.el_fixed_point(f, sampled, bulk, cfg)
+    assert res.converged
+    assert res.iterations == len(res.energies)  # exactly one rejected trial
+    e = np.array(res.energies)
+    assert np.all(np.diff(e) <= 1e-12 * (1.0 + np.abs(e[:-1])))
+    assert res.energies[-1] == pytest.approx(ref.energies[-1], rel=1e-10)
 
 
 def test_solvers_preserve_boundary_bitwise():
