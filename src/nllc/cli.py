@@ -97,8 +97,8 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
 
     n = _get(parser, "domain", "n", int, required=True)
     h = _get(parser, "domain", "h", float, required=True)
-    if n < 4 or h <= 0:
-        raise ConfigError("[domain] n/h", "need n >= 4 and h > 0")
+    if n < 4 or not 0 < h < np.inf:
+        raise ConfigError("[domain] n/h", "need n >= 4 and a finite h > 0")
     omega_radius = _get(parser, "domain", "omega_radius", float)
     layer = _get(parser, "domain", "layer", float, default=float("inf"))
 
@@ -116,19 +116,22 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
         eps_list = [float(tok) for tok in eps_raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError("[sweep] eps", f"cannot parse {eps_raw!r}") from exc
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ConfigError("[sweep] eps", "entries must be positive")
+    if not eps_list or not all(0 < e < np.inf for e in eps_list):
+        raise ConfigError("[sweep] eps", "entries must be positive and finite")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("[sweep] eps", "entries must be strictly descending")
 
     seed = _get(parser, "solver", "seed", int, default=0)
-    solver_cfg = solver_mod.SolverConfig(
-        alpha=_get(parser, "solver", "alpha", float, default=0.5),
-        tol=_get(parser, "solver", "tol", float, default=1e-8),
-        max_iter=_get(parser, "solver", "max_iter", int, default=2000),
-        descent_step=_get(parser, "solver", "descent_step", float, default=0.1),
-        seed=seed,
-    )
+    try:
+        solver_cfg = solver_mod.SolverConfig(
+            alpha=_get(parser, "solver", "alpha", float, default=0.5),
+            tol=_get(parser, "solver", "tol", float, default=1e-8),
+            max_iter=_get(parser, "solver", "max_iter", int, default=2000),
+            descent_step=_get(parser, "solver", "descent_step", float, default=0.1),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ConfigError("[solver]", str(exc)) from exc
 
     out_dir = Path(_get(parser, "output", "dir", str, default="out"))
     ball_radius = _get(parser, "probe", "ball_radius", float)
@@ -362,7 +365,10 @@ def _run_gamma_check(cfg: ExperimentConfig) -> None:
     s0 = ladder[0][2].manifold.s0
     v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model, **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(spec)
-    region = field_mod.ball_mask(dom, np.zeros(3), _probe_radius(cfg, dom))
+    rho = _probe_radius(cfg, dom)
+    region = field_mod.ball_mask(dom, np.zeros(3), rho)
+    if not (region & dom.omega_mask).any():
+        raise ConfigError("[probe] ball_radius", f"the ball of radius {rho:g} holds no Omega cell")
     rows = limit_mod.gamma_limsup_check(
         v, [sk for _, sk, _ in ladder], [b for _, _, b in ladder], tensor, region=region
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.fft
-import scipy.ndimage
 
 from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, max_eigen
@@ -226,6 +225,20 @@ def require_padding(domain: Domain, sampled: SampledKernel):
         )
 
 
+def _stencil_shifts(sampled: SampledKernel, n):
+    """(K(z), lo, hi) for each nonzero stencil offset z shorter than the box n per axis:
+    values[lo] and values[hi] are the cells x and x + z of every such pair in the box."""
+    S = sampled.radius_cells
+    for idx in np.ndindex(sampled.values.shape[:3]):
+        kern = sampled.values[idx]
+        z = [i - S for i in idx]
+        if not kern.any() or any(abs(d) >= nn for d, nn in zip(z, n)):
+            continue
+        lo = tuple(slice(max(0, -d), min(nn, nn - d)) for d, nn in zip(z, n))
+        hi = tuple(slice(max(0, d), min(nn, nn + d)) for d, nn in zip(z, n))
+        yield kern, lo, hi
+
+
 def _stencil_fft(stencil: np.ndarray, pshape) -> np.ndarray:
     """Spectrum of a centred (2S+1)^3 stencil, any trailing shape, wrapped onto pshape."""
     S = len(stencil) // 2
@@ -257,15 +270,10 @@ def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method:
     if u.shape[-1] != m:
         raise ResolutionMismatch(f"field has {u.shape[-1]} components, kernel expects {m}")
     if method == "direct":
+        # the definition, one stencil offset at a time: u(x) meets K(z) at x + z
         out = np.zeros_like(u)
-        for a in range(m):
-            for b in range(m):
-                stencil = sampled.values[..., a, b]
-                if not stencil.any():
-                    continue
-                out[..., a] += scipy.ndimage.correlate(
-                    u[..., b], stencil, mode="constant", cval=0.0
-                )
+        for kern, lo, hi in _stencil_shifts(sampled, u.shape[:3]):
+            out[hi] += u[lo] @ kern.T
         return out * h**3
     if method != "fft":
         raise ValueError(f"unknown convolution method {method!r}")
@@ -370,30 +378,12 @@ def _pairwise_interaction(
     Direct shift-based evaluation of the definition; with a mask, both cells
     of every counted pair must lie in the mask.
     """
-    S = sampled.radius_cells
-    n = values.shape[:3]
     acc = 0.0
-    for di in range(-S, S + 1):
-        for dj in range(-S, S + 1):
-            for dk in range(-S, S + 1):
-                kern = sampled.values[di + S, dj + S, dk + S]
-                if not kern.any():
-                    continue
-                sl_x, sl_y = [], []
-                ok = True
-                for d, nn in zip((di, dj, dk), n):
-                    if abs(d) >= nn:
-                        ok = False
-                        break
-                    sl_x.append(slice(max(0, -d), min(nn, nn - d)))
-                    sl_y.append(slice(max(0, d), min(nn, nn + d)))
-                if not ok:
-                    continue
-                du = values[tuple(sl_x)] - values[tuple(sl_y)]
-                if mask is not None:
-                    pm = mask[tuple(sl_x)] & mask[tuple(sl_y)]
-                    du = du * pm[..., None]
-                acc += float(np.einsum("xyza,ab,xyzb->", du, kern, du))
+    for kern, lo, hi in _stencil_shifts(sampled, values.shape[:3]):
+        du = values[lo] - values[hi]
+        if mask is not None:
+            du = du * (mask[lo] & mask[hi])[..., None]
+        acc += float(np.einsum("xyza,ab,xyzb->", du, kern, du))
     return 0.25 * acc * h**6
 
 

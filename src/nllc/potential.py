@@ -11,7 +11,6 @@ Lambda^{-1} = grad lnZ forming a Legendre pair.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateMinimum, OutsideMomentDomain
 
@@ -283,6 +282,33 @@ def compute_c0_and_NN(
     return c0, s0, manifold
 
 
+def _bracketed_root(f, a, b, fa, fb, xtol):
+    """Root of f in [a, b], given f(a) = fa and f(b) = fb of opposite signs, by the
+    Illinois variant of regula falsi (Dowell & Jarratt 1971, BIT 11).
+
+    Each secant point stays inside the bracket.  When one end survives two steps
+    in a row its value is halved, so the next point lands past the root and both
+    ends close in; the loop stops once the bracket is narrower than xtol.
+    """
+    c, side = a, 0
+    while abs(b - a) > xtol:
+        c = float((a * fb - b * fa) / (fb - fa))
+        fc = float(f(c))
+        if fc == 0.0:
+            return c
+        if (fc < 0.0) == (fb < 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return c
+
+
 def _radial_ray_minimum(model, e, kappa):
     """Minimise psi_s(s e) - kappa s^2/2 over s in [0, sigma_max)."""
     # back off from the orbit-boundary until the dual Newton solve converges;
@@ -303,7 +329,8 @@ def _radial_ray_minimum(model, e, kappa):
         if d_a == 0.0:
             crit.append(a)
         elif d_a * d_b < 0:
-            crit.append(brentq(lambda s: _radial_bulk_derivative(model, e, kappa, s), a, bnd, xtol=1e-12))
+            crit.append(_bracketed_root(
+                lambda s: _radial_bulk_derivative(model, e, kappa, s), a, bnd, d_a, d_b, xtol=1e-12))
 
     def raw(s):
         if s == 0.0:

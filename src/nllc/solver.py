@@ -37,7 +37,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.tol <= 0 or self.max_iter <= 0 or self.descent_step <= 0:
+        if not (self.tol > 0 and self.max_iter > 0 and self.descent_step > 0):  # NaN fails too
             raise ValueError("tolerances, step and iteration budget must be positive")
 
 

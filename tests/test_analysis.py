@@ -82,6 +82,18 @@ def test_mollify_matches_direct_convolution_up_to_the_box_faces():
     assert np.max(np.abs(out - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_dilate_matches_scipy_binary_dilation(k):
+    # scipy's iterations=0 means "repeat until nothing changes", so the
+    # oracle for k = 0 is the mask itself
+    rng = np.random.default_rng(k)
+    for shape, density in (((9, 8, 7), 0.03), ((6, 6, 6), 0.15)):
+        mask = rng.random(shape) < density
+        mask[0, 2, 3] = mask[-1, -1, 1] = mask[4, 0, -1] = True  # on box faces and an edge
+        ref = scipy.ndimage.binary_dilation(mask, iterations=k) if k else mask
+        assert np.array_equal(analysis._dilate(mask, k), ref)
+
+
 def test_h1_check_smooth_and_rough_ratios_finite():
     dom, sampled, bulk = setup_case()
     moll = analysis.build_mollifier(sampled)

@@ -227,7 +227,9 @@ def test_holder_probe_runs_on_the_readme_config(tmp_path):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, nllc.cli; sys.exit('scipy.signal' in sys.modules)"
+    # the package's scipy is fft and sparse; the subpackages below serve it nothing
+    heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage", "scipy.linalg", "scipy.spatial")
+    code = f"import sys, nllc.cli; sys.exit(' '.join(m for m in {heavy!r} if m in sys.modules) or None)"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -254,6 +256,34 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     code = cli.main(["minimize", ini])
     assert code == 2
     assert "[domain] h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("seed = 0", "seed = 0\nalpha = 0", "[solver]"),
+    ("seed = 0", "seed = 0\nalpha = 1.5", "[solver]"),
+    ("tol = 1e-7", "tol = 0", "[solver]"),
+    ("tol = 1e-7", "tol = -1e-7", "[solver]"),
+    ("tol = 1e-7", "tol = nan", "[solver]"),
+    ("max_iter = 3000", "max_iter = 0", "[solver]"),
+    ("seed = 0", "seed = 0\ndescent_step = 0", "[solver]"),
+    ("h = 0.1", "h = nan", "[domain]"),
+    ("h = 0.1", "h = inf", "[domain]"),
+    ("eps = 0.6 0.5", "eps = inf 0.5", "[sweep] eps"),
+    ("eps = 0.6 0.5", "eps = nan", "[sweep] eps"),
+])
+def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
+    assert cli.main(["minimize", ini, "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_gamma_check_probe_ball_without_omega_cells_exit_2(tmp_path, capsys):
+    # on an even grid no cell centre lies at the origin, so a radius-0 ball is empty
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace("ball_radius = 0.3", "ball_radius = 0"))
+    out = tmp_path / "out"
+    assert cli.main(["gamma-check", ini, "--out", str(out)]) == 2
+    assert "[probe] ball_radius" in capsys.readouterr().err
+    assert not (out / "gamma.csv").exists()
 
 
 def test_numerical_failure_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from nllc import potential
 from nllc.errors import OutsideMomentDomain
@@ -148,6 +149,21 @@ def test_bulk_potential_vacuum_and_normalisation():
         b = 3.0 * rng.standard_normal((50, model.m))
         sample = potential.lambda_inverse(model, b)
         assert np.all(potential.psi_b(bulk, sample) >= -1e-9)
+
+
+@pytest.mark.parametrize("model, kappa", [(S1, 2.1), (S1, 5.0), (S1, 14.0), (S2, 5.0), (S2, 20.0)])
+def test_vacuum_radius_matches_brentq(model, kappa):
+    # the radial polish is a numpy root finder; brentq is the oracle
+    c0, s0, _ = potential.compute_c0_and_NN(model, kappa * np.eye(model.m))
+    e = potential.representative_direction(model)
+
+    def d(s):
+        return potential._radial_bulk_derivative(model, e, kappa, s)
+
+    ref = brentq(d, s0 - 1e-3, s0 + 1e-3, xtol=1e-12)
+    ref_c0 = 0.5 * kappa * ref**2 - float(potential.psi_s(model, ref * e))
+    assert s0 == pytest.approx(ref, rel=0.0, abs=1e-12)
+    assert c0 == pytest.approx(ref_c0, rel=1e-12)
 
 
 def test_weak_coupling_is_isotropic():
