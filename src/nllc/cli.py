@@ -100,7 +100,11 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     if n < 4 or not 0 < h < np.inf:
         raise ConfigError("[domain] n/h", "need n >= 4 and a finite h > 0")
     omega_radius = _get(parser, "domain", "omega_radius", float)
+    if omega_radius is not None and not 0 < omega_radius < np.inf:
+        raise ConfigError("[domain] omega_radius", "need a finite omega_radius > 0")
     layer = _get(parser, "domain", "layer", float, default=float("inf"))
+    if not layer >= 0:  # NaN fails too; inf prescribes everything outside Omega
+        raise ConfigError("[domain] layer", "need a layer thickness >= 0")
 
     boundary = _get(parser, "boundary", "preset", str, default="constant")
     if boundary not in ("constant", "smooth-angle", "vortex"):
@@ -182,7 +186,11 @@ def _domain(cfg: ExperimentConfig, max_stencil: int):
         raise ConfigError(
             "[domain] n", f"grid too small for the eps = {cfg.eps_list[0]:g} stencil"
         )
-    return field_mod.ball_domain(cfg.n, cfg.h, omega_radius=radius, layer_thickness=cfg.layer)
+    try:
+        return field_mod.ball_domain(cfg.n, cfg.h, omega_radius=radius, layer_thickness=cfg.layer)
+    except ValueError as exc:  # no cell centre lies within the radius
+        key = "[domain] n" if cfg.omega_radius is None else "[domain] omega_radius"
+        raise ConfigError(key, str(exc)) from exc
 
 
 def _boundary_field(cfg: ExperimentConfig, dom, s0, eps):

@@ -182,10 +182,14 @@ def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:
     if m == 2:
         return s0 * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     if m == 5:
-        half = 0.5 * phi
-        n = np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
-        return s0 * q_tensor_coords(n)
+        return s0 * q_tensor_coords(_half_angle_director(phi))
     raise ValueError(f"no orbit parametrization for m = {m}")
+
+
+def _half_angle_director(phi: np.ndarray) -> np.ndarray:
+    """Unit director [cos phi/2, sin phi/2, 0], whose uniaxial state turns by phi."""
+    half = 0.5 * phi
+    return np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
 
 
 def make_field(domain: Domain, eps: float, boundary: np.ndarray, interior=None) -> OrderField:

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import MaxIterations, ResolutionMismatch
+from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_angle, convolve_stencil, local_energy
+from .field import _half_angle_director, _orbit_field
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
-from .potential import BulkPotential, q_tensor_coords
+from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
+from .solver import best_of, monotone_descent
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +45,13 @@ def project_orbit(y: np.ndarray, s0: float, kind: str) -> np.ndarray:
         ref[..., 0] = s0
         return np.where(n > 1e-300, out, ref)
     if kind == "s2":
-        from .potential import coords_to_matrix
-
-        Q = coords_to_matrix(y)
-        _, vecs = np.linalg.eigh(Q)
-        n = vecs[..., :, -1]
-        return s0 * q_tensor_coords(n)
+        return s0 * q_tensor_coords(_director_of(y))
     raise ValueError(f"unknown orbit kind {kind!r}")
+
+
+def _director_of(y: np.ndarray) -> np.ndarray:
+    """Top eigenvector of the traceless symmetric matrix with coordinates y."""
+    return np.linalg.eigh(coords_to_matrix(y))[1][..., :, -1]
 
 
 def _angle_of(values: np.ndarray) -> np.ndarray:
@@ -90,7 +92,7 @@ class ManifoldField:
     @property
     def values(self) -> np.ndarray:
         if self.kind == "s1":
-            return self.s0 * np.stack([np.cos(self.angle), np.sin(self.angle)], axis=-1)
+            return _orbit_field(self.angle, self.s0, 2)
         return self.s0 * q_tensor_coords(self.frame)
 
     def copy(self) -> "ManifoldField":
@@ -108,11 +110,7 @@ class ManifoldField:
         v = project_orbit(y, s0, kind)
         if kind == "s1":
             return ManifoldField(domain, s0, kind, angle=_angle_of(v))
-        from .potential import coords_to_matrix
-
-        Q = coords_to_matrix(v)
-        _, vecs = np.linalg.eigh(Q)
-        return ManifoldField(domain, s0, kind, frame=vecs[..., :, -1])
+        return ManifoldField(domain, s0, kind, frame=_director_of(v))
 
     def order_field(self, eps: float) -> OrderField:
         return OrderField(self.domain, eps, self.values)
@@ -224,21 +222,21 @@ def harmonic_minimize(
     L: ElasticTensor,
     tol: float = 1e-8,
     max_iter: int = 5000,
-    step: float | None = None,
     interior_init: np.ndarray | None = None,
 ) -> LimitSolveResult:
     """Minimise the limit energy over orbit-valued fields with fixed trace.
 
-    Projected gradient descent: Euclidean step on the interior cells followed
-    by the closest-point retraction onto the orbit.  The descent objective is
-    the forward-difference quadrature, assembled once as the sparse operator
-    K of _limit_operator; the iteration runs on the values of the cells that
-    K touches, so each trial costs one sparse product K @ x, and the values
-    go back into the box at the end (cells outside Omega keep their trace
-    bitwise).  Recorded energies are the objective's values.  Stationarity
-    is measured as the sup-norm of the retracted update per unit step.
-    Raises ResolutionMismatch when Omega touches a box face, and
-    MaxIterations (with the best iterate attached) when the budget runs out.
+    Projected gradient descent on solver.monotone_descent: Euclidean step on
+    the interior cells followed by the closest-point retraction onto the
+    orbit.  The descent objective is the forward-difference quadrature,
+    assembled once as the sparse operator K of _limit_operator; the iteration
+    runs on the values of the cells that K touches, so each trial costs one
+    sparse product K @ x, and the values go back into the box at the end
+    (cells outside Omega keep their trace bitwise).  Recorded energies are
+    the objective's values.  Stationarity is measured as the sup-norm of the
+    retracted update per unit step, one residual per accepted step.  Raises
+    ResolutionMismatch when Omega touches a box face, and MaxIterations (with
+    the best iterate attached) when the budget or the step runs out.
     """
     dom = boundary.domain
     if dom.n_omega and dom.padding_cells() < 1:
@@ -249,57 +247,41 @@ def harmonic_minimize(
     if interior_init is not None:
         vals[omega] = project_orbit(interior_init[omega], s0, kind)
     M = L.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-    if step is None:
-        # Rayleigh bound: the discrete operator norm is <= lam_max * 24/h^2
-        lam = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
-        step = dom.h**2 / (24.0 * max(lam, 1e-300))
+    # Rayleigh bound: the discrete operator norm is <= lam_max * 24/h^2
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+    step = dom.h**2 / (24.0 * max(lam, 1e-300))
     cells, K = _limit_operator(dom, M)
     box = vals.reshape(-1, m)
-    x = box[cells]
     om = omega.reshape(-1)[cells]
+    # cap per-iteration motion: large retracted steps can wrap around the
+    # orbit and settle into rough metastable configurations
+    move_cap = 0.2 * s0
 
     def objective(x):
         grad = 2.0 * (K @ x.reshape(-1)).reshape(x.shape)
         return 0.5 * dom.cell_volume * float(np.vdot(x, grad)), grad
 
-    energy, grad = objective(x)
-    energies = [energy]
-    residuals: list = []
-    reason = "max_iterations"
-    it = 0
-    tau = step
-    # cap per-iteration motion: large retracted steps can wrap around the
-    # orbit and settle into rough metastable configurations
-    move_cap = 0.2 * s0
-    while it < max_iter:
-        it += 1
+    def trial(state, tau, rejected):
+        x, grad = state
         sup_g = float(np.max(np.linalg.norm(grad[om], axis=-1))) if om.any() else 0.0
         tau_eff = min(tau, move_cap / sup_g) if sup_g > 0 else tau
-        trial = x.copy()
-        trial[om] = project_orbit(x[om] - tau_eff * grad[om], s0, kind)
-        res = float(np.max(np.linalg.norm(trial[om] - x[om], axis=-1))) / tau_eff if om.any() else 0.0
-        e_trial, g_trial = objective(trial)
-        if e_trial > energies[-1] + 1e-14 * (1.0 + abs(energies[-1])):
-            tau *= 0.5
-            if tau < 1e-8 * step:
-                reason = "step_exhausted"
-                break
-            continue
-        x, grad = trial, g_trial
-        energies.append(e_trial)
-        residuals.append(res)
-        tau = min(tau * 1.5, 8.0 * step)
-        if res <= tol:
-            reason = "converged"
-            break
-    box[cells] = x
-    mfield = ManifoldField.from_ambient(dom, s0, kind, box.reshape(vals.shape))
-    result = LimitSolveResult(mfield, energies, residuals, it, reason)
-    if reason == "max_iterations":
-        raise MaxIterations(
-            f"no stationarity below {tol:g} in {max_iter} iterations", result=result
-        )
-    return result
+        y = x.copy()
+        y[om] = project_orbit(x[om] - tau_eff * grad[om], s0, kind)
+        res = float(np.max(np.linalg.norm(y[om] - x[om], axis=-1))) / tau_eff if om.any() else 0.0
+        energy, g = objective(y)
+        return (y, g), energy, res
+
+    def finish(state, energies, residuals, it, reason):
+        box[cells] = state[0]
+        mfield = ManifoldField.from_ambient(dom, s0, kind, box.reshape(vals.shape))
+        return LimitSolveResult(mfield, energies, residuals[1:], it, reason)
+
+    x = box[cells]
+    energy, grad = objective(x)
+    # the start has no update to measure: an infinite residual, not reported
+    return monotone_descent(trial, (x, grad), energy, np.inf, finish,
+                            tol=tol, max_iter=max_iter, step=step, grow=1.5, cap=8.0 * step,
+                            floor=1e-8 * step, rtol=1e-14, exhausted="step_exhausted")
 
 
 def harmonic_multistart(
@@ -311,22 +293,10 @@ def harmonic_multistart(
 ):
     """harmonic_minimize from the trace extension and seeded random interiors."""
     rng = np.random.default_rng(seed)
-    om = boundary.domain.omega_mask
     starts = [("boundary", None)]
     for k in range(n_random):
-        y = rng.standard_normal(boundary.values.shape)
-        starts.append((f"random{k}", y))
-    best = None
-    log = []
-    for label, init in starts:
-        try:
-            res = harmonic_minimize(boundary, L, interior_init=init, **kwargs)
-        except MaxIterations as exc:
-            res = exc.result
-        log.append((label, res.energies[-1]))
-        if best is None or res.energies[-1] < best.energies[-1]:
-            best = res
-    return best, log
+        starts.append((f"random{k}", rng.standard_normal(boundary.values.shape)))
+    return best_of(starts, lambda init: harmonic_minimize(boundary, L, interior_init=init, **kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +450,4 @@ def orbit_boundary(preset: str, domain: Domain, s0: float, kind: str, **params) 
         phi = boundary_angle(preset, domain, **params)
     if kind == "s1":
         return ManifoldField(domain, s0, kind, angle=phi)
-    half = 0.5 * phi
-    n = np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
-    return ManifoldField(domain, s0, kind, frame=n)
+    return ManifoldField(domain, s0, kind, frame=_half_angle_director(phi))

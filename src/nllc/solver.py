@@ -1,14 +1,14 @@
 """Minimisation of the non-local energy on the admissible lattice class.
 
-Two update rules share one monotone accept/reject driver: the Anderson-
+monotone_descent is the package's one accept/reject loop (the harmonic limit
+solve runs on it too).  Two update rules share it here: the Anderson-
 accelerated Euler-Lagrange self-consistency iteration for the fixed point
-u = Lambda^{-1}(K_eps * u), and a projected gradient descent.  The driver
-monitors the oscillation-form energy and only accepts non-increasing trials
-whose dual solve succeeds, so the two solvers differ only in their update
-rule, and agreement of their minima cross-checks the two rules.  A damped
-fixed-point step stays inside the moment set, because Lambda^{-1} maps into
-it; an extrapolated Anderson trial can leave it, and is then rejected
-through OutsideMomentDomain like any other failed trial.
+u = Lambda^{-1}(K_eps * u), and a projected gradient descent.  Both monitor
+the oscillation-form energy and only accept non-increasing trials whose dual
+solve succeeds, so agreement of their minima cross-checks the two rules.
+A damped fixed-point step stays inside the moment set, because Lambda^{-1}
+maps into it; an extrapolated Anderson trial can leave it, and is then
+rejected through OutsideMomentDomain like any other failed trial.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,8 @@ from .potential import BulkPotential, dual_map, lambda_inverse
 
 # number of past iterate and residual differences the Anderson proposal mixes
 ANDERSON_DEPTH = 5
+# smallest damping el_fixed_point halves to before its solve gives up
+ALPHA_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class SolverConfig:
     alpha: float = 0.5
     tol: float = 1e-8
     max_iter: int = 2000
-    alpha_min: float = 1e-3
     descent_step: float = 0.1
     seed: int = 0
 
@@ -122,9 +123,9 @@ def el_fixed_point(
                 trial -= (dX + alpha * dF) @ gamma
         return trial.reshape(u_om.shape)
 
-    return _monotone_solve(init, sampled, bulk, config, "el_fixed_point", propose,
-                           step=config.alpha, grow=1.0, floor=config.alpha_min,
-                           exhausted=("damping_exhausted", "damping"))
+    return _oscillation_descent(init, sampled, bulk, config, "el_fixed_point", propose,
+                                step=config.alpha, grow=1.0, floor=ALPHA_MIN,
+                                exhausted="damping_exhausted")
 
 
 def gradient_descent(
@@ -148,87 +149,108 @@ def gradient_descent(
         norms = np.linalg.norm(cand, axis=-1, keepdims=True)
         return np.where(norms > safe, cand * (safe / norms), cand)
 
-    return _monotone_solve(init, sampled, bulk, config, "gradient_descent", propose,
-                           step=config.descent_step, grow=1.1, floor=1e-12,
-                           exhausted=("step_exhausted", "step size"))
+    return _oscillation_descent(init, sampled, bulk, config, "gradient_descent", propose,
+                                step=config.descent_step, grow=1.1, floor=1e-12,
+                                exhausted="step_exhausted")
 
 
-def _monotone_solve(init, sampled, bulk, config, method, propose, step, grow, floor, exhausted):
-    """Accept/reject driver of el_fixed_point and gradient_descent.
+def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
+                     step, grow, cap, floor, rtol, exhausted):
+    """The package's accept/reject loop, shared by every iterative solve.
+
+    trial(state, step, rejected) returns (state, energy, residual) of a trial
+    from the current state; rejected says whether the previous trial was.  A
+    trial is accepted when its energy is at most E + rtol (1 + |E|), E the
+    current energy, and the step becomes min(step * grow, cap); a rejection
+    halves the step, and below floor the solve ends with reason exhausted.
+    It converges once the residual is at most tol, at the start or after any
+    accepted trial, the budget's last included.  finish(state, energies,
+    residuals, iterations, reason) builds the result (lists start with the
+    start's values); every other ending raises MaxIterations carrying it.
+    """
+    energies, residuals = [energy], [residual]
+    it, rejected, reason = 0, False, "max_iterations"
+    while it < max_iter and not residuals[-1] <= tol:
+        it += 1
+        candidate, e_trial, r_trial = trial(state, step, rejected)
+        rejected = e_trial > energies[-1] + rtol * (1.0 + abs(energies[-1]))
+        if not rejected:
+            state, step = candidate, min(step * grow, cap)
+            energies.append(e_trial)
+            residuals.append(r_trial)
+            continue
+        step *= 0.5
+        if step < floor:
+            reason = exhausted
+            break
+    if residuals[-1] <= tol:
+        reason = "converged"
+    result = finish(state, energies, residuals, it, reason)
+    if reason != "converged":
+        raise MaxIterations(
+            f"no convergence in {it} iterations: {reason} at residual {residuals[-1]:g}",
+            result=result,
+        )
+    return result
+
+
+def best_of(starts, solve):
+    """Run solve on each (label, start) and keep the lowest final energy.
+
+    A solve that raises MaxIterations counts with its partial result.
+    Returns (best result, list of (label, final energy) for every start).
+    """
+    best, log = None, []
+    for label, start in starts:
+        try:
+            res = solve(start)
+        except MaxIterations as exc:
+            res = exc.result
+        log.append((label, res.energies[-1]))
+        if best is None or res.energies[-1] < best.energies[-1]:
+            best = res
+    return best, log
+
+
+def _oscillation_descent(init, sampled, bulk, config, method, propose, step, grow, floor,
+                         exhausted):
+    """Trials of el_fixed_point and gradient_descent on the oscillation energy.
 
     propose(u_om, v_om, b, step, rejected) returns the trial values on Omega
-    from the current ones, v = K_eps*u and the duals b = Lambda(u) there;
-    rejected says whether the previous trial, from the same iterate, was
-    rejected.  A trial that raises the oscillation energy, or whose dual
-    solve leaves the moment set (OutsideMomentDomain), is rejected and the
-    step halved; below floor the solve ends with the reason and message of
-    exhausted.
-    An accepted step multiplies the step by grow.  Each trial costs one
+    from the current ones, v = K_eps*u and the duals b = Lambda(u) there.  A
+    trial whose dual solve leaves the moment set (OutsideMomentDomain) has
+    infinite energy, so monotone_descent rejects it.  Each trial costs one
     convolution and one dual solve warm-started from b; an accepted trial
-    keeps both as the next iterate's, whose residual sup |b - v| on Omega
-    then costs nothing more.
+    keeps both as the next iterate's, and its residual sup |b - v| on Omega
+    costs nothing more.
     """
-    u = init.copy()
-    om = u.domain.omega_mask
-    require_padding(u.domain, sampled)
-    v = convolve(sampled, u.values, u.domain.h)
-    b = dual_map(bulk.model, u.values[om])
-    residuals = [_sup_residual(v[om], b)]
-    energies = [energy_oscillation_from(u, sampled, bulk, v, b).total]
-    it = 0
-    rejected = False
-    while it < config.max_iter:
-        if residuals[-1] <= config.tol:
-            return _finish(u, residuals, energies, it, "converged", method, bulk)
-        it += 1
-        trial = u.copy()
-        trial.values[om] = propose(u.values[om], v[om], b, step, rejected)
-        v_trial = convolve(sampled, trial.values, u.domain.h)
+    om = init.domain.omega_mask
+    require_padding(init.domain, sampled)
+
+    def evaluate(u, b0=None):
+        v = convolve(sampled, u.values, u.domain.h)
+        b = dual_map(bulk.model, u.values[om], b0=b0)
+        energy = energy_oscillation_from(u, sampled, bulk, v, b).total
+        # sup-norm of Lambda(u) - K_eps*u over interior cells
+        return (u, v, b), energy, float(np.linalg.norm(b - v[om], axis=-1).max(initial=0.0))
+
+    def trial(state, step, rejected):
+        u, v, b = state
+        t = u.copy()
+        t.values[om] = propose(u.values[om], v[om], b, step, rejected)
         try:
-            b_trial = dual_map(bulk.model, trial.values[om], b0=b)
+            return evaluate(t, b)
         except OutsideMomentDomain:
-            e_trial = np.inf
-        else:
-            e_trial = energy_oscillation_from(trial, sampled, bulk, v_trial, b_trial).total
-        rejected = e_trial > energies[-1] + 1e-12 * (1.0 + abs(energies[-1]))
-        if rejected:
-            step *= 0.5
-            if step < floor:
-                reason, what = exhausted
-                result = _finish(u, residuals, energies, it, reason, method, bulk)
-                raise MaxIterations(
-                    f"{what} exhausted at residual {residuals[-1]:g}", result=result
-                )
-            continue
-        step *= grow
-        u, v, b = trial, v_trial, b_trial
-        energies.append(e_trial)
-        residuals.append(_sup_residual(v[om], b))
-    result = _finish(u, residuals, energies, it, "max_iterations", method, bulk)
-    raise MaxIterations(
-        f"no convergence in {config.max_iter} iterations "
-        f"(residual {residuals[-1]:g})",
-        result=result,
-    )
+            return None, np.inf, np.inf
 
+    def finish(state, energies, residuals, it, reason):
+        u = state[0]
+        return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
+                           lipschitz_estimate(u), it, reason, method)
 
-def _sup_residual(v_om, b):
-    """sup-norm of Lambda(u) - K_eps*u over interior cells."""
-    r = np.linalg.norm(b - v_om, axis=-1)
-    return float(r.max()) if r.size else 0.0
-
-
-def _finish(u, residuals, energies, it, reason, method, bulk):
-    return SolveResult(
-        field=u,
-        residuals=residuals,
-        energies=energies,
-        margin=physicality_margin(u, bulk.model.sigma_max),
-        lipschitz=lipschitz_estimate(u),
-        iterations=it,
-        reason=reason,
-        method=method,
-    )
+    return monotone_descent(trial, *evaluate(init.copy()), finish, tol=config.tol,
+                            max_iter=config.max_iter, step=step, grow=grow, cap=np.inf,
+                            floor=floor, rtol=1e-12, exhausted=exhausted)
 
 
 def energy_gradient(field: OrderField, sampled: SampledKernel, bulk: BulkPotential):
@@ -268,17 +290,7 @@ def minimize_multistart(
         )
         f.values[om] = r * rng.random((int(om.sum()), 1))
         starts.append((f"random{k}", f))
-    best = None
-    log = []
-    for label, f0 in starts:
-        try:
-            res = el_fixed_point(f0, sampled, bulk, config)
-        except MaxIterations as exc:
-            res = exc.result
-        log.append((label, res.energies[-1]))
-        if best is None or res.energies[-1] < best.energies[-1]:
-            best = res
-    return best, log
+    return best_of(starts, lambda f0: el_fixed_point(f0, sampled, bulk, config))
 
 
 def omega_minimality_probe(

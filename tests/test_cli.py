@@ -270,6 +270,11 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("h = 0.1", "h = inf", "[domain]"),
     ("eps = 0.6 0.5", "eps = inf 0.5", "[sweep] eps"),
     ("eps = 0.6 0.5", "eps = nan", "[sweep] eps"),
+    ("h = 0.1", "h = 0.1\nomega_radius = 0.01", "[domain] omega_radius"),  # no cell centre inside
+    ("h = 0.1", "h = 0.1\nomega_radius = nan", "[domain] omega_radius"),
+    ("h = 0.1", "h = 0.1\nomega_radius = -0.3", "[domain] omega_radius"),
+    ("h = 0.1", "h = 0.1\nlayer = -1", "[domain] layer"),
+    ("h = 0.1", "h = 0.1\nlayer = nan", "[domain] layer"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))

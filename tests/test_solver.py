@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,65 @@ def test_max_iterations_carries_partial_result():
     res = err.value.result
     assert res.iterations == 3
     assert not res.converged
+
+
+def test_solve_converging_on_its_last_allowed_iteration_reports_converged():
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0)
+    for run, cfg in ((solver.el_fixed_point, solver.SolverConfig(tol=1e-9)),
+                     (solver.gradient_descent, solver.SolverConfig(tol=1e-4, descent_step=5.0))):
+        free = run(f.copy(), sampled, bulk, cfg)
+        edge = run(f.copy(), sampled, bulk, dataclasses.replace(cfg, max_iter=free.iterations))
+        assert edge.converged and edge.iterations == free.iterations
+        assert np.array_equal(edge.field.values, free.field.values)
+
+
+def toy_descent(script, residual=1.0, **options):
+    """monotone_descent from x = 1 on E(x) = x^2, residual |x|, where trial k
+    moves to script[k]; returns the finish arguments and each trial's
+    (step, rejected)."""
+    calls = []
+
+    def trial(x, step, rejected):
+        calls.append((step, rejected))
+        y = script[len(calls) - 1]
+        return y, y * y, abs(y)
+
+    kw = dict(tol=1e-3, max_iter=10, step=1.0, grow=1.0, cap=np.inf, floor=1e-3, rtol=0.0,
+              exhausted="toy_exhausted")
+    kw.update(options)
+    return solver.monotone_descent(trial, 1.0, 1.0, residual, lambda *r: r, **kw), calls
+
+
+def test_driver_halves_the_step_on_a_rejected_trial():
+    res, calls = toy_descent([2.0, 0.5, 0.0])
+    assert calls == [(1.0, False), (0.5, True), (0.5, False)]
+    assert res == (0.0, [1.0, 0.25, 0.0], [1.0, 0.5, 0.0], 3, "converged")
+
+
+def test_driver_grows_the_step_up_to_the_cap():
+    _, calls = toy_descent([0.9, 0.8, 0.7, 0.0], grow=2.0, cap=3.0)
+    assert [step for step, _ in calls] == [1.0, 2.0, 3.0, 3.0]
+
+
+def test_driver_step_below_the_floor_raises_with_the_partial_result():
+    with pytest.raises(MaxIterations) as err:
+        toy_descent([0.5, 2.0, 2.0, 2.0], floor=0.2)
+    assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 4, "toy_exhausted")
+
+
+def test_driver_returns_at_once_when_the_start_is_converged():
+    res, calls = toy_descent([], residual=1e-4)
+    assert calls == []
+    assert res == (1.0, [1.0], [1e-4], 0, "converged")
+
+
+def test_driver_checks_convergence_after_the_last_allowed_iteration():
+    res, _ = toy_descent([0.5, 0.0], max_iter=2)
+    assert res[3:] == (2, "converged")
+    with pytest.raises(MaxIterations) as err:
+        toy_descent([0.5, 0.0], max_iter=1)
+    assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 1, "max_iterations")
 
 
 def test_multistart_best_is_no_worse_than_boundary_start():
