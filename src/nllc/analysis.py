@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
+from .field import _neighbour_slices
 from .kernel import SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
@@ -158,9 +159,7 @@ def _dilate(mask: np.ndarray, k: int) -> np.ndarray:
     out = np.asarray(mask, dtype=bool)
     for _ in range(k):
         grown = out.copy()
-        for axis in range(out.ndim):
-            lo = (slice(None),) * axis + (slice(None, -1),)
-            hi = (slice(None),) * axis + (slice(1, None),)
+        for lo, hi in _neighbour_slices():
             grown[hi] |= out[lo]
             grown[lo] |= out[hi]
         out = grown

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, field as field_mod, kernel as kernel_mod, limit as limit_mod
 from . import potential as potential_mod, solver as solver_mod
-from .errors import ConfigError, MaxIterations, NllcError
+from .errors import ConfigError, NllcError
 
 SUBCOMMANDS = (
     "kernel-report",
@@ -215,12 +215,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _solve(cfg, init, sk, bulk):
-    try:
-        return solver_mod.el_fixed_point(init, sk, bulk, cfg.solver)
-    except MaxIterations as exc:
-        if exc.result is None:
-            raise
-        return exc.result
+    return solver_mod.result_of(solver_mod.el_fixed_point, init, sk, bulk, cfg.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +289,8 @@ def _run_minimize(cfg: ExperimentConfig) -> None:
 def _limit_reference(cfg: ExperimentConfig, dom, s0, spec):
     boundary = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model, **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(spec)
-    try:
-        res = limit_mod.harmonic_minimize(boundary, tensor, tol=1e-5, max_iter=4000)
-    except MaxIterations as exc:
-        res = exc.result
-    return tensor, res
+    return tensor, solver_mod.result_of(limit_mod.harmonic_minimize, boundary, tensor,
+                                        tol=1e-5, max_iter=4000)
 
 
 def _run_eps_sweep(cfg: ExperimentConfig) -> None:

@@ -151,24 +151,20 @@ class OrderField:
         return OrderField(self.domain, self.eps, self.values.copy())
 
 
-def boundary_values(
-    preset: str, domain: Domain, s0: float, m: int, **params
-) -> np.ndarray:
-    """Boundary-datum presets evaluated on the full box.
+def boundary_values(preset: str, domain: Domain, s0: float, m: int, **params) -> np.ndarray:
+    """Boundary-datum presets on the s0-orbit, evaluated on the full box.
 
-    constant       u = s0 * direction (default first manifold coordinate)
-    smooth-angle   degree-0 angle field phi = slope * x1 on the S^1 orbit
+    constant       the reference state s0 * sigma(x1-axis) everywhere (phi = 0)
+    smooth-angle   degree-0 angle field phi = slope * x1
     vortex         phi = winding * atan2(x2, x1): a singular line along x3
     """
-    if preset == "constant":
-        e = np.asarray(params.get("direction", [1.0] + [0.0] * (m - 1)), dtype=float)
-        e = e / np.linalg.norm(e)
-        return np.broadcast_to(s0 * e, domain.shape + (m,)).copy()
     return _orbit_field(boundary_angle(preset, domain, **params), s0, m)
 
 
 def boundary_angle(preset: str, domain: Domain, **params) -> np.ndarray:
-    """Orbit angle phi of the smooth-angle and vortex presets on the full box."""
+    """Orbit angle phi of a boundary preset on the full box."""
+    if preset == "constant":
+        return np.zeros(domain.shape)
     x = domain.cell_centers()
     if preset == "smooth-angle":
         return float(params.get("slope", 1.0)) * x[..., 0]
@@ -178,18 +174,15 @@ def boundary_angle(preset: str, domain: Domain, **params) -> np.ndarray:
 
 
 def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:
-    """Map an angle field onto the s0-orbit: planar rotation of the reference state."""
+    """Map an angle field onto the s0-orbit: planar rotation of the reference state
+    (on S^2 the director [cos phi/2, sin phi/2, 0], whose uniaxial state turns by phi)."""
     if m == 2:
         return s0 * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     if m == 5:
-        return s0 * q_tensor_coords(_half_angle_director(phi))
+        half = 0.5 * phi
+        director = np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
+        return s0 * q_tensor_coords(director)
     raise ValueError(f"no orbit parametrization for m = {m}")
-
-
-def _half_angle_director(phi: np.ndarray) -> np.ndarray:
-    """Unit director [cos phi/2, sin phi/2, 0], whose uniaxial state turns by phi."""
-    half = 0.5 * phi
-    return np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
 
 
 def make_field(domain: Domain, eps: float, boundary: np.ndarray, interior=None) -> OrderField:
@@ -241,6 +234,15 @@ def _stencil_shifts(sampled: SampledKernel, n):
         lo = tuple(slice(max(0, -d), min(nn, nn - d)) for d, nn in zip(z, n))
         hi = tuple(slice(max(0, d), min(nn, nn + d)) for d, nn in zip(z, n))
         yield kern, lo, hi
+
+
+def _neighbour_slices():
+    """(lo, hi) for each box axis: values[lo] and values[hi] are the cells x and
+    x + e_axis of every pair of neighbours along that axis."""
+    for axis in range(3):
+        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        yield lo, hi
 
 
 def _stencil_fft(stencil: np.ndarray, pshape) -> np.ndarray:

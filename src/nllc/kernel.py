@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import QuadratureUnderresolved, ResolutionMismatch
-from .potential import sym0_basis
+from .potential import sphere_rule, sym0_basis
 
 _E5 = sym0_basis()
 
@@ -190,20 +190,6 @@ def max_eigen(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
 # quadrature
 
 
-def _sphere_rule(n_theta: int = 12):
-    """Product rule on S^2: Gauss-Legendre in cos(theta) x uniform phi, weights sum to 4*pi."""
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    n_phi = 2 * n_theta
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    ct = np.repeat(x, n_phi)
-    st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
-    cp = np.tile(np.cos(phi), n_theta)
-    sp = np.tile(np.sin(phi), n_theta)
-    nodes = np.stack([st * cp, st * sp, ct], axis=1)
-    w = np.repeat(wx, n_phi) * (2.0 * np.pi / n_phi)
-    return nodes, w
-
-
 def _radial_segments(spec: KernelSpec, r_max: float):
     pts = {0.0, r_max}
     for p in spec.profiles:
@@ -236,9 +222,9 @@ def integrate_radial_angular(
     integrand receives nodes of shape (nq, 3) and must return (nq, ...).
     """
     r, wr = _radial_nodes(spec, r_max, n_radial)
-    s, ws = _sphere_rule(n_theta)
+    s, ws = sphere_rule(n_theta, 2 * n_theta)
     z = r[:, None, None] * s[None, :, :]  # (nr, ns, 3)
-    w = (wr * r**2)[:, None] * ws[None, :]
+    w = (wr * r**2)[:, None] * (ws * (np.pi / n_theta))[None, :]
     vals = integrand(z.reshape(-1, 3))
     return np.tensordot(w.reshape(-1), vals, axes=(0, 0))
 

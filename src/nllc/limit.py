@@ -1,12 +1,14 @@
 """Limit elastic energy, constrained harmonic minimisation, and convergence checks.
 
 The small-scale problems relax toward fields valued in the vacuum orbit
-N = s0 * O; this module provides the quadratic elastic energy with tensor L
-on such fields, a projected-gradient minimiser that keeps the constraint
-exact per cell (it descends on the forward-difference energy, assembled once
-per solve as a sparse operator on the cells its links touch), a detector for
-concentration of the limit Dirichlet density, and the two-sided convergence
-diagnostics comparing small-scale energies with the limit energy on balls.
+N = s0 * O; an orbit-valued field stores its values on N, and its boundary
+presets are those of field.boundary_values.  This module provides the
+quadratic elastic energy with tensor L on such fields, a projected-gradient
+minimiser that keeps the constraint exact per cell (it descends on the
+forward-difference energy, assembled once per solve as a sparse operator on
+the cells its links touch), a detector for concentration of the limit
+Dirichlet density, and the two-sided convergence diagnostics comparing
+small-scale energies with the limit energy on balls.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ResolutionMismatch
-from .field import Domain, OrderField, ball_mask, boundary_angle, convolve_stencil, local_energy
-from .field import _half_angle_director, _orbit_field
+from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
+from .field import _neighbour_slices
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
 from .solver import best_of, monotone_descent
@@ -54,66 +56,36 @@ def _director_of(y: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(coords_to_matrix(y))[1][..., :, -1]
 
 
-def _angle_of(values: np.ndarray) -> np.ndarray:
-    return np.arctan2(values[..., 1], values[..., 0])
+def _orbit_dim(kind: str) -> int:
+    """Coordinate count m of an orbit kind: the S^1 plane or the uniaxial Q-tensors of S^2."""
+    if kind not in ("s1", "s2"):
+        raise ValueError(f"unknown orbit kind {kind!r}")
+    return 2 if kind == "s1" else 5
 
 
 @dataclass
 class ManifoldField:
-    """Orbit-valued field: parameters per cell plus the common radius s0.
-
-    S1-orbit fields store the planar angle of the order parameter; S2-orbit
-    fields store the unit director whose uniaxial coordinates give the value.
-    """
+    """Orbit-valued field: (Nx,Ny,Nz,m) values on the orbit of radius s0, checked once
+    (a known kind, the domain's shape, and project_orbit moves them by <= 1e-9)."""
 
     domain: Domain
     s0: float
     kind: str  # "s1" | "s2"
-    angle: np.ndarray | None = None  # (Nx,Ny,Nz) for kind == "s1"
-    frame: np.ndarray | None = None  # (Nx,Ny,Nz,3) unit vectors for kind == "s2"
+    values: np.ndarray  # (Nx,Ny,Nz,m)
 
     def __post_init__(self):
-        if self.kind == "s1":
-            if self.angle is None or self.angle.shape != self.domain.shape:
-                raise ValueError("s1 orbit field needs an angle array matching the domain")
-        elif self.kind == "s2":
-            if self.frame is None or self.frame.shape != self.domain.shape + (3,):
-                raise ValueError("s2 orbit field needs a frame array matching the domain")
-            nrm = np.linalg.norm(self.frame, axis=-1)
-            if np.max(np.abs(nrm - 1.0)) > 1e-9:
-                raise ValueError("frame vectors must be unit")
-        else:
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
+        shape = self.domain.shape + (_orbit_dim(self.kind),)
+        if self.values.shape != shape:
+            raise ValueError(f"{self.kind} orbit field needs values of shape {shape}")
+        if not np.max(np.abs(project_orbit(self.values, self.s0, self.kind) - self.values)) <= 1e-9:
+            raise ValueError(f"values off the {self.kind} orbit of radius {self.s0:g}")
 
     @property
     def m(self) -> int:
-        return 2 if self.kind == "s1" else 5
-
-    @property
-    def values(self) -> np.ndarray:
-        if self.kind == "s1":
-            return _orbit_field(self.angle, self.s0, 2)
-        return self.s0 * q_tensor_coords(self.frame)
-
-    def copy(self) -> "ManifoldField":
-        return ManifoldField(
-            self.domain,
-            self.s0,
-            self.kind,
-            None if self.angle is None else self.angle.copy(),
-            None if self.frame is None else self.frame.copy(),
-        )
-
-    @staticmethod
-    def from_ambient(domain: Domain, s0: float, kind: str, y: np.ndarray) -> "ManifoldField":
-        """Retract an ambient (Nx,Ny,Nz,m) array onto the orbit cellwise."""
-        v = project_orbit(y, s0, kind)
-        if kind == "s1":
-            return ManifoldField(domain, s0, kind, angle=_angle_of(v))
-        return ManifoldField(domain, s0, kind, frame=_director_of(v))
+        return self.values.shape[-1]
 
     def order_field(self, eps: float) -> OrderField:
-        return OrderField(self.domain, eps, self.values)
+        return OrderField(self.domain, eps, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +96,23 @@ def _central_gradient(values: np.ndarray, h: float, omega: np.ndarray) -> np.nda
     """(Nx,Ny,Nz,3,m) central differences, zeroed off Omega.
 
     Raises ResolutionMismatch when Omega touches a box face, where the
-    one-cell shifts would wrap the opposite face into the difference.
+    difference would need a cell beyond the box.
     """
     if any(np.take(omega, (0, -1), axis=i).any() for i in range(3)):
         raise ResolutionMismatch("Omega touches the box face: central differences need padding >= 1")
     g = np.zeros(values.shape[:3] + (3,) + values.shape[3:])
-    for i in range(3):
-        g[..., i, :] = (np.roll(values, -1, axis=i) - np.roll(values, 1, axis=i)) / (2.0 * h)
+    for i, (lo, hi) in enumerate(_neighbour_slices()):
+        # at the cells x = 1..n-2 of axis i: u(x + e_i) - u(x - e_i)
+        g[..., i, :][hi][lo] = (values[hi][hi] - values[lo][lo]) / (2.0 * h)
     g[~omega] = 0.0
     return g
+
+
+def _gradient_in(mfield: ManifoldField, region: np.ndarray | None) -> np.ndarray:
+    """_central_gradient of the field on Omega, or on G intersect Omega for a mask G."""
+    dom = mfield.domain
+    omega = dom.omega_mask if region is None else dom.omega_mask & np.asarray(region, dtype=bool)
+    return _central_gradient(mfield.values, dom.h, omega)
 
 
 def limit_energy(mfield: ManifoldField, L: ElasticTensor, region: np.ndarray | None = None) -> float:
@@ -141,23 +121,14 @@ def limit_energy(mfield: ManifoldField, L: ElasticTensor, region: np.ndarray | N
     G defaults to Omega; a boolean mask restricts the quadrature to
     G intersect Omega.
     """
-    dom = mfield.domain
-    omega = dom.omega_mask
-    if region is not None:
-        omega = omega & np.asarray(region, dtype=bool)
-    g = _central_gradient(mfield.values, dom.h, omega)
-    e = np.einsum("ijab,xyzia,xyzjb->", L.L, g, g) * dom.cell_volume
-    return float(e)
+    g = _gradient_in(mfield, region)
+    return float(np.einsum("ijab,xyzia,xyzjb->", L.L, g, g) * mfield.domain.cell_volume)
 
 
 def dirichlet_energy(mfield: ManifoldField, region: np.ndarray | None = None) -> float:
     """int_G |grad u|^2 with the same differencing as limit_energy."""
-    dom = mfield.domain
-    omega = dom.omega_mask
-    if region is not None:
-        omega = omega & np.asarray(region, dtype=bool)
-    g = _central_gradient(mfield.values, dom.h, omega)
-    return float(np.sum(g * g) * dom.cell_volume)
+    g = _gradient_in(mfield, region)
+    return float(np.sum(g * g) * mfield.domain.cell_volume)
 
 
 def _limit_operator(dom: Domain, M: np.ndarray):
@@ -184,9 +155,7 @@ def _limit_operator(dom: Domain, M: np.ndarray):
     m = M.shape[0] // 3
     flat = np.arange(omega.size).reshape(omega.shape)
     links = []
-    for i in range(3):
-        lo = tuple(slice(0, -1) if a == i else slice(None) for a in range(3))
-        hi = tuple(slice(1, None) if a == i else slice(None) for a in range(3))
+    for lo, hi in _neighbour_slices():
         live = omega[lo] | omega[hi]
         links.append((flat[lo][live], flat[hi][live]))
     cells = np.unique(np.concatenate([end for pair in links for end in pair]))
@@ -243,7 +212,7 @@ def harmonic_minimize(
         raise ResolutionMismatch("Omega touches the box face: the limit solve needs padding >= 1")
     omega = dom.omega_mask
     s0, kind, m = boundary.s0, boundary.kind, boundary.m
-    vals = boundary.values
+    vals = boundary.values.copy()
     if interior_init is not None:
         vals[omega] = project_orbit(interior_init[omega], s0, kind)
     M = L.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
@@ -273,7 +242,7 @@ def harmonic_minimize(
 
     def finish(state, energies, residuals, it, reason):
         box[cells] = state[0]
-        mfield = ManifoldField.from_ambient(dom, s0, kind, box.reshape(vals.shape))
+        mfield = ManifoldField(dom, s0, kind, box.reshape(vals.shape))
         return LimitSolveResult(mfield, energies, residuals[1:], it, reason)
 
     x = box[cells]
@@ -438,16 +407,6 @@ def gamma_liminf_check(
 
 
 def orbit_boundary(preset: str, domain: Domain, s0: float, kind: str, **params) -> ManifoldField:
-    """Orbit-valued analogues of the boundary presets.
-
-    constant: the representative state everywhere.  smooth-angle: ambient
-    angle slope * x1 (bounded gradients, degree 0).  vortex: planar argument
-    function times the winding (singular along the x3-axis).
-    """
-    if preset == "constant":
-        phi = np.zeros(domain.shape)
-    else:
-        phi = boundary_angle(preset, domain, **params)
-    if kind == "s1":
-        return ManifoldField(domain, s0, kind, angle=phi)
-    return ManifoldField(domain, s0, kind, frame=_half_angle_director(phi))
+    """The boundary preset of field.boundary_values as a field on the kind's orbit."""
+    values = boundary_values(preset, domain, s0, _orbit_dim(kind), **params)
+    return ManifoldField(domain, s0, kind, values)

@@ -79,11 +79,12 @@ def make_s1_model(n_nodes: int = 256) -> MicroModel:
     return MicroModel("s1", 2, sigma, w, 1.0)
 
 
-def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
-    """Nematic: M = S^2 with product Gauss-Legendre x uniform quadrature, m = 5.
+def sphere_rule(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product rule on S^2: Gauss-Legendre in cos(theta) x n_phi uniform phi.
 
-    Node count n_theta * n_phi (default 1152); positive weights, antipodally
-    symmetric node set, exact for spherical polynomials up to high degree.
+    Returns the (n_theta * n_phi, 3) unit nodes, an antipodal set, and the
+    Gauss-Legendre weight w_i of each node's cos(theta): the integral of f over
+    S^2 is (2 pi / n_phi) sum_i w_i f(node_i), exact up to high degree.
     """
     x, wx = np.polynomial.legendre.leggauss(n_theta)  # x = cos(polar angle)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -91,9 +92,13 @@ def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
     st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
     cp = np.tile(np.cos(phi), n_theta)
     sp = np.tile(np.sin(phi), n_theta)
-    p = np.stack([st * cp, st * sp, ct], axis=1)
-    w = np.repeat(wx, n_phi) / (2.0 * n_phi)
-    return MicroModel("s2", 5, q_tensor_coords(p), w, 1.0)
+    return np.stack([st * cp, st * sp, ct], axis=1), np.repeat(wx, n_phi)
+
+
+def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
+    """Nematic: M = S^2 on the sphere_rule nodes (default 1152), uniform measure, m = 5."""
+    p, w = sphere_rule(n_theta, n_phi)
+    return MicroModel("s2", 5, q_tensor_coords(p), w / (2.0 * n_phi), 1.0)
 
 
 def _shifted_exp(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MaxIterations, OutsideMomentDomain
 from .field import OrderField, ball_mask, convolve, energy_oscillation
-from .field import energy_oscillation_from, require_padding
+from .field import _neighbour_slices, energy_oscillation_from, require_padding
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, lambda_inverse
 
@@ -71,15 +71,11 @@ def lipschitz_estimate(field: OrderField) -> float:
     om = field.domain.omega_mask
     u = field.values
     worst = 0.0
-    for axis in range(3):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        both = om[tuple(sl_a)] & om[tuple(sl_b)]
+    for lo, hi in _neighbour_slices():
+        both = om[lo] & om[hi]
         if not both.any():
             continue
-        d = np.linalg.norm(u[tuple(sl_a)] - u[tuple(sl_b)], axis=-1)
+        d = np.linalg.norm(u[lo] - u[hi], axis=-1)
         worst = max(worst, float(d[both].max()))
     return worst / field.domain.h
 
@@ -194,6 +190,14 @@ def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
     return result
 
 
+def result_of(solve, *args, **kwargs):
+    """solve(*args, **kwargs), or the partial result of the MaxIterations it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except MaxIterations as exc:
+        return exc.result
+
+
 def best_of(starts, solve):
     """Run solve on each (label, start) and keep the lowest final energy.
 
@@ -202,10 +206,7 @@ def best_of(starts, solve):
     """
     best, log = None, []
     for label, start in starts:
-        try:
-            res = solve(start)
-        except MaxIterations as exc:
-            res = exc.result
+        res = result_of(solve, start)
         log.append((label, res.energies[-1]))
         if best is None or res.energies[-1] < best.energies[-1]:
             best = res

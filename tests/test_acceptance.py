@@ -155,7 +155,7 @@ def test_localized_test_map_energy_converges_to_the_limit():
     # the finite interaction range near the ball boundary sees no activity
     x = dom.cell_centers()
     phi = 1.5 * np.exp(-np.sum(x * x, axis=-1) / (2.0 * 0.06**2))
-    v = limit.ManifoldField(dom, s0, "s1", angle=phi)
+    v = limit.ManifoldField(dom, s0, "s1", fld._orbit_field(phi, s0, 2))
     region = fld.ball_mask(dom, np.zeros(3), 0.19)
     rows = limit.gamma_limsup_check(v, kernels, bulks, tensor, region=region)
     gaps = [abs(r.gap) for r in rows]

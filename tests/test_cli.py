@@ -225,6 +225,17 @@ def test_holder_probe_runs_on_the_readme_config(tmp_path):
     assert rows
 
 
+def test_minimize_s2_default_boundary_on_the_readme_config(tmp_path):
+    # the default (constant) datum is the uniaxial reference state, on the vacuum orbit
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    text = text.replace("name = s1", "name = s2")
+    text = re.sub(r"\[boundary\]\n(.+\n)*\n", "", text)
+    assert "name = s2" in text and "[boundary]" not in text
+    ini = write_ini(tmp_path / "exp.ini", text)
+    assert cli.main(["minimize", ini, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     # the package's scipy is fft and sparse; the subpackages below serve it nothing

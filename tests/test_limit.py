@@ -110,13 +110,14 @@ def test_harmonic_minimize_matches_sparse_laplace_oracle():
         res = limit.harmonic_minimize(bc, LT, tol=1e-8, max_iter=4000, interior_init=init)
     except MaxIterations as exc:
         res = exc.result
-    oracle_angle = harmonic_angle_oracle(dom, bc.angle)
+    oracle_angle = harmonic_angle_oracle(dom, fld.boundary_angle("smooth-angle", dom, slope=1.8))
     om = dom.omega_mask
+    angle = np.arctan2(res.mfield.values[..., 1], res.mfield.values[..., 0])
     gap = np.abs(
-        np.angle(np.exp(1j * (res.mfield.angle[om] - oracle_angle[om])))
+        np.angle(np.exp(1j * (angle[om] - oracle_angle[om])))
     ).max()
     assert gap < 5e-3
-    oracle = limit.ManifoldField(dom, s0, "s1", angle=oracle_angle)
+    oracle = limit.ManifoldField(dom, s0, "s1", fld._orbit_field(oracle_angle, s0, 2))
     e_oracle = limit.limit_energy(oracle, LT)
     assert limit.limit_energy(res.mfield, LT) <= e_oracle * (1.0 + 1e-3)
 
@@ -146,7 +147,8 @@ def test_s2_frame_equivariance():
     e1 = limit.limit_energy(v, L5)
     c, s = np.cos(0.7), np.sin(0.7)
     R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    w = limit.ManifoldField(dom, 0.6, "s2", frame=v.frame @ R.T)
+    w = limit.ManifoldField(dom, 0.6, "s2",
+                            0.6 * potential.q_tensor_coords(limit._director_of(v.values) @ R.T))
     e2 = limit.limit_energy(w, L5)
     assert e2 == pytest.approx(e1, rel=1e-12)
 
@@ -235,14 +237,33 @@ def test_gamma_liminf_collapses_to_limsup_on_same_data():
 
 
 def test_orbit_boundary_matches_field_presets():
+    # one preset path: the limit solve's datum is the EL solves' datum, on the orbit
     dom = make_domain(n=16)
     s0 = 0.55
-    for preset, kw in (("smooth-angle", {"slope": 1.2}), ("vortex", {"winding": 1.0})):
-        mf = limit.orbit_boundary(preset, dom, s0, "s1", **kw)
-        arr = fld.boundary_values(preset, dom, s0, 2, **kw)
-        assert np.allclose(mf.values, arr, atol=1e-12)
+    for kind, m in (("s1", 2), ("s2", 5)):
+        for preset, kw in (("constant", {}), ("smooth-angle", {"slope": 1.2}),
+                           ("vortex", {"winding": 1.0})):
+            mf = limit.orbit_boundary(preset, dom, s0, kind, **kw)
+            arr = fld.boundary_values(preset, dom, s0, m, **kw)
+            assert np.array_equal(mf.values, arr), (kind, preset)
+            assert np.allclose(limit.project_orbit(arr, s0, kind), arr, rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
         limit.orbit_boundary("nope", dom, s0, "s1")
+
+
+def test_manifold_field_rejects_values_off_the_orbit():
+    dom = make_domain(n=8)
+    s0 = 0.6
+    with pytest.raises(ValueError):  # wrong shape: s2 coordinates for an s1 field
+        limit.ManifoldField(dom, s0, "s1", np.zeros(dom.shape + (5,)))
+    e1 = np.zeros(dom.shape + (5,))
+    e1[..., 0] = s0
+    with pytest.raises(ValueError):  # s0 * e1 is biaxial, not a uniaxial state
+        limit.ManifoldField(dom, s0, "s2", e1)
+    with pytest.raises(ValueError):  # on the circle of radius 2 s0
+        limit.ManifoldField(dom, s0, "s1", fld.boundary_values("vortex", dom, 2.0 * s0, 2))
+    with pytest.raises(ValueError):
+        limit.ManifoldField(dom, s0, "s3", e1)
 
 
 def forward_objective_reference(values, L, dom):
