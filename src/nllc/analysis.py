@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
 from .field import _neighbour_slices
-from .kernel import SampledKernel, stencil_offsets
+from .kernel import MIN_CELLS_ACROSS, SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
 
@@ -61,21 +61,25 @@ class Mollifier:
         return float(self.values.sum()) * self.h**3
 
 
-def build_mollifier(sampled: SampledKernel, shrink: float = 0.1) -> Mollifier:
+# share of the positivity annulus width cut from each side of the mollifier support
+MOLLIFIER_SHRINK = 0.1
+
+
+def build_mollifier(sampled: SampledKernel) -> Mollifier:
     """Bump supported in the kernel positivity annulus, lattice-normalized.
 
-    The support is shrunk by the given fraction on each side so the bump
+    The support is shrunk by MOLLIFIER_SHRINK on each side so the bump
     vanishes before the annulus edges; the domination constant is measured
     against the minimum-eigenvalue samples of the kernel stencil.
     """
     rho1, rho2 = sampled.spec.annulus
     eps, h, S = sampled.eps, sampled.h, sampled.radius_cells
-    if h > eps * (rho2 - rho1) / 4.0:
+    if h > eps * (rho2 - rho1) / MIN_CELLS_ACROSS:
         raise ResolutionMismatch(
             f"h = {h:g} too coarse to resolve the annulus at eps = {eps:g}"
         )
     w = rho2 - rho1
-    a, b = rho1 + shrink * w, rho2 - shrink * w
+    a, b = rho1 + MOLLIFIER_SHRINK * w, rho2 - MOLLIFIER_SHRINK * w
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
     r = np.linalg.norm(stencil_offsets(S, h), axis=-1) / eps

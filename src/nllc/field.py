@@ -7,13 +7,14 @@ data occupies the layer and exterior cells and is never modified by energy
 evaluation or solving.
 
 Energies follow the midpoint rule: a double lattice sum weighted h^6 for the
-interaction and h^3 for the bulk term.  The primal and oscillation forms are
-related by an exact algebraic identity through the constant C_eps, which the
-code reproduces at round-off when the interior padding covers the stencil.
+interaction and h^3 for the bulk term.  Every interaction is one non-local
+form over G x G, which _interaction_sums expands into convolutions.  The
+primal and oscillation forms are related by an exact algebraic identity
+through the constant C_eps, so the code reproduces it at round-off on any box.
 """
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -322,7 +323,6 @@ class EnergyBreakdown:
     bulk: float
     c_eps: float
     total: float
-    region_bulk: dict = dc_field(default_factory=dict)
 
 
 def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:
@@ -335,45 +335,55 @@ def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:
     return float(np.einsum("nab,na,nb->", S, u, u))
 
 
-def c_eps_constant(field: OrderField, sampled: SampledKernel, bulk: BulkPotential) -> float:
-    """The additive constant linking primal and oscillation forms on the box.
+def _interaction_sums(field: OrderField, sampled: SampledKernel, region=None, v=None) -> tuple:
+    """(sum_G u.S_G u, sum_G u.(K_eps * u 1_G)) h^3, S_G = K_eps * 1_G.
 
-    C_eps = (c0/eps^2)|Omega| + (1/2eps^2) sum_{x off Omega} u(x).S_B(x)u(x) h^3
-            + (1/2eps^2) sum_{x in Omega} u(x).(S_B(x) - intK_disc)u(x) h^3,
-    where S_B is the box moment field.  The Omega correction vanishes
-    identically when the padding invariant holds (S_B = intK_disc on Omega);
-    it keeps the primal/oscillation identity exact on under-padded boxes.
+    The non-local form over G x G is (quad - cross) / (2 eps^2).  G is the
+    whole box when region is None: S_G is then the cached box moment field
+    and v = K_eps*u comes from the caller.  Otherwise G is the cell mask
+    region and both convolutions are taken here.
+    """
+    u, dom = field.values, field.domain
+    h3 = dom.cell_volume
+    if region is None:
+        return (_quadratic_sum(u, box_moment_field(sampled, dom)) * h3,
+                float(np.sum(u * v)) * h3)
+    S_G = convolve_mask(sampled, region, dom.h)
+    vG = convolve(sampled, np.where(region[..., None], u, 0.0), dom.h)
+    return (_quadratic_sum(u, S_G, region) * h3,
+            float(np.einsum("na,na->", u[region], vG[region])) * h3)
+
+
+def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential, form: str,
+            support=None) -> EnergyBreakdown:
+    """The primal form with the interaction over G x G, G the support mask or the box.
+
+    C_eps = (c0|Omega| + (1/2)(sum_box u.S_B u - sum_Omega u.intK_disc u)) h^3/eps^2,
+    S_B the box moment field, makes the whole-box form equal the oscillation
+    form exactly.
     """
     dom = field.domain
-    _check_kernel_grid(sampled, dom)
-    S_B = box_moment_field(sampled, dom)
-    om = dom.omega_mask
-    quad_off = _quadratic_sum(field.values, S_B, ~om)
-    quad_corr = _quadratic_sum(field.values, S_B - sampled.intK_disc, om)
-    h3 = dom.cell_volume
-    return (
-        bulk.c0 / field.eps**2 * dom.n_omega * h3
-        + (quad_off + quad_corr) * h3 / (2 * field.eps**2)
-    )
-
-
-def energy_primal(
-    field: OrderField, sampled: SampledKernel, bulk: BulkPotential
-) -> EnergyBreakdown:
-    """-(1/2eps^2) double-sum u.K_eps u + (1/eps^2) sum_Omega psi_s + C_eps."""
-    dom = field.domain
-    require_padding(dom, sampled)
+    u, om = field.values, dom.omega_mask
     eps2 = field.eps**2
     h3 = dom.cell_volume
-    v = convolve(sampled, field.values, dom.h)
-    interaction = -0.5 / eps2 * float(np.sum(field.values * v)) * h3
-    om = dom.omega_mask
-    bulk_term = float(np.sum(psi_s(bulk.model, field.values[om]))) * h3 / eps2
-    c = c_eps_constant(field, sampled, bulk)
-    total = interaction + bulk_term + c
-    return EnergyBreakdown(
-        "primal", interaction, bulk_term, c, total, {"omega": bulk_term}
-    )
+    if support is None:
+        dot = float(np.sum(u * convolve(sampled, u, dom.h)))
+    else:
+        v = convolve(sampled, np.where(support[..., None], u, 0.0), dom.h)
+        dot = float(np.einsum("na,na->", u[support], v[support]))
+    interaction = -0.5 / eps2 * dot * h3
+    bulk_term = float(np.sum(psi_s(bulk.model, u[om]))) * h3 / eps2
+    quad = _quadratic_sum(u, box_moment_field(sampled, dom)) - float(
+        np.einsum("na,ab,nb->", u[om], sampled.intK_disc, u[om]))
+    c = (bulk.c0 * dom.n_omega + 0.5 * quad) * h3 / eps2
+    return EnergyBreakdown(form, interaction, bulk_term, c, interaction + bulk_term + c)
+
+
+def energy_primal(field: OrderField, sampled: SampledKernel,
+                  bulk: BulkPotential) -> EnergyBreakdown:
+    """-(1/2eps^2) double-sum u.K_eps u + (1/eps^2) sum_Omega psi_s + C_eps."""
+    require_padding(field.domain, sampled)
+    return _primal(field, sampled, bulk, "primal")
 
 
 def _pairwise_interaction(
@@ -414,13 +424,8 @@ def energy_oscillation(
     return energy_oscillation_from(field, sampled, bulk, v, b)
 
 
-def energy_oscillation_from(
-    field: OrderField,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    v: np.ndarray | None,
-    b: np.ndarray,
-) -> EnergyBreakdown:
+def energy_oscillation_from(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
+                            v: np.ndarray | None, b: np.ndarray) -> EnergyBreakdown:
     """energy_oscillation from v = K_eps*u and the duals b = Lambda(u) on Omega.
 
     It runs neither the convolution nor the dual solve, so a caller that
@@ -428,27 +433,18 @@ def energy_oscillation_from(
     """
     dom = field.domain
     eps2 = field.eps**2
-    h3 = dom.cell_volume
     if v is None:
         pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
     else:
-        quad = _quadratic_sum(field.values, box_moment_field(sampled, dom)) * h3
-        cross = float(np.sum(field.values * v)) * h3
+        quad, cross = _interaction_sums(field, sampled, v=v)
         pair = 0.5 * (quad - cross) / eps2
     u_om = field.values[dom.omega_mask]
-    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * h3 / eps2
-    total = pair + bulk_term
-    return EnergyBreakdown(
-        "oscillation", pair, bulk_term, 0.0, total, {"omega": bulk_term}
-    )
+    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * dom.cell_volume / eps2
+    return EnergyBreakdown("oscillation", pair, bulk_term, 0.0, pair + bulk_term)
 
 
-def local_form(
-    field: OrderField,
-    region: np.ndarray,
-    sampled: SampledKernel,
-    method: str = "fast",
-) -> float:
+def local_form(field: OrderField, region: np.ndarray, sampled: SampledKernel,
+               method: str = "fast") -> float:
     """Interaction part of F_eps(u, G): (1/4eps^2) double sum over G x G."""
     dom = field.domain
     _check_kernel_grid(sampled, dom)
@@ -456,37 +452,22 @@ def local_form(
     if region.shape != dom.shape:
         raise ResolutionMismatch("region mask shape differs from the domain box")
     eps2 = field.eps**2
-    h3 = dom.cell_volume
     if method == "pairwise":
         return _pairwise_interaction(field.values, sampled, dom.h, mask=region) / eps2
-    S_G = convolve_mask(sampled, region, dom.h)
-    uG = np.where(region[..., None], field.values, 0.0)
-    vG = convolve(sampled, uG, dom.h)
-    quad = _quadratic_sum(field.values, S_G, region) * h3
-    cross = float(np.einsum("na,na->", field.values[region], vG[region])) * h3
+    quad, cross = _interaction_sums(field, sampled, region)
     return 0.5 * (quad - cross) / eps2
 
 
-def local_energy(
-    field: OrderField,
-    region: np.ndarray,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    method: str = "fast",
-) -> float:
+def local_energy(field: OrderField, region: np.ndarray, sampled: SampledKernel,
+                 bulk: BulkPotential) -> float:
     """F_eps(u, G): interaction over G x G plus bulk over G intersect Omega.
 
     No padding requirement: pairs are restricted to G x G inside the box, so
     the zero-extended transforms are exact regardless of stencil overhang.
     """
-    dom = field.domain
-    _check_kernel_grid(sampled, dom)
-    region = np.asarray(region, dtype=bool)
-    if region.shape != dom.shape:
-        raise ResolutionMismatch("region mask shape differs from the domain box")
-    pair = local_form(field, region, sampled, method=method)
-    gm = region & dom.omega_mask
-    h3 = dom.cell_volume
+    pair = local_form(field, region, sampled)
+    gm = np.asarray(region, dtype=bool) & field.domain.omega_mask
+    h3 = field.domain.cell_volume
     eps2 = field.eps**2
     bulk_term = float(np.sum(psi_b(bulk, field.values[gm]))) * h3 / eps2 if gm.any() else 0.0
     return pair + bulk_term
@@ -587,26 +568,13 @@ def check_layer(domain: Domain, eps: float, q: float, tau: float):
         )
 
 
-def finite_thickness_energy(
-    field: OrderField, sampled: SampledKernel, bulk: BulkPotential
-) -> EnergyBreakdown:
+def finite_thickness_energy(field: OrderField, sampled: SampledKernel,
+                            bulk: BulkPotential) -> EnergyBreakdown:
     """Primal energy with the interaction restricted to Omega_eps x Omega_eps."""
     dom = field.domain
     require_padding(dom, sampled)
     check_layer(dom, field.eps, sampled.spec.q, sampled.spec.tau)
-    eps2 = field.eps**2
-    h3 = dom.cell_volume
-    oe = dom.omega_eps_mask
-    u_oe = np.where(oe[..., None], field.values, 0.0)
-    v = convolve(sampled, u_oe, dom.h)
-    interaction = -0.5 / eps2 * float(np.einsum("na,na->", field.values[oe], v[oe])) * h3
-    om = dom.omega_mask
-    bulk_term = float(np.sum(psi_s(bulk.model, field.values[om]))) * h3 / eps2
-    c = c_eps_constant(field, sampled, bulk)
-    total = interaction + bulk_term + c
-    return EnergyBreakdown(
-        "finite-thickness", interaction, bulk_term, c, total, {"omega": bulk_term}
-    )
+    return _primal(field, sampled, bulk, "finite-thickness", dom.omega_eps_mask)
 
 
 def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float) -> tuple:

@@ -20,6 +20,8 @@ from .errors import QuadratureUnderresolved, ResolutionMismatch
 from .potential import sphere_rule, sym0_basis
 
 _E5 = sym0_basis()
+# relative change at which the moment and elastic-tensor quadratures stop refining
+MOMENT_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def _converged_integral(spec, integrand, r_max, rtol):
     return value, False
 
 
-def _moment_scalar(spec, p, rtol=1e-9):
+def _moment_scalar(spec, p):
     """Integral of g(z) |z|^p dz, with tail handling for unbounded supports."""
 
     def integrand(z):
@@ -255,13 +257,13 @@ def _moment_scalar(spec, p, rtol=1e-9):
 
     R = spec.support_radius
     if np.isfinite(R):
-        val, ok = _converged_integral(spec, integrand, R, rtol)
+        val, ok = _converged_integral(spec, integrand, R, MOMENT_RTOL)
         if not ok:
             raise QuadratureUnderresolved("radial-angular refinement did not stabilise")
         return float(val)
     # heavy tail: integrate to a finite radius, add the analytic profile tail
     R0 = max(p for prof in spec.profiles for p in prof.breakpoints())
-    val, ok = _converged_integral(spec, integrand, R0, rtol)
+    val, ok = _converged_integral(spec, integrand, R0, MOMENT_RTOL)
     if not ok:
         raise QuadratureUnderresolved("radial-angular refinement did not stabilise")
     tail = spec.f1.tail_radial_moment(p + 2, R0)
@@ -301,7 +303,7 @@ def _grad_norm(spec, z, h=1e-6):
     return np.sqrt(acc)
 
 
-def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
+def compute_moments(spec: KernelSpec) -> KernelMoments:
     """Kernel moments by adaptive radial-spherical quadrature.
 
     An unbounded profile adds its closed-form tail beyond the last breakpoint.
@@ -309,7 +311,7 @@ def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
     R = spec.support_radius
     r_int = R if np.isfinite(R) else max(b for p in spec.profiles for b in p.breakpoints())
 
-    intK, ok = _converged_integral(spec, lambda z: evaluate_kernel(spec, z), r_int, rtol)
+    intK, ok = _converged_integral(spec, lambda z: evaluate_kernel(spec, z), r_int, MOMENT_RTOL)
     if not ok:
         raise QuadratureUnderresolved("intK refinement did not stabilise")
     if not np.isfinite(R):
@@ -317,14 +319,15 @@ def compute_moments(spec: KernelSpec, rtol: float = 1e-9) -> KernelMoments:
         if tail is not None and np.isfinite(tail):
             intK = intK + 4.0 * np.pi * tail * np.eye(spec.m)
 
-    intG = _moment_scalar(spec, 0, rtol)
-    m2 = _moment_scalar(spec, 2, rtol)
-    mq = _moment_scalar(spec, spec.q, rtol)
+    intG = _moment_scalar(spec, 0)
+    m2 = _moment_scalar(spec, 2)
+    mq = _moment_scalar(spec, spec.q)
 
     def g3(z):
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
 
-    m3grad_val, ok = _converged_integral(spec, g3, r_int, max(rtol, 1e-6))
+    # the gradient is a central difference, good to about 1e-6
+    m3grad_val, ok = _converged_integral(spec, g3, r_int, 1e-6)
     m3grad = float(m3grad_val) if ok else np.nan
     if not np.isfinite(R):
         # scalar profile tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
@@ -469,7 +472,7 @@ class ElasticTensor:
         return None
 
 
-def elastic_tensor(spec: KernelSpec, rtol: float = 1e-9) -> ElasticTensor:
+def elastic_tensor(spec: KernelSpec) -> ElasticTensor:
     """L[i,j,a,b] = (1/4) int K_ab(z) z_i z_j dz, symmetrised."""
     r_int = (
         spec.support_radius
@@ -481,7 +484,7 @@ def elastic_tensor(spec: KernelSpec, rtol: float = 1e-9) -> ElasticTensor:
         K = evaluate_kernel(spec, z)
         return np.einsum("ni,nj,nab->nijab", z, z, K)
 
-    val, ok = _converged_integral(spec, integrand, r_int, rtol)
+    val, ok = _converged_integral(spec, integrand, r_int, MOMENT_RTOL)
     if not ok:
         raise QuadratureUnderresolved("elastic tensor refinement did not stabilise")
     if not np.isfinite(spec.support_radius):
@@ -495,6 +498,10 @@ def elastic_tensor(spec: KernelSpec, rtol: float = 1e-9) -> ElasticTensor:
     return ElasticTensor(L)
 
 
+# seeded unit directions of ellipticity_bounds' Rayleigh-quotient cross-check
+RAYLEIGH_SAMPLES = 100
+
+
 @dataclass(frozen=True)
 class EllipticityBounds:
     lower: float  # annulus lower bound with the radial Jacobian included
@@ -505,13 +512,8 @@ class EllipticityBounds:
     jacobian_discrepancy: bool  # True when the two lower-bound constants differ
 
 
-def ellipticity_bounds(
-    spec: KernelSpec,
-    tensor: ElasticTensor | None = None,
-    report: AssumptionReport | None = None,
-    n_rayleigh: int = 100,
-    seed: int = 7,
-) -> EllipticityBounds:
+def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor | None = None,
+                       report: AssumptionReport | None = None) -> EllipticityBounds:
     """Structural ellipticity bounds for L plus a sampled Rayleigh cross-check.
 
     k, C and m2 come from the assumption report (check_assumptions(spec, 32)
@@ -531,22 +533,12 @@ def ellipticity_bounds(
     # a divergent second moment (no moments in the report) bounds nothing above
     upper = np.inf if report.moments is None else 0.25 * report.lambda_max_constant * report.moments.m2
 
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((n_rayleigh, spec.m, 3))
+    rng = np.random.default_rng(7)
+    xi = rng.standard_normal((RAYLEIGH_SAMPLES, spec.m, 3))
     xi /= np.sqrt(np.einsum("nai,nai->n", xi, xi))[:, None, None]
     vals = np.einsum("ijab,nai,nbj->n", tensor.L, xi, xi)
     disc = abs(lower - lower_quoted) > 1e-12 * max(lower, lower_quoted, 1e-300)
     return EllipticityBounds(lower, lower_quoted, upper, float(vals.min()), float(vals.max()), disc)
-
-
-def frank_constants(L1: float, L2: float, L3: float, s0: float) -> tuple:
-    """Oseen-Frank constants from the quadratic elastic coefficients."""
-    if s0 <= 0:
-        raise ValueError("s0 must be positive")
-    K1 = s0**2 * (2 * L1 + L2 + L3)
-    K2 = 2 * s0**2 * L1
-    K3 = 2 * s0**2 * L1
-    return K1, K2, K3
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +547,10 @@ def frank_constants(L1: float, L2: float, L3: float, s0: float) -> tuple:
 # largest (2S+1)^3 stencil sample_on_lattice builds; its kernel values take
 # 430 MB at m = 5, and an unbounded tail can ask for far more
 MAX_STENCIL_SAMPLES = 129**3
+# cells the positivity annulus eps (rho2 - rho1) must span at least
+MIN_CELLS_ACROSS = 4
+# tail-moment bound at which sample_on_lattice truncates an unbounded kernel
+TRUNC_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -586,10 +582,9 @@ class SampledKernel:
 
 
 def truncation_radius(spec: KernelSpec, eps: float, tol: float, moments: KernelMoments | None):
+    """Stencil radius and tail bound; moments may be None only for a compact support."""
     if np.isfinite(spec.support_radius):
         return eps * spec.support_radius, 0.0
-    if moments is None:
-        moments = compute_moments(spec)
     # tail estimate from the q-th moment: mass beyond R is <= mq (eps/R)^q;
     # the energy-scale version carries the eps^-2 prefactor via (q-2)
     q = spec.q
@@ -604,43 +599,35 @@ def stencil_offsets(radius_cells: int, h: float) -> np.ndarray:
     return np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1)
 
 
-def sample_on_lattice(
-    spec: KernelSpec,
-    eps: float,
-    h: float,
-    trunc_tol: float = 1e-3,
-    r_max: float | None = None,
-    min_cells_across: int = 4,
-    moments: KernelMoments | None = None,
-) -> SampledKernel:
+def sample_on_lattice(spec: KernelSpec, eps: float, h: float,
+                      r_max: float | None = None) -> SampledKernel:
     """Sample K_eps on the cubic stencil of spacing h.
 
-    Requires the annulus to be resolved by at least min_cells_across cells;
+    Requires the annulus to be resolved by at least MIN_CELLS_ACROSS cells;
     the stencil is truncated where the tail-moment estimate drops below
-    trunc_tol (or at r_max if given).
+    TRUNC_TOL (or at r_max if given).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rho1, rho2 = spec.annulus
-    if h > eps * (rho2 - rho1) / min_cells_across:
+    if h > eps * (rho2 - rho1) / MIN_CELLS_ACROSS:
         raise ResolutionMismatch(
-            f"h = {h:g} too coarse: need h <= eps*(rho2-rho1)/{min_cells_across} = "
-            f"{eps * (rho2 - rho1) / min_cells_across:g}"
+            f"h = {h:g} too coarse: need h <= eps*(rho2-rho1)/{MIN_CELLS_ACROSS} = "
+            f"{eps * (rho2 - rho1) / MIN_CELLS_ACROSS:g}"
         )
-    r_trunc, err = truncation_radius(spec, eps, trunc_tol, moments)
+    moments = None if np.isfinite(spec.support_radius) else compute_moments(spec)
+    r_trunc, err = truncation_radius(spec, eps, TRUNC_TOL, moments)
     if r_max is not None and r_trunc > r_max:
         if np.isfinite(spec.support_radius):
             raise ResolutionMismatch("compact kernel support exceeds the allowed stencil radius")
         r_trunc = r_max
         q = spec.q
-        if moments is None:
-            moments = compute_moments(spec)
         err = moments.mq * (eps / r_trunc) ** (q - 2.0) if q > 2 else np.inf
     S = np.floor(r_trunc / h + 1e-12)
     if not (2 * S + 1) ** 3 <= MAX_STENCIL_SAMPLES:
         raise ResolutionMismatch(
             f"stencil of {2 * S + 1:.0f}^3 samples (radius {S:.0f} cells) exceeds the "
-            f"{MAX_STENCIL_SAMPLES} allowed; pass r_max or loosen trunc_tol"
+            f"{MAX_STENCIL_SAMPLES} allowed; pass r_max to cap an unbounded kernel's stencil"
         )
     S = int(S)
     Z = stencil_offsets(S, h)

@@ -16,7 +16,13 @@ from .errors import DegenerateMinimum, OutsideMomentDomain
 
 # Dual-variable cap: |b| beyond this is treated as "u outside or at the
 # boundary of the moment set" (psi_s = +infinity in the continuum model).
-DEFAULT_B_CAP = 50.0
+B_CAP = 50.0
+# residual at which dual_map stops a cell, and its Newton step budget
+DUAL_TOL, DUAL_MAX_ITER = 1e-12, 80
+# transverse curvature of psi_b below which the vacuum orbit counts as degenerate
+DEGENERACY_TOL = 1e-6
+# hessian_diagnostics: seeded moments sampled out to this share of sigma_max
+HESSIAN_SAMPLES, HESSIAN_RADIUS = 200, 0.9
 
 
 def sym0_basis() -> np.ndarray:
@@ -141,35 +147,28 @@ def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
     return _covariance_of(model, f, f @ model.sigma)
 
 
-def dual_map(
-    model: MicroModel,
-    u: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-    b_cap: float = DEFAULT_B_CAP,
-    b0: np.ndarray | None = None,
-) -> np.ndarray:
+def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
     """Lambda(u): the dual variable b with grad lnZ(b) = u, by damped Newton.
 
     Batched over leading axes.  Each Newton step takes one exponential: the
     tilted density of the live cells gives both the residual lambda_inverse(b)
-    - u and, on the cells still above tol, the covariance.  A cell stops
-    updating once its residual is within tol, so each cell follows the Newton
-    sequence of a one-cell call.  Raises OutsideMomentDomain if the iteration
-    diverges or |b| exceeds the cap anywhere, which is the finite-precision
-    image of psi_s blowing up towards the boundary of the moment set.
+    - u and, on the cells still above DUAL_TOL, the covariance.  A cell stops
+    updating once its residual is within DUAL_TOL, so each cell follows the
+    Newton sequence of a one-cell call.  Raises OutsideMomentDomain if the
+    iteration diverges or |b| exceeds B_CAP anywhere, which is the finite-
+    precision image of psi_s blowing up towards the boundary of the moment set.
     """
     u = np.asarray(u, dtype=float)
     if np.any(np.linalg.norm(u, axis=-1) >= model.sigma_max):
         raise OutsideMomentDomain("|u| >= sigma_max")
     b = np.zeros_like(u) if b0 is None else np.array(b0, dtype=float)
-    live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within tol (a NaN stays live)
+    live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     eye = np.eye(model.m)
-    for _ in range(max_iter):
+    for _ in range(DUAL_MAX_ITER):
         f = _tilted_density(model, b[live])
         mean = f @ model.sigma
         r = mean - u[live]
-        keep = ~(np.linalg.norm(r, axis=-1) <= tol)
+        keep = ~(np.linalg.norm(r, axis=-1) <= DUAL_TOL)
         if not keep.any():
             return b
         live[live] = keep
@@ -178,15 +177,15 @@ def dual_map(
         step = np.linalg.solve(cov + 1e-14 * eye, r[keep][..., None])[..., 0]
         sn = np.linalg.norm(step, axis=-1, keepdims=True)
         b[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
-        if np.linalg.norm(b[live], axis=-1).max() > b_cap:
+        if np.linalg.norm(b[live], axis=-1).max() > B_CAP:
             raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 
 
-def psi_s(model: MicroModel, u: np.ndarray, b_cap: float = DEFAULT_B_CAP) -> np.ndarray:
+def psi_s(model: MicroModel, u: np.ndarray) -> np.ndarray:
     """Singular potential via duality: psi_s(u) = b.u - lnZ(b) at b = Lambda(u)."""
     u = np.asarray(u, dtype=float)
-    return psi_s_at_dual(model, u, dual_map(model, u, b_cap=b_cap))
+    return psi_s_at_dual(model, u, dual_map(model, u))
 
 
 def psi_s_at_dual(model: MicroModel, u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,12 +240,7 @@ def _radial_bulk_derivative(model, e, kappa, s):
     return dual_map(model, np.multiply.outer(s, e)) @ e - kappa * s
 
 
-def compute_c0_and_NN(
-    model: MicroModel,
-    intK: np.ndarray,
-    *,
-    degeneracy_tol: float = 1e-6,
-) -> tuple[float, float, VacuumManifold]:
+def compute_c0_and_NN(model: MicroModel, intK: np.ndarray) -> tuple[float, float, VacuumManifold]:
     """Normalising constant c0 and the vacuum orbit of the bulk potential.
 
     For equivariant intK = kappa*Id the zero set is found by a radial
@@ -282,7 +276,7 @@ def compute_c0_and_NN(
     )[0]
     hb = hs - intK
     curv = float(e @ hb @ e)
-    degenerate = curv < degeneracy_tol
+    degenerate = curv < DEGENERACY_TOL
     manifold = VacuumManifold(s0, e, c0, curv, degenerate)
     return c0, s0, manifold
 
@@ -372,18 +366,12 @@ class HessianReport:
     inverse_identity_error: float  # max |Hess psi_s . Hess lnZ - Id|
 
 
-def hessian_diagnostics(
-    model: MicroModel,
-    bulk: BulkPotential,
-    n_samples: int = 200,
-    radius: float = 0.9,
-    seed: int = 0,
-) -> HessianReport:
+def hessian_diagnostics(model: MicroModel, bulk: BulkPotential) -> HessianReport:
     """Sampled curvature diagnostics for psi_s and psi_b."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n_samples, model.m))
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((HESSIAN_SAMPLES, model.m))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = radius * model.sigma_max * rng.random(n_samples) ** (1.0 / model.m)
+    r = HESSIAN_RADIUS * model.sigma_max * rng.random(HESSIAN_SAMPLES) ** (1.0 / model.m)
     u = v * r[:, None]
     b = dual_map(model, u)
     cov = covariance(model, b)

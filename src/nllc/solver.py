@@ -339,8 +339,9 @@ def omega_minimality_probe(
     sm = field.values.copy()
     for _ in range(2):
         acc = np.zeros_like(sm)
-        for axis in range(3):
-            acc += np.roll(sm, 1, axis=axis) + np.roll(sm, -1, axis=axis)
+        for lo, hi in _neighbour_slices():  # e0 checked the padding: no mask cell on a face
+            acc[lo] += sm[hi]
+            acc[hi] += sm[lo]
         sm = np.where(mask[..., None], acc / 6.0, sm)
     worst = max(worst, e0 - energy_of(sm))
 

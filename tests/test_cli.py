@@ -83,6 +83,10 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+SWEEP_HEADER = ["eps", "E_total", "E_interaction", "E_bulk", "C_eps",
+                "residual", "margin", "lipschitz", "l2_to_limit"]
+
+
 def test_kernel_report_artifacts(tmp_path):
     ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI)
     out = tmp_path / "out"
@@ -120,10 +124,7 @@ def test_eps_sweep_table(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["eps-sweep", ini, "--out", str(out)]) == 0
     header, rows = read_csv(out / "sweep.csv")
-    assert header == [
-        "eps", "E_total", "E_interaction", "E_bulk", "C_eps",
-        "residual", "margin", "lipschitz", "l2_to_limit",
-    ]
+    assert header == SWEEP_HEADER
     assert len(rows) == 2
     eps_col = [float(r[0]) for r in rows]
     assert eps_col == [0.6, 0.5]
@@ -160,16 +161,25 @@ def test_limit_solve_report(tmp_path):
     assert (out / "limit.nllc1").exists()
 
 
-def test_gamma_check_table_and_reproducibility(tmp_path):
+@pytest.mark.parametrize("command, table, columns, total, parts", [
+    ("gamma-check", "gamma.csv", ["eps", "F_eps", "E_limit", "gap"], "gap",
+     {"F_eps": 1, "E_limit": -1}),
+    ("eps-sweep", "sweep.csv", SWEEP_HEADER, "E_total",
+     {"E_interaction": 1, "E_bulk": 1, "C_eps": 1}),
+], ids=["gamma-check", "eps-sweep"])
+def test_gamma_check_table_and_reproducibility(tmp_path, command, table, columns, total, parts):
+    # the table is byte-identical across runs and its total is the sum of its parts
     ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["gamma-check", ini, "--out", str(out1)]) == 0
-    assert cli.main(["gamma-check", ini, "--out", str(out2)]) == 0
-    assert (out1 / "gamma.csv").read_bytes() == (out2 / "gamma.csv").read_bytes()
-    header, rows = read_csv(out1 / "gamma.csv")
-    assert header == ["eps", "F_eps", "E_limit", "gap"]
+    assert cli.main([command, ini, "--out", str(out1)]) == 0
+    assert cli.main([command, ini, "--out", str(out2)]) == 0
+    assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
+    header, rows = read_csv(out1 / table)
+    assert header == columns
     for r in rows:
-        assert float(r[3]) == pytest.approx(float(r[1]) - float(r[2]), abs=1e-14)
+        col = {name: float(value) for name, value in zip(header, r)}
+        assert col[total] == pytest.approx(
+            sum(sign * col[name] for name, sign in parts.items()), abs=1e-14)
 
 
 HOLDER_INI = """

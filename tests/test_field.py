@@ -8,12 +8,13 @@ from nllc.errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 S1 = potential.make_s1_model()
 
 
-def setup_case(n=20, h=0.1, eps=0.5, preset="annulus", omega_radius=None):
+def setup_case(n=20, h=0.1, eps=0.5, preset="annulus", omega_radius=None,
+               make_domain=fld.ball_domain):
     spec = kernel.kernel_preset(preset, 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
     sampled = kernel.sample_on_lattice(spec, eps, h)
     if omega_radius is None:
         omega_radius = (n / 2 - sampled.radius_cells - 0.6) * h
-    dom = fld.ball_domain(n, h, omega_radius)
+    dom = make_domain(n, h, omega_radius)
     bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
     return dom, sampled, bulk
 
@@ -29,9 +30,14 @@ def random_field(dom, eps, s0, seed=0, rough=0.3):
     return fld.OrderField(dom, eps, vals)
 
 
-def test_primal_oscillation_identity():
+DOMAINS = pytest.mark.parametrize("make_domain", [fld.ball_domain, fld.cube_domain],
+                                  ids=["ball", "cube"])
+
+
+@DOMAINS
+def test_primal_oscillation_identity(make_domain):
     # the two energy forms agree exactly (to round-off) through C_eps
-    dom, sampled, bulk = setup_case()
+    dom, sampled, bulk = setup_case(make_domain=make_domain)
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=1)
     ep = fld.energy_primal(f, sampled, bulk)
     eo = fld.energy_oscillation(f, sampled, bulk)
@@ -154,10 +160,11 @@ def test_nllc1_size_mismatch_is_a_format_error(damage):
             fld.read_nllc1(p)
 
 
-def test_finite_thickness_exact_when_no_exterior():
+@DOMAINS
+def test_finite_thickness_exact_when_no_exterior(make_domain):
     # with layer_thickness = inf there is no exterior and the restricted
     # interaction equals the full one
-    dom, sampled, bulk = setup_case()
+    dom, sampled, bulk = setup_case(make_domain=make_domain)
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=11)
     full = fld.energy_primal(f, sampled, bulk)
     thin = fld.finite_thickness_energy(f, sampled, bulk)

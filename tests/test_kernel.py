@@ -136,12 +136,6 @@ def test_ellipticity_bounds_and_flag():
     assert bounds.jacobian_discrepancy
 
 
-def test_frank_constants_positive():
-    K1, K2, K3 = kernel.frank_constants(0.2, 0.05, 0.01, 0.8)
-    assert K1 > 0 and K2 > 0 and K3 > 0
-    assert K2 == K3  # one-constant degeneracy of the quadratic closure
-
-
 def test_sample_on_lattice_resolution_guard():
     with pytest.raises(ResolutionMismatch):
         kernel.sample_on_lattice(ANNULUS, eps=0.1, h=0.05)
