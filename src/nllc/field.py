@@ -11,6 +11,13 @@ interaction and h^3 for the bulk term.  Every interaction is one non-local
 form over G x G, which _interaction_sums expands into convolutions.  The
 primal and oscillation forms are related by an exact algebraic identity
 through the constant C_eps, so the code reproduces it at round-off on any box.
+
+A solve changes only the values on Omega.  OmegaSplit writes u = u_Omega + u_c
+with u_c the fixed values off Omega and takes, once, what u_c contributes:
+w = (K_eps*u_c)|Omega and the constant box sums of u_c.  The oscillation
+energy of any values on Omega then costs one FFT convolution over Omega's
+bounding window, where the stencil is cut to the window, and sums over Omega.
+The whole-box convolve and energies stay the reference it is tested against.
 """
 
 import struct
@@ -246,28 +253,44 @@ def _neighbour_slices():
         yield lo, hi
 
 
-def _stencil_fft(stencil: np.ndarray, pshape) -> np.ndarray:
-    """Spectrum of a centred (2S+1)^3 stencil, any trailing shape, wrapped onto pshape."""
+def _padded_shape(n, radius: int) -> tuple:
+    """FFT lengths of a linear convolution over a box n with a centred stencil of the
+    given radius; offsets |z_i| >= n_i pair no two cells of the box and are cut."""
+    return tuple(scipy.fft.next_fast_len(min(2 * k - 1, k + 2 * radius)) for k in n)
+
+
+def _stencil_fft(stencil: np.ndarray, n) -> np.ndarray:
+    """Spectrum of a centred (2S+1)^3 stencil, any trailing shape, for a box n: cut to
+    the per-axis radius min(S, n_i - 1) and wrapped onto _padded_shape(n, S)."""
     S = len(stencil) // 2
-    kern = np.zeros(pshape + stencil.shape[3:])
-    kern[np.ix_(*(np.mod(np.arange(-S, S + 1), p) for p in pshape))] = stencil
+    p = _padded_shape(n, S)
+    cut = [min(S, k - 1) for k in n]
+    kern = np.zeros(p + stencil.shape[3:])
+    kern[np.ix_(*(np.mod(np.arange(-c, c + 1), q) for c, q in zip(cut, p)))] = stencil[
+        tuple(slice(S - c, S + c + 1) for c in cut)]
     return scipy.fft.rfftn(kern, axes=(0, 1, 2))
 
 
-def _kernel_fft(sampled: SampledKernel, pshape):
-    key = ("kfft", pshape)
+def _kernel_fft(sampled: SampledKernel, n):
+    key = ("kfft", n)
     if key not in sampled._cache:
-        sampled._cache[key] = _stencil_fft(sampled.values, pshape)
+        sampled._cache[key] = _stencil_fft(sampled.values, n)
     return sampled._cache[key]
 
 
 def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
-    """Zero-extend x over its box axes to next_fast_len(n + 2 radius), map the spectrum
-    through times(spectrum, padded shape) and crop the inverse back to x's box."""
+    """Zero-extend x over its box axes to _padded_shape(box, radius), map the spectrum
+    through times and crop the inverse back to x's box."""
     n, axes = x.shape[:3], (0, 1, 2)
-    p = tuple(scipy.fft.next_fast_len(k + 2 * radius) for k in n)
-    out = scipy.fft.irfftn(times(scipy.fft.rfftn(x, s=p, axes=axes), p), s=p, axes=axes)
+    p = _padded_shape(n, radius)
+    out = scipy.fft.irfftn(times(scipy.fft.rfftn(x, s=p, axes=axes)), s=p, axes=axes)
     return out[: n[0], : n[1], : n[2]]
+
+
+def _kernel_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndarray:
+    """convolve's FFT path, without its checks; u's box may be any window."""
+    return _fft_convolve(u, sampled.radius_cells, lambda uf: np.einsum(
+        "...ab,...b->...a", _kernel_fft(sampled, u.shape[:3]), uf)) * h**3
 
 
 def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
@@ -284,14 +307,13 @@ def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method:
         return out * h**3
     if method != "fft":
         raise ValueError(f"unknown convolution method {method!r}")
-    return _fft_convolve(u, sampled.radius_cells, lambda uf, p: np.einsum(
-        "...ab,...b->...a", _kernel_fft(sampled, p), uf)) * h**3
+    return _kernel_convolve(sampled, u, h)
 
 
 def convolve_mask(sampled: SampledKernel, mask: np.ndarray, h: float) -> np.ndarray:
     """(K_eps * 1_G)(x) h^3 as an (Nx,Ny,Nz,m,m) matrix field."""
     return _fft_convolve(mask.astype(float), sampled.radius_cells,
-                         lambda mf, p: _kernel_fft(sampled, p) * mf[..., None, None]) * h**3
+                         lambda mf: _kernel_fft(sampled, mask.shape) * mf[..., None, None]) * h**3
 
 
 def convolve_stencil(stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -299,7 +321,8 @@ def convolve_stencil(stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
     extension off the box; u may carry trailing component axes."""
     u = np.asarray(values, dtype=float)
     trail = (...,) + (None,) * (u.ndim - 3)
-    return _fft_convolve(u, len(stencil) // 2, lambda uf, p: _stencil_fft(stencil, p)[trail] * uf)
+    return _fft_convolve(u, len(stencil) // 2,
+                         lambda uf: _stencil_fft(stencil, u.shape[:3])[trail] * uf)
 
 
 def box_moment_field(sampled: SampledKernel, domain: Domain) -> np.ndarray:
@@ -352,6 +375,53 @@ def _interaction_sums(field: OrderField, sampled: SampledKernel, region=None, v=
     vG = convolve(sampled, np.where(region[..., None], u, 0.0), dom.h)
     return (_quadratic_sum(u, S_G, region) * h3,
             float(np.einsum("na,na->", u[region], vG[region])) * h3)
+
+
+@dataclass
+class OmegaSplit:
+    """A field split as u = u_Omega + u_c, u_c its values off Omega, held fixed.
+
+    K_eps is even and symmetric, so for every u_Omega the box form has an
+    Omega part, the cross term 2 u_Omega.w with w = (K_eps*u_c)|Omega, and
+    const = (sum_{off Omega} u_c.S_B u_c - sum_box u_c.(K_eps*u_c)) h^3,
+    the box sums of u_c alone.  Given w, S_B on Omega and const, values on
+    Omega cost one FFT convolution over Omega's bounding window and sums over
+    Omega; no array of the box's size.
+    """
+
+    sampled: SampledKernel
+    h: float
+    eps: float
+    inner: np.ndarray  # Omega's cells in its bounding window
+    s_b: np.ndarray  # S_B on Omega, (n_Omega, m, m)
+    w: np.ndarray  # (K_eps*u_c) on Omega
+    const: float
+
+    def convolve(self, u: np.ndarray) -> np.ndarray:
+        """K_eps*u on Omega for the field with values u there: (K_eps*u_Omega)|Omega + w."""
+        x = np.zeros(self.inner.shape + u.shape[-1:])
+        x[self.inner] = u
+        return _kernel_convolve(self.sampled, x, self.h)[self.inner] + self.w
+
+    def energy(self, bulk: BulkPotential, u: np.ndarray, v: np.ndarray,
+               b: np.ndarray) -> EnergyBreakdown:
+        """energy_oscillation of the field with values u on Omega, v = K_eps*u and the
+        duals b = Lambda(u) there."""
+        quad = _quadratic_sum(u, self.s_b) - float(np.einsum("na,na->", u, v + self.w))
+        pair = 0.5 * (quad * self.h**3 + self.const) / self.eps**2
+        return _oscillation(pair, bulk, u, b, self.h**3, self.eps**2)
+
+
+def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
+    """field's OmegaSplit, from one whole-box convolution of u_c."""
+    dom = field.domain
+    om = dom.omega_mask
+    u_c = np.where(om[..., None], 0.0, field.values)
+    v_c = convolve(sampled, u_c, dom.h)
+    quad, cross = _interaction_sums(OrderField(dom, field.eps, u_c), sampled, v=v_c)
+    window = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(om))
+    return OmegaSplit(sampled, dom.h, field.eps, om[window], box_moment_field(sampled, dom)[om],
+                      v_c[om], quad - cross)
 
 
 def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential, form: str,
@@ -419,27 +489,20 @@ def energy_oscillation(
     require_padding(field.domain, sampled)
     if method not in ("fast", "pairwise"):
         raise ValueError(f"unknown oscillation method {method!r}")
-    v = convolve(sampled, field.values, field.domain.h) if method == "fast" else None
-    b = dual_map(bulk.model, field.values[field.domain.omega_mask], b0=b0)
-    return energy_oscillation_from(field, sampled, bulk, v, b)
-
-
-def energy_oscillation_from(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
-                            v: np.ndarray | None, b: np.ndarray) -> EnergyBreakdown:
-    """energy_oscillation from v = K_eps*u and the duals b = Lambda(u) on Omega.
-
-    It runs neither the convolution nor the dual solve, so a caller that
-    holds both pays for neither again; v None sums the interaction pairwise.
-    """
-    dom = field.domain
-    eps2 = field.eps**2
-    if v is None:
-        pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
-    else:
-        quad, cross = _interaction_sums(field, sampled, v=v)
+    dom, eps2 = field.domain, field.eps**2
+    if method == "fast":
+        quad, cross = _interaction_sums(field, sampled, v=convolve(sampled, field.values, dom.h))
         pair = 0.5 * (quad - cross) / eps2
+    else:
+        pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
     u_om = field.values[dom.omega_mask]
-    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * dom.cell_volume / eps2
+    return _oscillation(pair, bulk, u_om, dual_map(bulk.model, u_om, b0=b0), dom.cell_volume, eps2)
+
+
+def _oscillation(pair: float, bulk: BulkPotential, u_om: np.ndarray, b: np.ndarray,
+                 h3: float, eps2: float) -> EnergyBreakdown:
+    """The oscillation form from its interaction and the duals b on Omega."""
+    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * h3 / eps2
     return EnergyBreakdown("oscillation", pair, bulk_term, 0.0, pair + bulk_term)
 
 
@@ -638,42 +701,51 @@ def _radial_tail_table(spec: KernelSpec):
 
 
 # ---------------------------------------------------------------------------
-# NLLC1 field dumps
+# field dumps
 
-_MAGIC = b"NLLC1"
+# header after the magic: shape, m, [geometry code,] h, eps[, Omega size]
+_HEADERS = {b"NLLC1": struct.Struct("<4I2d"), b"NLLC2": struct.Struct("<5I3d")}
+_GEOMETRIES = ("ball", "cube")
 
 
 def write_nllc1(path, field: OrderField):
+    """Dump a field in the NLLC2 format, NLLC1 with the domain's geometry and size."""
     dom = field.domain
-    nx, ny, nz = dom.shape
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<4I", nx, ny, nz, field.m))
-        fh.write(struct.pack("<2d", dom.h, field.eps))
+        fh.write(b"NLLC2")
+        fh.write(_HEADERS[b"NLLC2"].pack(*dom.shape, field.m, _GEOMETRIES.index(dom.geometry),
+                                         dom.h, field.eps, dom.omega_radius))
         fh.write(dom.region.astype(np.uint8).tobytes(order="C"))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C"))
 
 
 def read_nllc1(path) -> OrderField:
-    """Read a dump of write_nllc1.
+    """Read a dump of write_nllc1, or an NLLC1 dump: a ball of radius 0, as that
+    format kept no geometry.
 
-    Raises DumpFormatError on a wrong magic and on a file whose size is not
-    the one its header declares (a truncated dump or trailing bytes).
+    Raises DumpFormatError on a wrong magic or geometry code and on a file
+    whose size is not the one its header declares (a truncated dump or
+    trailing bytes).
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith(_MAGIC):
-        raise DumpFormatError(f"bad magic {data[:len(_MAGIC)]!r}: not an NLLC1 dump")
-    header = len(_MAGIC) + 32
+    magic = data[:5]
+    if magic not in _HEADERS:
+        raise DumpFormatError(f"bad magic {magic!r}: not an NLLC1 or NLLC2 dump")
+    head = _HEADERS[magic]
+    header = 5 + head.size
     if len(data) < header:
-        raise DumpFormatError(f"NLLC1 dump of {len(data)} bytes is shorter than its header")
-    nx, ny, nz, m = struct.unpack_from("<4I", data, len(_MAGIC))
-    h, eps = struct.unpack_from("<2d", data, len(_MAGIC) + 16)
+        raise DumpFormatError(f"{magic.decode()} dump of {len(data)} bytes is shorter than its header")
+    if magic == b"NLLC1":
+        (nx, ny, nz, m, h, eps), geometry, size = head.unpack_from(data, 5), 0, 0.0
+    else:
+        nx, ny, nz, m, geometry, h, eps, size = head.unpack_from(data, 5)
+    if geometry >= len(_GEOMETRIES):
+        raise DumpFormatError(f"unknown geometry code {geometry}")
     cells = nx * ny * nz
-    size = header + cells * (1 + 8 * m)
-    if len(data) != size:
-        raise DumpFormatError(f"NLLC1 dump of {len(data)} bytes; its header declares {size}")
+    expect = header + cells * (1 + 8 * m)
+    if len(data) != expect:
+        raise DumpFormatError(f"dump of {len(data)} bytes; its header declares {expect}")
     region = np.frombuffer(data, np.uint8, cells, header).reshape(nx, ny, nz)
     values = np.frombuffer(data, "<f8", cells * m, header + cells).reshape(nx, ny, nz, m).copy()
-    dom = Domain(h, region.copy(), "ball", 0.0)
-    return OrderField(dom, eps, values)
+    return OrderField(Domain(h, region.copy(), _GEOMETRIES[geometry], size), eps, values)

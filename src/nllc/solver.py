@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterations, OutsideMomentDomain
-from .field import OrderField, ball_mask, convolve, energy_oscillation
-from .field import _neighbour_slices, energy_oscillation_from, require_padding
+from .field import OrderField, ball_mask, convolve, energy_oscillation, omega_split
+from .field import _neighbour_slices, require_padding
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, lambda_inverse
 
@@ -217,39 +217,43 @@ def _oscillation_descent(init, sampled, bulk, config, method, propose, step, gro
                          exhausted):
     """Trials of el_fixed_point and gradient_descent on the oscillation energy.
 
-    propose(u_om, v_om, b, step, rejected) returns the trial values on Omega
-    from the current ones, v = K_eps*u and the duals b = Lambda(u) there.  A
-    trial whose dual solve leaves the moment set (OutsideMomentDomain) has
-    infinite energy, so monotone_descent rejects it.  Each trial costs one
-    convolution and one dual solve warm-started from b; an accepted trial
-    keeps both as the next iterate's, and its residual sup |b - v| on Omega
-    costs nothing more.
+    Only the values on Omega change, so the state is (u, v, b) on Omega: the
+    values, v = K_eps*u and the duals b = Lambda(u) there.  The start's
+    OmegaSplit holds what the fixed values off Omega contribute; it costs the
+    solve's one whole-box convolution.  propose(u, v, b, step, rejected)
+    returns the trial values, and each trial then costs one FFT convolution
+    over Omega's bounding window, sums over Omega and one dual solve
+    warm-started from b, with no array of the box's size.  A trial whose dual
+    solve leaves the moment set (OutsideMomentDomain) has infinite energy, so
+    monotone_descent rejects it.  An accepted trial's state is the next
+    iterate's, and its residual sup |b - v| costs nothing more.  finish builds
+    the one whole-box field.
     """
-    om = init.domain.omega_mask
-    require_padding(init.domain, sampled)
+    dom = init.domain
+    om = dom.omega_mask
+    require_padding(dom, sampled)
+    split = omega_split(init, sampled)
 
     def evaluate(u, b0=None):
-        v = convolve(sampled, u.values, u.domain.h)
-        b = dual_map(bulk.model, u.values[om], b0=b0)
-        energy = energy_oscillation_from(u, sampled, bulk, v, b).total
+        v = split.convolve(u)
+        b = dual_map(bulk.model, u, b0=b0)
+        energy = split.energy(bulk, u, v, b).total
         # sup-norm of Lambda(u) - K_eps*u over interior cells
-        return (u, v, b), energy, float(np.linalg.norm(b - v[om], axis=-1).max(initial=0.0))
+        return (u, v, b), energy, float(np.linalg.norm(b - v, axis=-1).max(initial=0.0))
 
     def trial(state, step, rejected):
-        u, v, b = state
-        t = u.copy()
-        t.values[om] = propose(u.values[om], v[om], b, step, rejected)
         try:
-            return evaluate(t, b)
+            return evaluate(propose(*state, step, rejected), state[2])
         except OutsideMomentDomain:
             return None, np.inf, np.inf
 
     def finish(state, energies, residuals, it, reason):
-        u = state[0]
+        u = init.copy()
+        u.values[om] = state[0]
         return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
                            lipschitz_estimate(u), it, reason, method)
 
-    return monotone_descent(trial, *evaluate(init.copy()), finish, tol=config.tol,
+    return monotone_descent(trial, *evaluate(init.values[om]), finish, tol=config.tol,
                             max_iter=config.max_iter, step=step, grow=grow, cap=np.inf,
                             floor=floor, rtol=1e-12, exhausted=exhausted)
 
@@ -308,7 +312,9 @@ def omega_minimality_probe(
 
     Competitors agree with the field off B_rho(center) and replace it inside
     by a local constant, a neighbour-smoothed version, or seeded random
-    physical perturbations.  Positive return = an improving competitor found.
+    perturbations clipped radially to 0.98 sigma_max; one that still leaves
+    the moment set counts as no decrease.  Positive return = an improving
+    competitor found.
     """
     dom = field.domain
     mask = ball_mask(dom, center, rho) & dom.omega_mask
@@ -323,8 +329,13 @@ def omega_minimality_probe(
     worst = -np.inf
 
     def energy_of(vals):
-        trial = OrderField(dom, field.eps, vals)
-        return energy_oscillation(trial, sampled, bulk, b0=b_warm).total
+        # radial clipping keeps an s1 value in the moment set but not every m = 5
+        # one; a competitor outside it has infinite energy and decreases nothing
+        try:
+            return energy_oscillation(OrderField(dom, field.eps, vals), sampled, bulk,
+                                      b0=b_warm).total
+        except OutsideMomentDomain:
+            return np.inf
 
     # local constant replacement
     mean = field.values[mask].mean(axis=0)

@@ -1,5 +1,10 @@
+import struct
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nllc import field as fld
 from nllc import kernel, potential
@@ -60,6 +65,16 @@ def test_convolve_fft_matches_direct():
     a = fld.convolve(sampled, u, dom.h, method="fft")
     b = fld.convolve(sampled, u, dom.h, method="direct")
     assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
+
+
+def test_convolve_fft_matches_direct_on_a_box_smaller_than_the_stencil():
+    # the spectrum keeps only offsets shorter than the box, axis by axis
+    _, sampled, _ = setup_case(n=14, omega_radius=0.14)
+    S = sampled.radius_cells
+    u = np.random.default_rng(13).standard_normal((2, S, 2 * S + 3, 2))
+    a = fld.convolve(sampled, u, sampled.h, method="fft")
+    b = fld.convolve(sampled, u, sampled.h, method="direct")
+    assert np.allclose(a, b, atol=1e-12 * np.abs(b).max())
 
 
 def test_local_form_pairwise_matches_fast():
@@ -128,6 +143,35 @@ def test_nllc1_roundtrip_bitwise():
         g = fld.read_nllc1(p)
     assert g.eps == f.eps
     assert g.domain.h == dom.h
+    assert np.array_equal(g.domain.region, dom.region)
+    assert np.array_equal(g.values, f.values)
+
+
+@DOMAINS
+def test_nllc_roundtrip_keeps_geometry_and_size(make_domain, tmp_path):
+    # a dump keeps the domain's geometry and Omega's size, and writing what
+    # was read gives the same bytes
+    dom = make_domain(14, 0.1, 0.25)
+    f = random_field(dom, 0.5, S1.sigma_max * 0.8, seed=11)
+    p, q = tmp_path / "f.nllc1", tmp_path / "g.nllc1"
+    fld.write_nllc1(p, f)
+    g = fld.read_nllc1(p)
+    assert (g.domain.geometry, g.domain.omega_radius) == (dom.geometry, dom.omega_radius)
+    assert np.array_equal(g.domain.region, dom.region)
+    assert np.array_equal(g.values, f.values)
+    fld.write_nllc1(q, g)
+    assert q.read_bytes() == p.read_bytes()
+
+
+def test_nllc1_dumps_still_read(tmp_path):
+    # the first format carried no geometry: its dumps read back as a ball of radius 0
+    dom = fld.cube_domain(6, 0.1, 0.15)
+    f = random_field(dom, 0.4, S1.sigma_max * 0.8, seed=12)
+    p = tmp_path / "old.nllc1"
+    p.write_bytes(b"NLLC1" + struct.pack("<4I", *dom.shape, 2) + struct.pack("<2d", 0.1, 0.4)
+                  + dom.region.tobytes() + f.values.astype("<f8").tobytes())
+    g = fld.read_nllc1(p)
+    assert (g.domain.geometry, g.domain.omega_radius, g.domain.h, g.eps) == ("ball", 0.0, 0.1, 0.4)
     assert np.array_equal(g.domain.region, dom.region)
     assert np.array_equal(g.values, f.values)
 
@@ -278,3 +322,64 @@ def test_trilinear_on_site_is_bitwise():
     pts = dom.cell_centers().reshape(-1, 3)[::7]
     out = fld.trilinear_sample(vals, dom, pts)
     assert np.array_equal(out, vals.reshape(-1, 2)[::7])
+
+
+# Window split against the whole box.  h = 0.1 and eps = 0.3 give a stencil
+# radius of 5 cells, so Omega trimmed to a window of 5 cells or fewer on an
+# axis also exercises the stencil cut.
+SPLIT_H, SPLIT_EPS, SPLIT_N = 0.1, 0.3, 18
+SPLIT_CASES = {
+    "s1": (potential.make_s1_model, "gaussian", 2, {"strength": 4.0}),
+    "s2": (potential.make_s2_model, "gaussian-nematic", 5,
+           {"strength": 8.0, "f2": 0.3, "f3": -0.2}),
+}
+
+
+@lru_cache(maxsize=None)
+def split_case(name):
+    make_model, preset, m, params = SPLIT_CASES[name]
+    model = make_model()
+    spec = kernel.kernel_preset(preset, m, dict(params, width=0.75, cut=2.5))
+    sampled = kernel.sample_on_lattice(spec, SPLIT_EPS, SPLIT_H)
+    return model, sampled, potential.make_bulk_potential(model, sampled.intK_disc)
+
+
+def admissible(model, shape, rng):
+    """Values strictly inside the moment set: Lambda^-1 of random duals."""
+    b = rng.uniform(-4.0, 4.0, (int(np.prod(shape)), model.m))
+    return potential.lambda_inverse(model, b).reshape(shape + (model.m,))
+
+
+@settings(max_examples=24, deadline=None)
+@given(case=st.sampled_from(sorted(SPLIT_CASES)),
+       make_domain=st.sampled_from([fld.ball_domain, fld.cube_domain]),
+       size=st.floats(0.09, 0.35), trim=st.tuples(*[st.integers(0, 7)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
+    # values on Omega other than the ones the split was taken from: the split
+    # depends only on the values off Omega
+    model, sampled, bulk = split_case(case)
+    dom = make_domain(SPLIT_N, SPLIT_H, size)
+    om = dom.omega_mask
+    for axis, t in enumerate(trim):  # drop the top t planes of Omega: a non-cubic window
+        idx = np.nonzero(om)[axis]
+        cut = np.arange(SPLIT_N) > max(idx.max() - t, idx.min())
+        dom.region[om & np.expand_dims(cut, [a for a in range(3) if a != axis])] = fld.LAYER
+        om = dom.omega_mask
+    rng = np.random.default_rng(seed)
+    start = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, rng))
+    split = fld.omega_split(start, sampled)
+    f = start.copy()
+    f.values[om] = admissible(model, (int(om.sum()),), rng)
+    u = f.values[om]
+
+    v = split.convolve(u)
+    v_box = fld.convolve(sampled, f.values, dom.h)[om]
+    assert np.abs(v - v_box).max() <= 1e-12 * np.abs(v_box).max()
+
+    energy = split.energy(bulk, u, v, potential.dual_map(model, u))
+    box = fld.energy_oscillation(f, sampled, bulk)
+    primal = fld.energy_primal(f, sampled, bulk)
+    scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
+    assert energy.interaction == pytest.approx(box.interaction, abs=1e-12 * scale)
+    assert energy.total == pytest.approx(box.total, abs=1e-12 * scale)

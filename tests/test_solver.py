@@ -287,3 +287,46 @@ def test_margin_and_lipschitz_diagnostics():
     lip = solver.lipschitz_estimate(f)
     # chord of the orbit: |u(x)-u(y)| <= s0 * slope * h on adjacent cells
     assert 0 < lip <= bulk.manifold.s0 * 2.0 + 1e-9
+
+
+def test_probe_skips_competitors_outside_the_moment_set():
+    # the radial clip to 0.98 sigma_max keeps an s1 value inside the moment
+    # set but not an m = 5 one, whose set is not a ball: such a competitor has
+    # infinite energy, so it decreases nothing
+    model = potential.make_s2_model()
+    spec = kernel.kernel_preset("gaussian", 5, {"strength": 8.0, "width": 0.75, "cut": 2.5})
+    sampled = kernel.sample_on_lattice(spec, 0.3, 0.1)
+    bulk = potential.make_bulk_potential(model, sampled.intK_disc)
+    dom = fld.ball_domain(16, 0.1, 0.25)
+    f = fld.make_field(dom, 0.3, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5))
+    probe = solver.omega_minimality_probe(f, np.zeros(3), 0.2, sampled, bulk, n_trials=6,
+                                          amplitude=1.0)
+    assert np.isfinite(probe)
+
+
+@pytest.mark.parametrize("solve", [solver.el_fixed_point, solver.gradient_descent])
+def test_solves_convolve_the_whole_box_once(monkeypatch, solve):
+    # trials convolve over Omega's window only; the start's split holds the
+    # values off Omega, and the recorded energies are the whole-box ones
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0)
+    rng = np.random.default_rng(4)
+    f.values[dom.omega_mask] *= 1.0 - 0.2 * rng.random((dom.n_omega, 1))
+    calls = []
+    original = fld.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    for mod in (fld, solver):
+        monkeypatch.setattr(mod, "convolve", counted)
+    res = solver.result_of(solve, f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
+    monkeypatch.undo()
+    assert res.iterations >= 5
+    assert calls == [f.values.shape]
+    for field, energy in ((f, res.energies[0]), (res.field, res.energies[-1])):
+        primal = fld.energy_primal(field, sampled, bulk)
+        scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
+        assert energy == pytest.approx(fld.energy_oscillation(field, sampled, bulk).total,
+                                       abs=1e-10 * scale)
