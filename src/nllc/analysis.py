@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
-from .field import _neighbour_slices
+from .field import _neighbour_slices, require_resolvable
 from .kernel import MIN_CELLS_ACROSS, SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
@@ -271,10 +271,7 @@ def campanato_profile(
     """
     dom = field.domain
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
-    if radii[-1] < 4.0 * dom.h:
-        raise ResolutionMismatch(
-            f"smallest radius {radii[-1]:g} below the resolvable scale 4h = {4 * dom.h:g}"
-        )
+    require_resolvable(radii[-1], dom.h, "smallest radius")
     osc = np.zeros(radii.size)
     en = np.zeros(radii.size)
     for k, rho in enumerate(radii):
@@ -354,8 +351,7 @@ def decay_lemma_check(
         raise ResolutionMismatch(
             f"eps = {field.eps:g} too large for rho = {rho:g} (eps_star = {eps_star:g})"
         )
-    if min(thetas) * rho < 4.0 * dom.h:
-        raise ResolutionMismatch("smallest inner ball below the resolvable scale")
+    require_resolvable(min(thetas) * rho, dom.h, "smallest inner ball radius")
     base = local_energy(field, ball_mask(dom, center, rho), sampled, bulk) / rho
     if base > eta:
         raise PreconditionNotMet(

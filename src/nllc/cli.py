@@ -168,14 +168,14 @@ def _spec(cfg: ExperimentConfig):
 
 
 def _sampled_ladder(cfg: ExperimentConfig, spec):
-    """One sampled kernel + bulk potential per eps, all on the common grid."""
+    """One (eps, sampled kernel, bulk potential) per eps, all on the common grid."""
     model = potential_mod.make_s1_model() if cfg.model == "s1" else potential_mod.make_s2_model()
     out = []
     for eps in cfg.eps_list:
         sk = kernel_mod.sample_on_lattice(spec, eps, cfg.h)
         bulk = potential_mod.make_bulk_potential(model, sk.intK_disc)
         out.append((eps, sk, bulk))
-    return model, out
+    return out
 
 
 def _domain(cfg: ExperimentConfig, max_stencil: int):
@@ -191,6 +191,14 @@ def _domain(cfg: ExperimentConfig, max_stencil: int):
     except ValueError as exc:  # no cell centre lies within the radius
         key = "[domain] n" if cfg.omega_radius is None else "[domain] omega_radius"
         raise ConfigError(key, str(exc)) from exc
+
+
+def _setup(cfg: ExperimentConfig):
+    """(spec, ladder, dom): the kernel, its eps ladder and the domain padded for the
+    widest stencil of the ladder."""
+    spec = _spec(cfg)
+    ladder = _sampled_ladder(cfg, spec)
+    return spec, ladder, _domain(cfg, max(sk.radius_cells for _, sk, _ in ladder))
 
 
 def _boundary_field(cfg: ExperimentConfig, dom, s0, eps):
@@ -247,9 +255,8 @@ def _run_kernel_report(cfg: ExperimentConfig) -> None:
 
 
 def _run_potential_report(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
-    _, sk, bulk = ladder[0]
+    _, sk, bulk = _sampled_ladder(cfg, _spec(cfg))[0]
+    model = bulk.model
     diag = potential_mod.hessian_diagnostics(model, bulk)
     rows = [
         ("model", cfg.model),
@@ -267,10 +274,8 @@ def _run_potential_report(cfg: ExperimentConfig) -> None:
 
 
 def _run_minimize(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
+    _, ladder, dom = _setup(cfg)
     eps, sk, bulk = ladder[0]
-    dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
     init = _boundary_field(cfg, dom, bulk.manifold.s0, eps)
     best, log = solver_mod.minimize_multistart(init, sk, bulk, cfg.solver)
     field_mod.write_nllc1(cfg.out_dir / "minimizer.nllc1", best.field)
@@ -294,9 +299,7 @@ def _limit_reference(cfg: ExperimentConfig, dom, s0, spec):
 
 
 def _run_eps_sweep(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
-    dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
+    spec, ladder, dom = _setup(cfg)
     _, limit_res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0, spec)
     _write_kv(
         cfg.out_dir / "limit_reference.txt",
@@ -337,9 +340,7 @@ def _run_eps_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _run_limit_solve(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
-    dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
+    spec, ladder, dom = _setup(cfg)
     tensor, res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0, spec)
     field_mod.write_nllc1(cfg.out_dir / "limit.nllc1", res.mfield.order_field(cfg.eps_list[-1]))
     rows = [
@@ -359,9 +360,7 @@ def _probe_radius(cfg: ExperimentConfig, dom) -> float:
 
 
 def _run_gamma_check(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
-    dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
+    spec, ladder, dom = _setup(cfg)
     s0 = ladder[0][2].manifold.s0
     v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model, **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(spec)
@@ -380,15 +379,15 @@ def _run_gamma_check(cfg: ExperimentConfig) -> None:
 
 
 def _run_holder_probe(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    model, ladder = _sampled_ladder(cfg, spec)
-    dom = _domain(cfg, max(s.radius_cells for _, s, _ in ladder))
+    _, ladder, dom = _setup(cfg)
     rho = _probe_radius(cfg, dom)
-    radii = [rho * f for f in (1.0, 0.85, 0.7, 0.55) if rho * f >= 4.0 * dom.h]
+    floor = field_mod.RESOLVABLE_CELLS * dom.h
+    radii = [rho * f for f in (1.0, 0.85, 0.7, 0.55) if rho * f >= floor]
     if len(radii) < 2:
         raise ConfigError(
             "[probe] ball_radius",
-            f"ladder under {rho:g} leaves fewer than two radii above 4h = {4 * dom.h:g}",
+            f"ladder under {rho:g} leaves fewer than two radii above the resolvable scale "
+            f"{field_mod.RESOLVABLE_CELLS}h = {floor:g}",
         )
     rows = []
     for eps, sk, bulk in ladder:

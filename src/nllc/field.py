@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
-from .kernel import KernelSpec, SampledKernel, max_eigen
+from .kernel import KernelSpec, SampledKernel, radial_tail
 from .potential import (
     BulkPotential,
     dual_map,
@@ -39,6 +39,8 @@ from .potential import (
 )
 
 INTERIOR, LAYER, EXTERIOR = 0, 1, 2
+# cells across the smallest length (radius, eps) the lattice resolves
+RESOLVABLE_CELLS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,13 @@ def ball_domain(n: int, h: float, omega_radius: float, layer_thickness: float = 
 def cube_domain(n: int, h: float, omega_half_width: float, layer_thickness: float = np.inf) -> Domain:
     """Cube Omega of the given half width, tagged like ball_domain in the max-norm."""
     return _centred_domain(n, h, "cube", omega_half_width, layer_thickness, "omega_half_width")
+
+
+def require_resolvable(length: float, h: float, what: str) -> None:
+    """Raise ResolutionMismatch when length is below the resolvable scale RESOLVABLE_CELLS h."""
+    if length < RESOLVABLE_CELLS * h:
+        raise ResolutionMismatch(f"{what} {length:g} below the resolvable scale "
+                                 f"{RESOLVABLE_CELLS}h = {RESOLVABLE_CELLS * h:g}")
 
 
 def ball_mask(domain: Domain, center, radius: float) -> np.ndarray:
@@ -653,51 +662,10 @@ def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float) -> tuple:
     else:
         d = domain.centre_distance()
         dist = d[domain.exterior_mask].min() - d[om]
-    tail_fn = _radial_tail_table(spec)
-    vals = tail_fn(np.maximum(dist, 0.0) / eps) / eps**2
+    vals = radial_tail(spec, np.maximum(dist, 0.0) / eps) / eps**2
     field = np.zeros(domain.shape)
     field[om] = vals
     return field, float(vals.max())
-
-
-def _radial_tail_table(spec: KernelSpec):
-    """Interpolant of r -> integral_{|z| > r} lambda_max(K(z)) dz."""
-    R = spec.support_radius
-    if np.isfinite(R):
-        r_hi = R
-    else:
-        r_hi = 64.0 * max(b for p in spec.profiles for b in p.breakpoints())
-    rs = np.linspace(0.0, r_hi, 2049)
-    mid = 0.5 * (rs[:-1] + rs[1:])
-    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                     [0.577350269189626, 0.577350269189626, 0.577350269189626]])
-    lam = np.max(
-        [max_eigen(spec, mid[:, None] * d[None, :]) for d in dirs], axis=0
-    )
-    dens = 4.0 * np.pi * mid**2 * lam * np.diff(rs)
-    cum = np.concatenate([[0.0], np.cumsum(dens)])
-    total = cum[-1]
-    if not np.isfinite(R):
-        extra = spec.f1.tail_radial_moment(2, r_hi)
-        tail_beyond = 4.0 * np.pi * extra if extra is not None and np.isfinite(extra) else 0.0
-    else:
-        tail_beyond = 0.0
-
-    def tail(r):
-        r = np.asarray(r, dtype=float)
-        inside = np.interp(np.minimum(r, r_hi), rs, total - cum)
-        if np.isfinite(R):
-            return np.where(r >= R, 0.0, inside)
-        beyond = np.zeros_like(r)
-        over = r > r_hi
-        if np.any(over):
-            t = np.array(
-                [spec.f1.tail_radial_moment(2, float(ri)) for ri in np.atleast_1d(r)[over]]
-            )
-            beyond[over] = 4.0 * np.pi * t - tail_beyond
-        return inside + tail_beyond + beyond
-
-    return tail
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ coordinates) the bilinear form is
 
 All moment integrals use an adaptive radial Gauss rule tensorised with a
 product spherical rule that is exact on the angular polynomials occurring
-here.
+here.  They run out to one integration radius, the support radius or an
+unbounded kernel's last breakpoint, and add one closed-form tail beyond it,
+which raises QuadratureUnderresolved when the profile has none.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -45,9 +47,6 @@ class AnnulusProfile:
     def breakpoints(self):
         return [self.r1, self.r2]
 
-    def tail_radial_moment(self, power, r):
-        return 0.0 if r >= self.r2 else None
-
 
 @dataclass(frozen=True)
 class GaussianProfile:
@@ -69,9 +68,6 @@ class GaussianProfile:
 
     def breakpoints(self):
         return [self.width, 2 * self.width, self.support_radius]
-
-    def tail_radial_moment(self, power, r):
-        return 0.0 if r >= self.support_radius else None
 
 
 @dataclass(frozen=True)
@@ -192,26 +188,6 @@ def max_eigen(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
 # quadrature
 
 
-def _radial_segments(spec: KernelSpec, r_max: float):
-    pts = {0.0, r_max}
-    for p in spec.profiles:
-        for b in p.breakpoints():
-            if 0.0 < b < r_max:
-                pts.add(float(b))
-    pts = sorted(pts)
-    return list(zip(pts[:-1], pts[1:]))
-
-
-def _radial_nodes(spec: KernelSpec, r_max: float, n_per_segment: int):
-    x, w = np.polynomial.legendre.leggauss(n_per_segment)
-    rs, ws = [], []
-    for a, b in _radial_segments(spec, r_max):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rs.append(mid + half * x)
-        ws.append(half * w)
-    return np.concatenate(rs), np.concatenate(ws)
-
-
 def integrate_radial_angular(
     spec: KernelSpec,
     integrand,
@@ -221,9 +197,16 @@ def integrate_radial_angular(
 ):
     """Integrate integrand(z) (arbitrary trailing shape) over the ball of radius r_max.
 
-    integrand receives nodes of shape (nq, 3) and must return (nq, ...).
+    The radial rule is n_radial-point Gauss-Legendre on each segment between
+    the profiles' breakpoints.  integrand receives nodes of shape (nq, 3) and
+    must return (nq, ...).
     """
-    r, wr = _radial_nodes(spec, r_max, n_radial)
+    pts = sorted({0.0, r_max} | {float(b) for p in spec.profiles for b in p.breakpoints()
+                                 if 0.0 < b < r_max})
+    a, b = np.array(pts[:-1]), np.array(pts[1:])
+    x, w = np.polynomial.legendre.leggauss(n_radial)
+    r = (0.5 * (a + b)[:, None] + (0.5 * (b - a))[:, None] * x).ravel()
+    wr = ((0.5 * (b - a))[:, None] * w).ravel()
     s, ws = sphere_rule(n_theta, 2 * n_theta)
     z = r[:, None, None] * s[None, :, :]  # (nr, ns, 3)
     w = (wr * r**2)[:, None] * (ws * (np.pi / n_theta))[None, :]
@@ -249,29 +232,42 @@ def _converged_integral(spec, integrand, r_max, rtol):
     return value, False
 
 
-def _moment_scalar(spec, p):
-    """Integral of g(z) |z|^p dz, with tail handling for unbounded supports."""
-
-    def integrand(z):
-        return min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** p
-
+def _integration_radius(spec: KernelSpec) -> float:
+    """Radius out to which kernel integrals are taken by quadrature: the support
+    radius, or an unbounded kernel's last breakpoint, beyond which _closed_tail
+    supplies the rest."""
     R = spec.support_radius
-    if np.isfinite(R):
-        val, ok = _converged_integral(spec, integrand, R, MOMENT_RTOL)
-        if not ok:
-            raise QuadratureUnderresolved("radial-angular refinement did not stabilise")
-        return float(val)
-    # heavy tail: integrate to a finite radius, add the analytic profile tail
-    R0 = max(p for prof in spec.profiles for p in prof.breakpoints())
-    val, ok = _converged_integral(spec, integrand, R0, MOMENT_RTOL)
-    if not ok:
-        raise QuadratureUnderresolved("radial-angular refinement did not stabilise")
-    tail = spec.f1.tail_radial_moment(p + 2, R0)
+    return R if np.isfinite(R) else max(b for p in spec.profiles for b in p.breakpoints())
+
+
+def _closed_tail(spec: KernelSpec, power: float, r: float, gradient: bool = False) -> float:
+    """int_r^inf f1(s) s^power ds (with gradient, of |f1'(s)| s^power) in closed form.
+
+    Zero from the support radius on.  An unbounded scalar kernel takes the
+    tail of its profile f1; raises QuadratureUnderresolved when the profile
+    gives none at r (or the kernel is not scalar), so a missing tail is never
+    dropped from a moment.  The value may be inf for a divergent moment.
+    """
+    if r >= spec.support_radius:
+        return 0.0
+    name = "tail_gradient_moment" if gradient else "tail_radial_moment"
+    rule = getattr(spec.f1, name, None) if spec.mode == "scalar" else None
+    tail = None if rule is None else rule(power, r)
     if tail is None:
-        raise QuadratureUnderresolved("no analytic tail available at this radius")
-    if not np.isfinite(tail):
-        return np.inf
-    return float(val) + 4.0 * np.pi * float(tail)
+        raise QuadratureUnderresolved(f"no closed-form {name}({power:g}, r) at r = {r:g}")
+    return tail
+
+
+def _moment(spec, integrand, power, weight, what):
+    """int integrand(z) dz over R^3: the converged quadrature over the ball of
+    _integration_radius plus weight times the profile's _closed_tail of the given
+    power beyond it."""
+    r = _integration_radius(spec)
+    tail = weight * _closed_tail(spec, power, r)
+    val, ok = _converged_integral(spec, integrand, r, MOMENT_RTOL)
+    if not ok:
+        raise QuadratureUnderresolved(f"{what} refinement did not stabilise")
+    return val + tail
 
 
 @dataclass(frozen=True)
@@ -308,32 +304,25 @@ def compute_moments(spec: KernelSpec) -> KernelMoments:
 
     An unbounded profile adds its closed-form tail beyond the last breakpoint.
     """
-    R = spec.support_radius
-    r_int = R if np.isfinite(R) else max(b for p in spec.profiles for b in p.breakpoints())
+    # beyond the integration radius K = f1 Id, so its tail is 4 pi int f1 s^2 ds Id
+    intK = _moment(spec, lambda z: evaluate_kernel(spec, z), 2, 4.0 * np.pi * np.eye(spec.m),
+                   "intK")
 
-    intK, ok = _converged_integral(spec, lambda z: evaluate_kernel(spec, z), r_int, MOMENT_RTOL)
-    if not ok:
-        raise QuadratureUnderresolved("intK refinement did not stabilise")
-    if not np.isfinite(R):
-        tail = spec.f1.tail_radial_moment(2, r_int)
-        if tail is not None and np.isfinite(tail):
-            intK = intK + 4.0 * np.pi * tail * np.eye(spec.m)
+    def g_moment(p):
+        return float(_moment(spec, lambda z: min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** p,
+                             p + 2, 4.0 * np.pi, f"|z|^{p:g} moment"))
 
-    intG = _moment_scalar(spec, 0)
-    m2 = _moment_scalar(spec, 2)
-    mq = _moment_scalar(spec, spec.q)
+    intG, m2, mq = g_moment(0), g_moment(2), g_moment(spec.q)
 
     def g3(z):
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
 
+    # scalar tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
+    r_int = _integration_radius(spec)
+    tail = 4.0 * np.pi * np.sqrt(spec.m) * _closed_tail(spec, 5, r_int, gradient=True)
     # the gradient is a central difference, good to about 1e-6
     m3grad_val, ok = _converged_integral(spec, g3, r_int, 1e-6)
-    m3grad = float(m3grad_val) if ok else np.nan
-    if not np.isfinite(R):
-        # scalar profile tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
-        tail = spec.f1.tail_gradient_moment(5, r_int)
-        if tail is not None:
-            m3grad += 4.0 * np.pi * np.sqrt(spec.m) * tail
+    m3grad = float((m3grad_val if ok else np.nan) + tail)
 
     intK = 0.5 * (intK + intK.T)
     return KernelMoments(intK, intG, m2, m3grad, mq)
@@ -474,26 +463,14 @@ class ElasticTensor:
 
 def elastic_tensor(spec: KernelSpec) -> ElasticTensor:
     """L[i,j,a,b] = (1/4) int K_ab(z) z_i z_j dz, symmetrised."""
-    r_int = (
-        spec.support_radius
-        if np.isfinite(spec.support_radius)
-        else max(b for p in spec.profiles for b in p.breakpoints())
-    )
 
     def integrand(z):
         K = evaluate_kernel(spec, z)
         return np.einsum("ni,nj,nab->nijab", z, z, K)
 
-    val, ok = _converged_integral(spec, integrand, r_int, MOMENT_RTOL)
-    if not ok:
-        raise QuadratureUnderresolved("elastic tensor refinement did not stabilise")
-    if not np.isfinite(spec.support_radius):
-        tail = spec.f1.tail_radial_moment(4, r_int)
-        if tail is not None and np.isfinite(tail):
-            val = val + (4.0 * np.pi / 3.0) * tail * np.einsum(
-                "ij,ab->ijab", np.eye(3), np.eye(spec.m)
-            )
-    L = 0.25 * val
+    # beyond the integration radius K = f1 Id, and z_i z_j averages to |z|^2 delta_ij / 3
+    iso = (4.0 * np.pi / 3.0) * np.einsum("ij,ab->ijab", np.eye(3), np.eye(spec.m))
+    L = 0.25 * _moment(spec, integrand, 4, iso, "elastic tensor")
     L = 0.5 * (L + np.einsum("ijab->jiba", L))
     return ElasticTensor(L)
 
@@ -539,6 +516,27 @@ def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor | None = None,
     vals = np.einsum("ijab,nai,nbj->n", tensor.L, xi, xi)
     disc = abs(lower - lower_quoted) > 1e-12 * max(lower, lower_quoted, 1e-300)
     return EllipticityBounds(lower, lower_quoted, upper, float(vals.min()), float(vals.max()), disc)
+
+
+def radial_tail(spec: KernelSpec, r) -> np.ndarray:
+    """integral_{|z| > r} lambda_max(K(z)) dz per radius r, lambda_max taken as the
+    largest over four directions.
+
+    A midpoint table out to the support radius (64 times the integration
+    radius for an unbounded kernel) plus 4 pi _closed_tail(2) beyond it.
+    """
+    R = spec.support_radius
+    r_hi = R if np.isfinite(R) else 64.0 * _integration_radius(spec)
+    rs = np.linspace(0.0, r_hi, 2049)
+    mid = 0.5 * (rs[:-1] + rs[1:])
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                     [0.577350269189626, 0.577350269189626, 0.577350269189626]])
+    lam = np.max([max_eigen(spec, mid[:, None] * d[None, :]) for d in dirs], axis=0)
+    cum = np.concatenate([[0.0], np.cumsum(4.0 * np.pi * mid**2 * lam * np.diff(rs))])
+    r = np.asarray(r, dtype=float)
+    beyond = np.vectorize(lambda s: 4.0 * np.pi * _closed_tail(spec, 2, max(s, r_hi)),
+                          otypes=[float])(r)
+    return np.interp(np.minimum(r, r_hi), rs, cum[-1] - cum) + beyond
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from scipy import sparse
 
 from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
-from .field import _neighbour_slices
+from .field import _neighbour_slices, require_resolvable
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
 from .solver import best_of, monotone_descent
@@ -292,16 +292,13 @@ def singular_set(
     """Scaled Dirichlet densities rho^-1 int_{B_rho(x)} |grad u|^2 per cell.
 
     Cells whose density at the smallest resolvable rho exceeds the threshold
-    are flagged.  Radii below 4h are rejected.
+    are flagged.  Radii below the resolvable scale 4h are rejected.
     """
     dom = mfield.domain
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
     if radii.size == 0:
         raise ValueError("empty radii ladder")
-    if radii[-1] < 4.0 * dom.h:
-        raise ResolutionMismatch(
-            f"smallest radius {radii[-1]:g} below the resolvable scale 4h = {4 * dom.h:g}"
-        )
+    require_resolvable(radii[-1], dom.h, "smallest radius")
     omega = dom.omega_mask
     g = _central_gradient(mfield.values, dom.h, omega)
     dens = np.sum(g * g, axis=(-2, -1)) * dom.cell_volume  # per-cell energy
@@ -349,10 +346,7 @@ def gamma_limsup_check(
     e0 = limit_energy(v, L, region=region)
     rows = []
     for sk, bulk in zip(kernels, bulks):
-        if sk.eps < 4.0 * dom.h:
-            raise ResolutionMismatch(
-                f"eps = {sk.eps:g} below the resolvable scale 4h = {4 * dom.h:g}"
-            )
+        require_resolvable(sk.eps, dom.h, "eps")
         u = v.order_field(sk.eps)
         f = local_energy(u, region, sk, bulk)
         rows.append(GammaGapRow(sk.eps, f, e0))

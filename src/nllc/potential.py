@@ -241,43 +241,21 @@ def _radial_bulk_derivative(model, e, kappa, s):
 
 
 def compute_c0_and_NN(model: MicroModel, intK: np.ndarray) -> tuple[float, float, VacuumManifold]:
-    """Normalising constant c0 and the vacuum orbit of the bulk potential.
+    """Normalising constant c0 and the vacuum orbit N = s0 O of the bulk potential.
 
-    For equivariant intK = kappa*Id the zero set is found by a radial
-    root-solve of d/ds [psi_s(s e) - kappa s^2 / 2] along a representative
-    uniaxial direction e; otherwise a direction/radius grid scan followed by
-    a radial polish is used and the result is reported per direction sampled.
+    One ray: the radial minimum s0 of psi_s(s e) - kappa s^2 / 2, kappa =
+    e.intK e, along the representative uniaxial direction e, with c0 minus
+    that minimum.  For equivariant intK = kappa Id every uniaxial ray gives
+    the same minimum.  When a lattice splits intK (E/T2 for m = 5) other
+    directions can go lower; no other direction is searched.
     """
     intK = np.asarray(intK, dtype=float)
-    m = model.m
-    kappa = float(np.trace(intK)) / m
-    equivariant = np.linalg.norm(intK - kappa * np.eye(m)) <= 1e-8 * max(1.0, abs(kappa))
     e = representative_direction(model)
-    if not equivariant:
-        # scan a few extra directions and keep the best ray; the radial
-        # solve below then runs with the ray's effective kappa
-        rng = np.random.default_rng(0)
-        cands = [e] + [v / np.linalg.norm(v) for v in rng.standard_normal((16, m))]
-        best = None
-        for d in cands:
-            kd = float(d @ intK @ d)
-            val = _radial_ray_minimum(model, d, kd)
-            if best is None or val[1] < best[1]:
-                best = (d, val[1], val[0], kd)
-        e, _, s0, kappa = best
-        raw_min = best[1]
-    else:
-        s0, raw_min = _radial_ray_minimum(model, e, kappa)
+    s0, raw_min = _radial_ray_minimum(model, e, float(e @ intK @ e))
     c0 = -raw_min
-
     # transverse (radial) curvature of psi_b on the orbit
-    hs = psi_s_hessian(model, np.atleast_2d(s0 * e))[0] if s0 > 0 else psi_s_hessian(
-        model, np.zeros((1, m))
-    )[0]
-    hb = hs - intK
-    curv = float(e @ hb @ e)
-    degenerate = curv < DEGENERACY_TOL
-    manifold = VacuumManifold(s0, e, c0, curv, degenerate)
+    curv = float(e @ (psi_s_hessian(model, s0 * e[None])[0] - intK) @ e)
+    manifold = VacuumManifold(s0, e, c0, curv, curv < DEGENERACY_TOL)
     return c0, s0, manifold
 
 

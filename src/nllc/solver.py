@@ -25,6 +25,8 @@ from .potential import BulkPotential, dual_map, lambda_inverse
 ANDERSON_DEPTH = 5
 # smallest damping el_fixed_point halves to before its solve gives up
 ALPHA_MIN = 1e-3
+# relative band within which best_of counts two final energies as a tie
+BEST_TIE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,9 @@ def result_of(solve, *args, **kwargs):
 def best_of(starts, solve):
     """Run solve on each (label, start) and keep the lowest final energy.
 
+    A later start replaces the kept one only when its final energy is lower
+    by more than BEST_TIE_RTOL max(1, |E|), E the kept energy, so starts that
+    reach the same minimiser are not ranked by round-off: the earliest stays.
     A solve that raises MaxIterations counts with its partial result.
     Returns (best result, list of (label, final energy) for every start).
     """
@@ -208,7 +213,8 @@ def best_of(starts, solve):
     for label, start in starts:
         res = result_of(solve, start)
         log.append((label, res.energies[-1]))
-        if best is None or res.energies[-1] < best.energies[-1]:
+        if best is None or res.energies[-1] < best.energies[-1] - BEST_TIE_RTOL * max(
+                1.0, abs(best.energies[-1])):
             best = res
     return best, log
 

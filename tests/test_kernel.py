@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nllc import kernel
-from nllc.errors import ResolutionMismatch
+from nllc import field as fld, kernel
+from nllc.errors import QuadratureUnderresolved, ResolutionMismatch
 
 
 ANNULUS = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.5, "rho2": 1.0})
@@ -68,23 +68,40 @@ def test_assumptions_pass_on_presets():
         assert all(report.passed.values()), report.passed
 
 
+class FatTail:
+    support_radius = np.inf
+
+    def __call__(self, r):
+        return 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2)
+
+    def breakpoints(self):
+        return [1.0, 4.0]
+
+    def tail_radial_moment(self, power, r):
+        return None  # diverges for power >= 0
+
+
+FAT_TAIL = kernel.KernelSpec("scalar", 2, FatTail(), q=6.0, annulus=(0.25, 0.75))
+
+
 def test_assumptions_fail_on_fat_tail():
-    class FatTail:
-        support_radius = np.inf
-
-        def __call__(self, r):
-            return 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2)
-
-        def breakpoints(self):
-            return [1.0, 4.0]
-
-        def tail_radial_moment(self, power, r):
-            return None  # diverges for power >= 0
-
-    spec = kernel.KernelSpec("scalar", 2, FatTail(), q=6.0, annulus=(0.25, 0.75))
+    spec = FAT_TAIL
     assert kernel.second_moment_diverges(spec)
     report = kernel.check_assumptions(spec)
     assert not report.passed["K4_second_moment"]
+
+
+def test_elastic_tensor_raises_without_a_closed_form_tail():
+    # int f r^4 dr diverges; dropping the missing tail gave a finite L (19.54 Id)
+    with pytest.raises(QuadratureUnderresolved, match="tail_radial_moment"):
+        kernel.elastic_tensor(FAT_TAIL)
+
+
+def test_h_eps_profile_raises_without_a_closed_form_tail():
+    # the H_eps tail table beyond its last node comes from the same tail rule
+    dom = fld.ball_domain(12, 0.1, 0.25, layer_thickness=0.2)
+    with pytest.raises(QuadratureUnderresolved, match="tail_radial_moment"):
+        fld.h_eps_profile(dom, FAT_TAIL, 0.5)
 
 
 def test_elastic_tensor_annulus_closed_form():

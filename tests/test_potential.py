@@ -166,6 +166,19 @@ def test_vacuum_radius_matches_brentq(model, kappa):
     assert c0 == pytest.approx(ref_c0, rel=1e-12)
 
 
+def test_split_intK_orbit_is_the_one_ray_along_e(monkeypatch):
+    # a lattice splits intK into E and T2 blocks; the orbit stays the single
+    # radial ray along e, with kappa = e.intK e, and draws no random numbers
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: pytest.fail("compute_c0_and_NN drew random numbers"))
+    intK = np.diag([5.0, 5.0, 5.3, 5.3, 5.3])
+    e = potential.representative_direction(S2)
+    c0, s0, manifold = potential.compute_c0_and_NN(S2, intK)
+    ref_s0, ref_min = potential._radial_ray_minimum(S2, e, float(e @ intK @ e))
+    assert (s0, c0) == (ref_s0, -ref_min)
+    assert np.array_equal(manifold.direction, e)
+
+
 def test_weak_coupling_is_isotropic():
     # below the ordering transition the minimum collapses to the origin and
     # keeps a positive radial curvature there

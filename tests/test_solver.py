@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,6 +247,17 @@ def test_driver_checks_convergence_after_the_last_allowed_iteration():
     with pytest.raises(MaxIterations) as err:
         toy_descent([0.5, 0.0], max_iter=1)
     assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 1, "max_iterations")
+
+
+@pytest.mark.parametrize("energies, kept", [((1.0, 1.0 - 1e-15), "first"),
+                                            ((1.0, 0.5), "second")])
+def test_best_of_keeps_the_earlier_start_on_a_round_off_tie(energies, kept):
+    # starts that reach one minimiser end within round-off of each other; a
+    # later start only wins by more than the tie band
+    starts = [(label, (label, e)) for label, e in zip(("first", "second"), energies)]
+    best, log = solver.best_of(starts, lambda s: SimpleNamespace(label=s[0], energies=[s[1]]))
+    assert best.label == kept
+    assert log == list(zip(("first", "second"), energies))
 
 
 def test_multistart_best_is_no_worse_than_boundary_start():
