@@ -312,7 +312,8 @@ def compute_moments(spec: KernelSpec) -> KernelMoments:
         return float(_moment(spec, lambda z: min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** p,
                              p + 2, 4.0 * np.pi, f"|z|^{p:g} moment"))
 
-    intG, m2, mq = g_moment(0), g_moment(2), g_moment(spec.q)
+    intG, m2 = g_moment(0), g_moment(2)
+    mq = m2 if spec.q == 2 else g_moment(spec.q)
 
     def g3(z):
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3

@@ -6,11 +6,21 @@ potential psi_s(u) is the minimum relative entropy over densities with
 prescribed sigma-moment u; it is evaluated through its convex dual, the
 log-partition function lnZ(b), with Lambda = grad psi_s and
 Lambda^{-1} = grad lnZ forming a Legendre pair.
+
+Two paths evaluate lnZ and its derivatives.  The circle model "s1" (sigma =
+(cos 2theta, sin 2theta) under the uniform measure) has the closed form lnZ(b)
+= log I0(|b|), so log_partition, lambda_inverse, covariance and dual_map use
+modified Bessel functions there; its quadrature nodes serve only
+minimal_distribution and test oracles.  Every other model, s2 included, sums
+over its quadrature nodes; that path is also the reference for s1 (a
+MicroModel with the s1 nodes under another name takes it).
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+# scipy.fft loads scipy.special already, so the Bessel functions cost no import
+from scipy.special import i0e, i1e
 
 from .errors import DegenerateMinimum, OutsideMomentDomain
 
@@ -23,6 +33,8 @@ DUAL_TOL, DUAL_MAX_ITER = 1e-12, 80
 DEGENERACY_TOL = 1e-6
 # hessian_diagnostics: seeded moments sampled out to this share of sigma_max
 HESSIAN_SAMPLES, HESSIAN_RADIUS = 200, 0.9
+# s1: below this |b|, A(s)/s = 1/2 - s^2/16 + ... is 1/2 to double precision
+S1_SMALL = 1e-8
 
 
 def sym0_basis() -> np.ndarray:
@@ -127,40 +139,75 @@ def _covariance_of(model: MicroModel, f: np.ndarray, u: np.ndarray) -> np.ndarra
     return second - u[..., :, None] * u[..., None, :]
 
 
+def _bessel_ratio(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A(s) = I1(s)/I0(s) = d/ds log I0(s), and A(s)/s with its limit 1/2 at s = 0."""
+    a = i1e(s) / i0e(s)
+    return a, np.where(s > S1_SMALL, a / np.maximum(s, S1_SMALL), 0.5)
+
+
+# s1: |b| > B_CAP exactly when |u| = A(|b|) > A(B_CAP), since A increases
+S1_R_CAP = float(_bessel_ratio(B_CAP)[0])
+
+
 def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """lnZ(b) = ln sum_i w_i exp(b . sigma_i), max-shifted for stability.
+    """lnZ(b) = ln sum_i w_i exp(b . sigma_i), max-shifted for stability; log I0(|b|) on s1.
 
     Accepts b of shape (..., m); returns shape (...).
     """
+    if model.name == "s1":
+        s = np.linalg.norm(b, axis=-1)
+        return np.log(i0e(s)) + s
     e, amax = _shifted_exp(model, b)
     return amax[..., 0] + np.log(e @ model.weights)
 
 
 def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda."""
+    """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda.  A(|b|) b/|b| on s1."""
+    if model.name == "s1":
+        b = np.asarray(b, dtype=float)
+        return _bessel_ratio(np.linalg.norm(b, axis=-1))[1][..., None] * b
     return _tilted_density(model, b) @ model.sigma
 
 
 def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m)."""
+    """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m).
+
+    On s1 it is A'(s) e e^T + (A/s) (I - e e^T), with s = |b|, e = b/s and
+    A' = 1 - A/s - A^2; at b = 0 it is I/2.
+    """
+    if model.name == "s1":
+        b = np.asarray(b, dtype=float)
+        s = np.linalg.norm(b, axis=-1)
+        a, q = _bessel_ratio(s)
+        e = b / np.maximum(s, S1_SMALL)[..., None]
+        radial = (1.0 - 2.0 * q - a * a)[..., None, None]  # A' - A/s
+        return q[..., None, None] * np.eye(2) + radial * e[..., :, None] * e[..., None, :]
     f = _tilted_density(model, b)
     return _covariance_of(model, f, f @ model.sigma)
 
 
 def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
-    """Lambda(u): the dual variable b with grad lnZ(b) = u, by damped Newton.
+    """Lambda(u): the dual variable b with grad lnZ(b) = u, by Newton's method.
 
-    Batched over leading axes.  Each Newton step takes one exponential: the
-    tilted density of the live cells gives both the residual lambda_inverse(b)
-    - u and, on the cells still above DUAL_TOL, the covariance.  A cell stops
-    updating once its residual is within DUAL_TOL, so each cell follows the
-    Newton sequence of a one-cell call.  Raises OutsideMomentDomain if the
-    iteration diverges or |b| exceeds B_CAP anywhere, which is the finite-
-    precision image of psi_s blowing up towards the boundary of the moment set.
+    Batched over leading axes.  A cell stops updating once its residual
+    |lambda_inverse(b) - u| is within DUAL_TOL, so each cell follows the Newton
+    sequence of a one-cell call.  Raises OutsideMomentDomain if |u| >=
+    sigma_max, if the iteration does not converge in DUAL_MAX_ITER steps, or if
+    |b| exceeds B_CAP anywhere, which is the finite-precision image of psi_s
+    blowing up towards the boundary of the moment set.
+
+    On s1, b = s u/|u| with A(s) = |u|, by a 1-D Newton per cell (_s1_dual_map);
+    b0 is ignored.  Elsewhere a damped Newton on b starts from b0 (zero by
+    default), and each step takes one exponential: the tilted density of the
+    live cells gives both the residual and, on the cells still above DUAL_TOL,
+    the covariance.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(np.linalg.norm(u, axis=-1) >= model.sigma_max):
+    r = np.linalg.norm(u, axis=-1)
+    if np.any(r >= model.sigma_max):
         raise OutsideMomentDomain("|u| >= sigma_max")
+    if model.name == "s1":
+        return _s1_dual_map(u, r)
     b = np.zeros_like(u) if b0 is None else np.array(b0, dtype=float)
     live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     eye = np.eye(model.m)
@@ -179,6 +226,34 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
         b[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
         if np.linalg.norm(b[live], axis=-1).max() > B_CAP:
             raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
+    raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
+
+
+def _s1_dual_map(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """s1 dual map b = s u/r with A(s) = r = |u|, one 1-D Newton per cell.
+
+    The start s = r (2 - r^2)/(1 - r^2) lies at most about 7 % above the root.
+    A is concave and increasing on s >= 0, so a Newton step lands at or left
+    of the root, and from there the iterates rise monotonically to it,
+    undamped.  |A(s) - r| is the vector residual
+    |lambda_inverse(b) - u|.  The B_CAP test runs before the loop on r, through
+    its image A(B_CAP); that also keeps the start away from r -> 1, where A'
+    vanishes in floating point.
+    """
+    if np.any(r > S1_R_CAP):
+        raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
+    r = np.reshape(r, -1)  # a 1-D cell axis, also for a single (2,) moment
+    s = r * (2.0 - r * r) / (1.0 - r * r)
+    live = np.ones(r.shape, dtype=bool)  # a NaN cell stays live
+    for _ in range(DUAL_MAX_ITER):
+        a, q = _bessel_ratio(s[live])
+        res = a - r[live]
+        keep = ~(np.abs(res) <= DUAL_TOL)
+        if not keep.any():
+            scale = np.divide(s, r, out=np.zeros_like(s), where=r > 0.0)
+            return u * scale.reshape(u.shape[:-1] + (1,))
+        live[live] = keep
+        s[live] -= res[keep] / (1.0 - q[keep] - a[keep] ** 2)
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 
 

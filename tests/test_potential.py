@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nllc import potential
 from nllc.errors import OutsideMomentDomain
 
+# a divide-by-zero at b = 0 or u = 0 must fail the suite, not warn
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 S1 = potential.make_s1_model()
 S2 = potential.make_s2_model()
+# the s1 nodes under another name: the quadrature path, reference for the closed form
+S1_NODES = potential.MicroModel("s1-nodes", 2, S1.sigma, S1.weights, 1.0)
 
 
 def lnz_trapezoid_oracle(b, n=20001):
@@ -268,3 +273,88 @@ def test_q_tensor_coords_unit_norm():
     assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
     back = potential.coords_to_matrix(y)
     assert np.allclose(np.trace(back, axis1=-2, axis2=-1), 0.0, atol=1e-12)
+
+
+def _s1_duals():
+    # |b| from exactly 0 up to 45 in turning directions, with small radii near 0
+    s = np.concatenate([[0.0, 1e-12, 1e-9, 1e-7, 1e-4], np.linspace(1e-2, 45.0, 120)])
+    angle = np.linspace(0.0, 7.0, s.size)
+    return s[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+
+
+@pytest.mark.parametrize("shape", ["batched", "0-d", "(1, 2)"])
+def test_s1_closed_form_matches_the_quadrature(shape):
+    b = _s1_duals()
+    cases = {"batched": [b], "0-d": list(b), "(1, 2)": [cell[None] for cell in b]}[shape]
+    for bb in cases:
+        lnz = potential.log_partition(S1, bb)
+        assert np.shape(lnz) == np.shape(potential.log_partition(S1_NODES, bb))
+        assert np.allclose(lnz, potential.log_partition(S1_NODES, bb), rtol=1e-14, atol=1e-14)
+        u = potential.lambda_inverse(S1, bb)
+        assert u.shape == bb.shape
+        assert np.allclose(u, potential.lambda_inverse(S1_NODES, bb), rtol=0.0, atol=1e-14)
+        cov = potential.covariance(S1, bb)
+        assert cov.shape == bb.shape + (2,)
+        assert np.allclose(cov, potential.covariance(S1_NODES, bb), rtol=0.0, atol=1e-14)
+        # psi_s_hessian runs each path's own dual map; near |b| = 45 the
+        # quadrature dual is up to about 5e-11 relative off, and 1/A' is about 4000
+        hess = potential.psi_s_hessian(S1, u)
+        ref = potential.psi_s_hessian(S1_NODES, u)
+        assert np.allclose(hess, ref, rtol=1e-8, atol=1e-12)
+        back = potential.dual_map(S1, u)
+        assert back.shape == bb.shape
+        for model in (S1, S1_NODES):
+            assert np.max(np.abs(potential.lambda_inverse(model, back) - u)) < 1e-10
+
+
+def test_s1_closed_form_at_the_origin():
+    zero = np.zeros(2)
+    assert potential.log_partition(S1, zero) == 0.0
+    assert np.array_equal(potential.lambda_inverse(S1, zero), zero)
+    assert np.array_equal(potential.covariance(S1, zero), 0.5 * np.eye(2))
+    assert np.array_equal(potential.dual_map(S1, zero), zero)
+    assert np.array_equal(potential.dual_map(S1, np.zeros((3, 1, 2))), np.zeros((3, 1, 2)))
+
+
+def _unit(model, seed):
+    v = np.random.default_rng(seed).standard_normal(model.m)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from([S1, S2]), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.8 * potential.B_CAP, 0.999 * potential.B_CAP))
+def test_dual_map_round_trips_near_the_cap(model, seed, t):
+    u = potential.lambda_inverse(model, t * _unit(model, seed))
+    b = potential.dual_map(model, u)
+    assert np.max(np.abs(potential.lambda_inverse(model, b) - u)) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=st.sampled_from([S1, S2]), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(1.01 * potential.B_CAP, 1e6))
+def test_dual_map_raises_past_the_image_of_the_cap(model, seed, t):
+    u = potential.lambda_inverse(model, t * _unit(model, seed))
+    with pytest.raises(OutsideMomentDomain):
+        potential.dual_map(model, u)
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(potential.S1_R_CAP, 1.0, exclude_min=True, exclude_max=True),
+       angle=st.floats(0.0, 2 * np.pi))
+def test_s1_dual_map_raises_between_the_cap_and_the_boundary(r, angle):
+    u = np.array([r * np.cos(angle), r * np.sin(angle)])
+    assume(np.linalg.norm(u) > potential.S1_R_CAP)  # the rotation may round r down
+    with pytest.raises(OutsideMomentDomain):
+        potential.dual_map(S1, u)
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=st.sampled_from([S1, S2]), seed=st.integers(0, 2**32 - 1),
+       cell=st.integers(0, 5), axis=st.integers(0, 1))
+def test_dual_map_raises_on_a_nan_cell(model, seed, cell, axis):
+    rng = np.random.default_rng(seed)
+    u = potential.lambda_inverse(model, rng.uniform(-2.0, 2.0, (6, model.m)))
+    u[cell, axis] = np.nan
+    with pytest.raises(OutsideMomentDomain):
+        potential.dual_map(model, u)
