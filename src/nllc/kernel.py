@@ -171,11 +171,11 @@ def evaluate_kernel(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def min_eigen_g(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
-    """g(z): the minimum eigenvalue of K(z)."""
+def min_eigen_g(spec: KernelSpec, z: np.ndarray, K: np.ndarray | None = None) -> np.ndarray:
+    """g(z): the minimum eigenvalue of K(z); K, when given, is evaluate_kernel(spec, z)."""
     if spec.mode == "scalar":
         return spec.f1(np.linalg.norm(np.asarray(z, dtype=float), axis=-1))
-    return np.linalg.eigvalsh(evaluate_kernel(spec, z))[..., 0]
+    return np.linalg.eigvalsh(evaluate_kernel(spec, z) if K is None else K)[..., 0]
 
 
 def max_eigen(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
@@ -201,6 +201,11 @@ def integrate_radial_angular(
     the profiles' breakpoints.  integrand receives nodes of shape (nq, 3) and
     must return (nq, ...).
     """
+    return _integrate_each(spec, lambda z: [integrand(z)], r_max, n_radial, n_theta)[0]
+
+
+def _integrate_each(spec, integrand, r_max, n_radial, n_theta):
+    """integrate_radial_angular of each array in the list integrand(z) returns, on shared nodes."""
     pts = sorted({0.0, r_max} | {float(b) for p in spec.profiles for b in p.breakpoints()
                                  if 0.0 < b < r_max})
     a, b = np.array(pts[:-1]), np.array(pts[1:])
@@ -210,26 +215,36 @@ def integrate_radial_angular(
     s, ws = sphere_rule(n_theta, 2 * n_theta)
     z = r[:, None, None] * s[None, :, :]  # (nr, ns, 3)
     w = (wr * r**2)[:, None] * (ws * (np.pi / n_theta))[None, :]
-    vals = integrand(z.reshape(-1, 3))
-    return np.tensordot(w.reshape(-1), vals, axes=(0, 0))
+    return [np.tensordot(w.reshape(-1), vals, axes=(0, 0)) for vals in integrand(z.reshape(-1, 3))]
+
+
+def _converged_integrals(spec, integrand, r_max, rtol):
+    """Refine radial/angular resolution until each value stabilises to rtol.
+
+    integrand(z) returns a list of arrays, one per integral, and is evaluated
+    once per level; each integral keeps the value of the level at which it
+    stabilised.  Returns the lists of values and of converged flags.
+    """
+    values, ok = None, None
+    for n_rad, n_th in ((24, 10), (48, 14), (96, 18), (144, 22)):
+        level = _integrate_each(spec, integrand, r_max, n_rad, n_th)
+        if values is None:
+            values, ok = level, [False] * len(level)
+            continue
+        for i, value in enumerate(level):
+            if not ok[i]:
+                scale = np.max(np.abs(value)) + 1e-300
+                ok[i] = bool(np.max(np.abs(value - values[i])) <= rtol * scale)
+                values[i] = value
+        if all(ok):
+            break
+    return values, ok
 
 
 def _converged_integral(spec, integrand, r_max, rtol):
-    """Refine radial/angular resolution until the value stabilises to rtol.
-
-    Returns (value, converged flag).
-    """
-    levels = [(24, 10), (48, 14), (96, 18), (144, 22)]
-    prev = None
-    value = None
-    for n_rad, n_th in levels:
-        value = integrate_radial_angular(spec, integrand, r_max, n_rad, n_th)
-        if prev is not None:
-            scale = np.max(np.abs(value)) + 1e-300
-            if np.max(np.abs(value - prev)) <= rtol * scale:
-                return value, True
-        prev = value
-    return value, False
+    """_converged_integrals for one integrand: (value, converged flag)."""
+    (value,), (ok,) = _converged_integrals(spec, lambda z: [integrand(z)], r_max, rtol)
+    return value, ok
 
 
 def _integration_radius(spec: KernelSpec) -> float:
@@ -258,16 +273,18 @@ def _closed_tail(spec: KernelSpec, power: float, r: float, gradient: bool = Fals
     return tail
 
 
-def _moment(spec, integrand, power, weight, what):
-    """int integrand(z) dz over R^3: the converged quadrature over the ball of
-    _integration_radius plus weight times the profile's _closed_tail of the given
-    power beyond it."""
+def _moments(spec, integrand, terms):
+    """int f(z) dz over R^3 for each f in the list integrand(z) returns: the
+    converged quadrature over the ball of _integration_radius, each to its own
+    level, plus weight times the profile's _closed_tail of the given power
+    beyond it, for terms = [(power, weight, what), ...], one per f."""
     r = _integration_radius(spec)
-    tail = weight * _closed_tail(spec, power, r)
-    val, ok = _converged_integral(spec, integrand, r, MOMENT_RTOL)
-    if not ok:
-        raise QuadratureUnderresolved(f"{what} refinement did not stabilise")
-    return val + tail
+    tails = [weight * _closed_tail(spec, power, r) for power, weight, _ in terms]
+    vals, ok = _converged_integrals(spec, integrand, r, MOMENT_RTOL)
+    for flag, (_, _, what) in zip(ok, terms):
+        if not flag:
+            raise QuadratureUnderresolved(f"{what} refinement did not stabilise")
+    return [val + tail for val, tail in zip(vals, tails)]
 
 
 @dataclass(frozen=True)
@@ -304,16 +321,21 @@ def compute_moments(spec: KernelSpec) -> KernelMoments:
 
     An unbounded profile adds its closed-form tail beyond the last breakpoint.
     """
-    # beyond the integration radius K = f1 Id, so its tail is 4 pi int f1 s^2 ds Id
-    intK = _moment(spec, lambda z: evaluate_kernel(spec, z), 2, 4.0 * np.pi * np.eye(spec.m),
-                   "intK")
+    # intK and the g moments share their nodes: one kernel evaluation (and one
+    # eigvalsh) per level.  Beyond the integration radius K = f1 Id, so the
+    # tail of intK is 4 pi int f1 s^2 ds Id and that of g |z|^p is 4 pi int f1 s^(p+2) ds.
+    powers = (0, 2) if spec.q == 2 else (0, 2, spec.q)
 
-    def g_moment(p):
-        return float(_moment(spec, lambda z: min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** p,
-                             p + 2, 4.0 * np.pi, f"|z|^{p:g} moment"))
+    def integrand(z):
+        K = evaluate_kernel(spec, z)
+        g = min_eigen_g(spec, z, K)
+        return [K] + [g * np.linalg.norm(z, axis=-1) ** p for p in powers]
 
-    intG, m2 = g_moment(0), g_moment(2)
-    mq = m2 if spec.q == 2 else g_moment(spec.q)
+    terms = [(2, 4.0 * np.pi * np.eye(spec.m), "intK")]
+    terms += [(p + 2, 4.0 * np.pi, f"|z|^{p:g} moment") for p in powers]
+    intK, intG, m2, *rest = _moments(spec, integrand, terms)
+    intG, m2 = float(intG), float(m2)
+    mq = float(rest[0]) if rest else m2
 
     def g3(z):
         return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
@@ -467,11 +489,11 @@ def elastic_tensor(spec: KernelSpec) -> ElasticTensor:
 
     def integrand(z):
         K = evaluate_kernel(spec, z)
-        return np.einsum("ni,nj,nab->nijab", z, z, K)
+        return [np.einsum("ni,nj,nab->nijab", z, z, K)]
 
     # beyond the integration radius K = f1 Id, and z_i z_j averages to |z|^2 delta_ij / 3
     iso = (4.0 * np.pi / 3.0) * np.einsum("ij,ab->ijab", np.eye(3), np.eye(spec.m))
-    L = 0.25 * _moment(spec, integrand, 4, iso, "elastic tensor")
+    L = 0.25 * _moments(spec, integrand, [(4, iso, "elastic tensor")])[0]
     L = 0.5 * (L + np.einsum("ijab->jiba", L))
     return ElasticTensor(L)
 

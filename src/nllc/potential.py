@@ -7,13 +7,17 @@ prescribed sigma-moment u; it is evaluated through its convex dual, the
 log-partition function lnZ(b), with Lambda = grad psi_s and
 Lambda^{-1} = grad lnZ forming a Legendre pair.
 
-Two paths evaluate lnZ and its derivatives.  The circle model "s1" (sigma =
+Three paths evaluate lnZ and its derivatives.  The circle model "s1" (sigma =
 (cos 2theta, sin 2theta) under the uniform measure) has the closed form lnZ(b)
 = log I0(|b|), so log_partition, lambda_inverse, covariance and dual_map use
 modified Bessel functions there; its quadrature nodes serve only
-minimal_distribution and test oracles.  Every other model, s2 included, sums
-over its quadrature nodes; that path is also the reference for s1 (a
-MicroModel with the s1 nodes under another name takes it).
+minimal_distribution and test oracles.  The sphere model "s2" carries an
+OctantFold: lnZ is rotation invariant, so each cell is taken to the eigenframe
+of its traceless 3x3 matrix, where the sum over the nodes folds onto the
+nodes of one octant and the dual map is a Newton solve in two unknowns (Ball &
+Majumdar 2010, Mol. Cryst. Liq. Cryst. 525).  Every other model sums over its
+quadrature nodes; that path is also the reference for s1 and s2 (a MicroModel
+with their nodes under another name takes it).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -51,6 +55,11 @@ def sym0_basis() -> np.ndarray:
 
 
 _SYM0_BASIS = sym0_basis()
+# the basis as rows of flattened matrices: coordinates y -> y @ _SYM0_FLAT, and back by its transpose
+_SYM0_FLAT = _SYM0_BASIS.reshape(5, 9)
+# diagonals of E_0 and E_1 as columns: a traceless diagonal matrix with
+# eigenvalues lam has coordinates (lam @ _SYM0_DIAG, 0, 0, 0)
+_SYM0_DIAG = np.stack([np.diag(_SYM0_BASIS[0]), np.diag(_SYM0_BASIS[1])], axis=1)
 
 
 def q_tensor_coords(p: np.ndarray) -> np.ndarray:
@@ -70,6 +79,26 @@ def coords_to_matrix(y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class OctantFold:
+    """A sphere rule folded onto the nodes p > 0 of its open positive octant.
+
+    In a frame where b = d_0 E_0 + d_1 E_1 is diagonal, b . sigma(p) and the
+    squares of the sigma_a(p) depend on p only through p_i^2, while sigma_2,
+    sigma_3, sigma_4 and every product sigma_a sigma_b with a != b and b > 1
+    are odd in some p_i.  On a rule that is symmetric under each p_i -> -p_i,
+    weights included, and has no node on a coordinate plane, a sum over the
+    nodes of an even integrand is 8 times its sum over the octant, and that
+    of an odd one is 0.
+    """
+
+    weights: np.ndarray  # (k,): 8 times the node weights
+    # (k, 8) on the octant nodes: sigma_0, sigma_1, sigma_0^2, sigma_0 sigma_1,
+    # sigma_1^2, sigma_2^2, sigma_3^2, sigma_4^2: every average the frame
+    # needs, as one matmul
+    moments: np.ndarray
+
+
+@dataclass(frozen=True)
 class MicroModel:
     """Quadrature description of the microscopic manifold."""
 
@@ -78,15 +107,19 @@ class MicroModel:
     sigma: np.ndarray  # (n_nodes, m) order-parameter samples
     weights: np.ndarray  # (n_nodes,), positive, sums to 1
     sigma_max: float
-    # (n_nodes, m*m) table of sigma_a sigma_b: second moments as one matmul
-    sigma2: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    # s2: the nodes folded onto one octant, for sums in each cell's eigenframe
+    fold: OctantFold | None = dc_field(default=None, repr=False, compare=False)
+    # (n_nodes, m*m) table of sigma_a sigma_b: second moments as one matmul;
+    # None with a fold, whose own table serves every second moment
+    sigma2: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.weights
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
         s = self.sigma
-        object.__setattr__(self, "sigma2", (s[:, :, None] * s[:, None, :]).reshape(len(s), -1))
+        object.__setattr__(self, "sigma2", None if self.fold is not None
+                           else (s[:, :, None] * s[:, None, :]).reshape(len(s), -1))
 
 
 def make_s1_model(n_nodes: int = 256) -> MicroModel:
@@ -114,9 +147,21 @@ def sphere_rule(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
-    """Nematic: M = S^2 on the sphere_rule nodes (default 1152), uniform measure, m = 5."""
+    """Nematic: M = S^2 on the sphere_rule nodes (default 1152), uniform measure, m = 5.
+
+    The rule is folded onto its open positive octant (default 144 nodes).  That
+    needs an even n_theta (no node at cos(theta) = 0) and n_phi divisible by 4
+    (phi -> pi - phi maps the nodes onto themselves and none lies at phi = pi/2).
+    """
+    if n_theta % 2 or n_phi % 4:
+        raise ValueError("the octant fold needs an even n_theta and n_phi divisible by 4")
     p, w = sphere_rule(n_theta, n_phi)
-    return MicroModel("s2", 5, q_tensor_coords(p), w / (2.0 * n_phi), 1.0)
+    sigma, w = q_tensor_coords(p), w / (2.0 * n_phi)
+    octant = np.all(p > 0.0, axis=1)
+    s = sigma[octant]
+    moments = np.column_stack([s[:, :2], s[:, 0] ** 2, s[:, 0] * s[:, 1], s[:, 1] ** 2, s[:, 2:] ** 2])
+    fold = OctantFold(8.0 * w[octant], moments)
+    return MicroModel("s2", 5, sigma, w, 1.0, fold)
 
 
 def _shifted_exp(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,23 +194,72 @@ def _bessel_ratio(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 S1_R_CAP = float(_bessel_ratio(B_CAP)[0])
 
 
+def _eigenframe(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenframes of the traceless matrices Y = sum_a y_a E_a, for y of shape (..., 5).
+
+    Returns, over the n cells of y flattened to one axis, the diagonal
+    coordinates d (n, 2), with R^T Y R = d_0 E_0 + d_1 E_1, and the
+    eigenvectors R (n, 3, 3) in the columns, eigenvalues ascending.  A cell
+    with a non-finite entry gets d = nan (eigh would raise on it).
+    """
+    mat = (np.reshape(y, (-1, 5)) @ _SYM0_FLAT).reshape(-1, 3, 3)
+    bad = ~np.isfinite(mat).all(axis=(1, 2))
+    lam, R = np.linalg.eigh(np.where(bad[:, None, None], 0.0, mat))
+    d = lam @ _SYM0_DIAG
+    d[bad] = np.nan
+    return d, R
+
+
+def _from_eigenframe(d: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Coordinates y of R (d_0 E_0 + d_1 E_1) R^T: the inverse of _eigenframe."""
+    mat = (R * (d @ _SYM0_DIAG.T)[:, None, :]) @ np.swapaxes(R, 1, 2)
+    return mat.reshape(-1, 9) @ _SYM0_FLAT.T
+
+
+def _frame_rotation(R: np.ndarray) -> np.ndarray:
+    """D_ab = tr(E_a R E_b R^T), shape (n, 5, 5): y = D y' takes eigenframe coordinates to ours."""
+    rotated = R[:, None] @ _SYM0_BASIS @ np.swapaxes(R, 1, 2)[:, None]  # (n, b, 3, 3)
+    return np.swapaxes(rotated.reshape(-1, 5, 9) @ _SYM0_FLAT.T, 1, 2)
+
+
+def _folded_average(fold: OctantFold, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lnZ and the tilted-density averages of fold.moments, (n,) and (n, 8), at
+    eigenframe coordinates d of shape (n, 2); max-shifted, in place on one (n, k) array."""
+    e = d @ fold.moments[:, :2].T
+    amax = e.max(axis=1, keepdims=True)
+    np.subtract(e, amax, out=e)
+    np.exp(e, out=e)
+    e *= fold.weights
+    z = e.sum(axis=1)
+    return amax[:, 0] + np.log(z), (e @ fold.moments) / z[:, None]
+
+
 def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """lnZ(b) = ln sum_i w_i exp(b . sigma_i), max-shifted for stability; log I0(|b|) on s1.
 
-    Accepts b of shape (..., m); returns shape (...).
+    Accepts b of shape (..., m); returns shape (...).  With an octant fold the
+    sum runs over the folded nodes in b's eigenframe.
     """
     if model.name == "s1":
         s = np.linalg.norm(b, axis=-1)
         return np.log(i0e(s)) + s
+    if model.fold is not None:
+        return _folded_average(model.fold, _eigenframe(b)[0])[0].reshape(np.shape(b)[:-1])
     e, amax = _shifted_exp(model, b)
     return amax[..., 0] + np.log(e @ model.weights)
 
 
 def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda.  A(|b|) b/|b| on s1."""
+    """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda.  A(|b|) b/|b| on s1.
+
+    With an octant fold, u shares b's eigenframe: the folded mean there, rotated back.
+    """
     if model.name == "s1":
         b = np.asarray(b, dtype=float)
         return _bessel_ratio(np.linalg.norm(b, axis=-1))[1][..., None] * b
+    if model.fold is not None:
+        d, R = _eigenframe(b)
+        return _from_eigenframe(_folded_average(model.fold, d)[1][:, :2], R).reshape(np.shape(b))
     return _tilted_density(model, b) @ model.sigma
 
 
@@ -173,7 +267,10 @@ def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m).
 
     On s1 it is A'(s) e e^T + (A/s) (I - e e^T), with s = |b|, e = b/s and
-    A' = 1 - A/s - A^2; at b = 0 it is I/2.
+    A' = 1 - A/s - A^2; at b = 0 it is I/2.  With an octant fold it is block
+    diagonal in b's eigenframe, the 2x2 covariance of (sigma_0, sigma_1) and
+    the second moments of sigma_2, sigma_3, sigma_4, rotated back by D C D^T
+    (_frame_rotation).
     """
     if model.name == "s1":
         b = np.asarray(b, dtype=float)
@@ -182,6 +279,15 @@ def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
         e = b / np.maximum(s, S1_SMALL)[..., None]
         radial = (1.0 - 2.0 * q - a * a)[..., None, None]  # A' - A/s
         return q[..., None, None] * np.eye(2) + radial * e[..., :, None] * e[..., None, :]
+    if model.fold is not None:
+        d, R = _eigenframe(b)
+        avg = _folded_average(model.fold, d)[1]
+        mean = avg[:, :2]
+        framed = np.zeros((len(d), 5, 5))
+        framed[:, :2, :2] = avg[:, [2, 3, 3, 4]].reshape(-1, 2, 2) - mean[:, :, None] * mean[:, None, :]
+        framed[:, [2, 3, 4], [2, 3, 4]] = avg[:, 5:]
+        D = _frame_rotation(R)
+        return (D @ framed @ np.swapaxes(D, 1, 2)).reshape(np.shape(b) + (5,))
     f = _tilted_density(model, b)
     return _covariance_of(model, f, f @ model.sigma)
 
@@ -197,10 +303,11 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
     blowing up towards the boundary of the moment set.
 
     On s1, b = s u/|u| with A(s) = |u|, by a 1-D Newton per cell (_s1_dual_map);
-    b0 is ignored.  Elsewhere a damped Newton on b starts from b0 (zero by
-    default), and each step takes one exponential: the tilted density of the
-    live cells gives both the residual and, on the cells still above DUAL_TOL,
-    the covariance.
+    b0 is ignored.  With an octant fold b shares u's eigenframe, and the damped
+    Newton below runs on b's two diagonal coordinates there (_folded_dual_map).
+    Elsewhere a damped Newton on b starts from b0 (zero by default), and each
+    step takes one exponential: the tilted density of the live cells gives both
+    the residual and, on the cells still above DUAL_TOL, the covariance.
     """
     u = np.asarray(u, dtype=float)
     r = np.linalg.norm(u, axis=-1)
@@ -208,6 +315,8 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
         raise OutsideMomentDomain("|u| >= sigma_max")
     if model.name == "s1":
         return _s1_dual_map(u, r)
+    if model.fold is not None:
+        return _folded_dual_map(model.fold, u, b0)
     b = np.zeros_like(u) if b0 is None else np.array(b0, dtype=float)
     live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     eye = np.eye(model.m)
@@ -225,6 +334,40 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
         sn = np.linalg.norm(step, axis=-1, keepdims=True)
         b[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
         if np.linalg.norm(b[live], axis=-1).max() > B_CAP:
+            raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
+    raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
+
+
+def _folded_dual_map(fold: OctantFold, u: np.ndarray, b0: np.ndarray | None) -> np.ndarray:
+    """The damped Newton of dual_map in u's eigenframe, on the diagonal coordinates d of b.
+
+    The residual, the step and |b| = |d| are the same in every frame, so
+    DUAL_TOL, the damping and B_CAP act as on the full coordinates.  A warm
+    start b0 enters as the diagonal of R^T B0 R.  The covariance is the 2x2
+    block of the folded second moments, and its Tikhonov guard the 2x2 block of
+    the full one.
+    """
+    target, R = _eigenframe(u)
+    if b0 is None:
+        d = np.zeros_like(target)
+    else:
+        mat = (np.reshape(b0, (-1, 5)) @ _SYM0_FLAT).reshape(-1, 3, 3)
+        d = np.einsum("nki,nkl,nli->ni", R, mat, R) @ _SYM0_DIAG
+    live = np.ones(len(d), dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
+    for _ in range(DUAL_MAX_ITER):
+        avg = _folded_average(fold, d[live])[1]
+        r = avg[:, :2] - target[live]
+        keep = ~(np.linalg.norm(r, axis=-1) <= DUAL_TOL)
+        if not keep.any():
+            return _from_eigenframe(d, R).reshape(u.shape)
+        live[live] = keep
+        (m0, m1, s00, s01, s11), (r0, r1) = avg[keep, :5].T, r[keep].T
+        c00, c01, c11 = s00 - m0 * m0 + 1e-14, s01 - m0 * m1, s11 - m1 * m1 + 1e-14
+        det = c00 * c11 - c01 * c01
+        step = np.stack([c11 * r0 - c01 * r1, c00 * r1 - c01 * r0], axis=-1) / det[:, None]
+        sn = np.linalg.norm(step, axis=-1, keepdims=True)
+        d[live] -= step * np.minimum(1.0, 2.0 / np.maximum(sn, 1e-300))
+        if np.linalg.norm(d[live], axis=-1).max() > B_CAP:
             raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 

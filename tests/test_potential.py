@@ -14,6 +14,8 @@ S1 = potential.make_s1_model()
 S2 = potential.make_s2_model()
 # the s1 nodes under another name: the quadrature path, reference for the closed form
 S1_NODES = potential.MicroModel("s1-nodes", 2, S1.sigma, S1.weights, 1.0)
+# the s2 nodes without their octant fold: the node sums, reference for the eigenframe path
+S2_NODES = potential.MicroModel("s2-nodes", 5, S2.sigma, S2.weights, 1.0)
 
 
 def lnz_trapezoid_oracle(b, n=20001):
@@ -358,3 +360,93 @@ def test_dual_map_raises_on_a_nan_cell(model, seed, cell, axis):
     u[cell, axis] = np.nan
     with pytest.raises(OutsideMomentDomain):
         potential.dual_map(model, u)
+
+
+def _rotated(y, R):
+    """Coordinates of R Y R^T, where Y = sum_a y_a E_a."""
+    E = potential.sym0_basis()
+    return np.einsum("aij,ik,...kl,jl->...a", E, R, np.einsum("...b,bkl->...kl", y, E), R)
+
+
+def _rotation(seed):
+    """A random rotation of R^3 (det +1)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q * np.sign(np.linalg.det(q))
+
+
+S2_BULK = potential.make_bulk_potential(S2, 8.0 * np.eye(5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 0.999 * potential.B_CAP))
+def test_s2_is_frame_indifferent(seed, t):
+    # psi_s is invariant under u -> R u R^T: lnZ and psi_b (intK = kappa Id)
+    # are invariant, Lambda^{-1} and Lambda equivariant, out to the cap; u and
+    # b are compared relative to sigma_max = 1 and max(|b|, 1)
+    R = _rotation(seed)
+    b = t * _unit(S2, seed)
+    rb = _rotated(b, R)
+    assert potential.log_partition(S2, rb) == pytest.approx(potential.log_partition(S2, b), rel=1e-12)
+    u = potential.lambda_inverse(S2, b)
+    assert np.max(np.abs(potential.lambda_inverse(S2, rb) - _rotated(u, R))) <= 1e-12
+    back = potential.dual_map(S2, u)
+    rback = potential.dual_map(S2, _rotated(u, R))
+    assert np.max(np.abs(rback - _rotated(back, R))) <= 1e-12 * max(np.linalg.norm(back), 1.0)
+    # psi_b vanishes on the vacuum orbit: relative to max(|psi_b|, 1)
+    psi = potential.psi_b(S2_BULK, u[None])[0]
+    assert potential.psi_b(S2_BULK, _rotated(u, R)[None])[0] == pytest.approx(psi, rel=1e-12, abs=1e-12)
+
+
+def _chamber_duals():
+    # diagonal duals b = d_0 E_0 + d_1 E_1 with eigenvalues ascending along x,
+    # y, z (the order eigh returns), |b| from 0 to 45: the fold sums the very
+    # nodes the rule does
+    s = np.concatenate([[0.0, 1e-9], np.linspace(0.1, 45.0, 60)])
+    angle = np.deg2rad(np.linspace(210.0, 270.0, s.size))
+    b = np.zeros((s.size, 5))
+    b[:, 0], b[:, 1] = s * np.cos(angle), s * np.sin(angle)
+    return b
+
+
+def _generic_duals(seed, n=60, b_max=8.0):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, 5))
+    return b * (b_max * rng.random((n, 1)) / np.linalg.norm(b, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("duals, tol", [(_chamber_duals(), 1e-14), (_generic_duals(9), 1e-11)],
+                         ids=["diagonal", "generic"])
+@pytest.mark.parametrize("shape", ["batched", "0-d", "(1, 5)"])
+def test_s2_fold_matches_the_node_sums(duals, tol, shape):
+    cases = {"batched": [duals], "0-d": list(duals), "(1, 5)": [cell[None] for cell in duals]}[shape]
+    for b in cases:
+        lnz = potential.log_partition(S2, b)
+        assert np.shape(lnz) == np.shape(potential.log_partition(S2_NODES, b))
+        assert np.allclose(lnz, potential.log_partition(S2_NODES, b), rtol=tol, atol=tol)
+        u = potential.lambda_inverse(S2, b)
+        assert u.shape == b.shape
+        assert np.allclose(u, potential.lambda_inverse(S2_NODES, b), rtol=0.0, atol=tol)
+        cov = potential.covariance(S2, b)
+        assert cov.shape == b.shape + (5,)
+        assert np.allclose(cov, potential.covariance(S2_NODES, b), rtol=0.0, atol=tol)
+
+
+def test_s2_dual_map_round_trips_under_both_paths():
+    u = potential.lambda_inverse(S2, _generic_duals(10))
+    for model in (S2, S2_NODES):
+        back = potential.dual_map(model, u)
+        assert back.shape == u.shape
+        for reader in (S2, S2_NODES):
+            assert np.max(np.abs(potential.lambda_inverse(reader, back) - u)) < 1e-10
+    # a warm start enters through the diagonal of R^T b0 R and lands on the same dual
+    cold = potential.dual_map(S2, u)
+    warm = potential.dual_map(S2, u, b0=cold + 0.1 * np.random.default_rng(11).standard_normal(u.shape))
+    assert np.allclose(warm, cold, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(23, 48), (24, 46)])
+def test_s2_model_rejects_a_rule_the_fold_cannot_take(n_theta, n_phi):
+    # odd n_theta puts nodes on z = 0, n_phi = 2 mod 4 puts nodes on x = 0
+    with pytest.raises(ValueError):
+        potential.make_s2_model(n_theta, n_phi)
