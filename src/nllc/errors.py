@@ -41,12 +41,6 @@ class OutsideMomentDomain(NllcError):
     tag = "outside_moment_domain"
 
 
-class DegenerateMinimum(NllcError):
-    """Transverse curvature of the bulk potential on its zero set is below tolerance."""
-
-    tag = "degenerate_minimum"
-
-
 class LayerTooThin(NllcError):
     """Boundary-layer mask violates the thickness required by the kernel tail."""
 

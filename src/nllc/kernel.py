@@ -7,9 +7,14 @@ coordinates) the bilinear form is
     K(z) Q1 . Q2 = f1(|z|) Q1.Q2 + f2(|z|) Q1 z . Q2 z
                    + f3(|z|) (Q1 z . z)(Q2 z . z).
 
-All moment integrals use an adaptive radial Gauss rule tensorised with a
-product spherical rule that is exact on the angular polynomials occurring
-here.  They run out to one integration radius, the support radius or an
+Both modes are frame indifferent, K(Rz) = D(R) K(z) D(R)^T with D orthogonal
+(the identity in scalar mode).  The eigenvalues of K(z), tr K(z) and
+|grad K(z)| therefore depend on |z| only, and the sphere average of K
+commutes with every D(R); as the m = 5 representation is irreducible, it is
+(tr K / m) Id by Schur's lemma.  So every kernel integral is an adaptive
+radial Gauss rule along the one ray r e3, except the elastic tensor, which
+also takes a fixed sphere rule that is exact for its angular polynomials.
+The integrals run out to one integration radius, the support radius or an
 unbounded kernel's last breakpoint, and add one closed-form tail beyond it,
 which raises QuadratureUnderresolved when the profile has none.
 """
@@ -171,63 +176,44 @@ def evaluate_kernel(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def min_eigen_g(spec: KernelSpec, z: np.ndarray, K: np.ndarray | None = None) -> np.ndarray:
-    """g(z): the minimum eigenvalue of K(z); K, when given, is evaluate_kernel(spec, z)."""
-    if spec.mode == "scalar":
-        return spec.f1(np.linalg.norm(np.asarray(z, dtype=float), axis=-1))
-    return np.linalg.eigvalsh(evaluate_kernel(spec, z) if K is None else K)[..., 0]
+def min_eigen_g(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
+    """g(z): the minimum eigenvalue of K(z)."""
+    return np.linalg.eigvalsh(evaluate_kernel(spec, z))[..., 0]
 
 
-def max_eigen(spec: KernelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.mode == "scalar":
-        return spec.f1(np.linalg.norm(np.asarray(z, dtype=float), axis=-1))
-    return np.linalg.eigvalsh(evaluate_kernel(spec, z))[..., -1]
+def _ray(r) -> np.ndarray:
+    """The points r e3, shape r.shape + (3,): frame indifference makes the
+    spectrum, the trace and |grad K| on the sphere |z| = r those at r e3."""
+    return np.multiply.outer(r, [0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-def integrate_radial_angular(
-    spec: KernelSpec,
-    integrand,
-    r_max: float,
-    n_radial: int = 32,
-    n_theta: int = 12,
-):
-    """Integrate integrand(z) (arbitrary trailing shape) over the ball of radius r_max.
-
-    The radial rule is n_radial-point Gauss-Legendre on each segment between
-    the profiles' breakpoints.  integrand receives nodes of shape (nq, 3) and
-    must return (nq, ...).
-    """
-    return _integrate_each(spec, lambda z: [integrand(z)], r_max, n_radial, n_theta)[0]
-
-
-def _integrate_each(spec, integrand, r_max, n_radial, n_theta):
-    """integrate_radial_angular of each array in the list integrand(z) returns, on shared nodes."""
+def _radial_rule(spec: KernelSpec, r_max: float, n: int):
+    """n-point Gauss-Legendre nodes and weights on each segment of (0, r_max)
+    between the profiles' breakpoints."""
     pts = sorted({0.0, r_max} | {float(b) for p in spec.profiles for b in p.breakpoints()
                                  if 0.0 < b < r_max})
     a, b = np.array(pts[:-1]), np.array(pts[1:])
-    x, w = np.polynomial.legendre.leggauss(n_radial)
-    r = (0.5 * (a + b)[:, None] + (0.5 * (b - a))[:, None] * x).ravel()
-    wr = ((0.5 * (b - a))[:, None] * w).ravel()
-    s, ws = sphere_rule(n_theta, 2 * n_theta)
-    z = r[:, None, None] * s[None, :, :]  # (nr, ns, 3)
-    w = (wr * r**2)[:, None] * (ws * (np.pi / n_theta))[None, :]
-    return [np.tensordot(w.reshape(-1), vals, axes=(0, 0)) for vals in integrand(z.reshape(-1, 3))]
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)[:, None]
+    return (0.5 * (a + b)[:, None] + half * x).ravel(), (half * w).ravel()
 
 
 def _converged_integrals(spec, integrand, r_max, rtol):
-    """Refine radial/angular resolution until each value stabilises to rtol.
+    """Refine the radial rule on (0, r_max) until each integral stabilises to rtol.
 
-    integrand(z) returns a list of arrays, one per integral, and is evaluated
-    once per level; each integral keeps the value of the level at which it
-    stabilised.  Returns the lists of values and of converged flags.
+    integrand(r) returns a list of arrays of shape r.shape + (...), one radial
+    density per integral, and is evaluated once per level; each integral
+    keeps the value of the level at which it stabilised.  Returns the lists
+    of values and of converged flags.
     """
     values, ok = None, None
-    for n_rad, n_th in ((24, 10), (48, 14), (96, 18), (144, 22)):
-        level = _integrate_each(spec, integrand, r_max, n_rad, n_th)
+    for n in (24, 48, 96, 144):
+        r, w = _radial_rule(spec, r_max, n)
+        level = [np.tensordot(w, vals, axes=(0, 0)) for vals in integrand(r)]
         if values is None:
             values, ok = level, [False] * len(level)
             continue
@@ -243,7 +229,7 @@ def _converged_integrals(spec, integrand, r_max, rtol):
 
 def _converged_integral(spec, integrand, r_max, rtol):
     """_converged_integrals for one integrand: (value, converged flag)."""
-    (value,), (ok,) = _converged_integrals(spec, lambda z: [integrand(z)], r_max, rtol)
+    (value,), (ok,) = _converged_integrals(spec, lambda r: [integrand(r)], r_max, rtol)
     return value, ok
 
 
@@ -274,10 +260,11 @@ def _closed_tail(spec: KernelSpec, power: float, r: float, gradient: bool = Fals
 
 
 def _moments(spec, integrand, terms):
-    """int f(z) dz over R^3 for each f in the list integrand(z) returns: the
-    converged quadrature over the ball of _integration_radius, each to its own
-    level, plus weight times the profile's _closed_tail of the given power
-    beyond it, for terms = [(power, weight, what), ...], one per f."""
+    """int f(z) dz over R^3 for each f whose radial density (the integral of f
+    over the sphere |z| = r) is in the list integrand(r) returns: the converged
+    radial rule out to _integration_radius, each to its own level, plus weight
+    times the profile's _closed_tail of the given power beyond it, for
+    terms = [(power, weight, what), ...], one per f."""
     r = _integration_radius(spec)
     tails = [weight * _closed_tail(spec, power, r) for power, weight, _ in terms]
     vals, ok = _converged_integrals(spec, integrand, r, MOMENT_RTOL)
@@ -317,28 +304,28 @@ def _grad_norm(spec, z, h=1e-6):
 
 
 def compute_moments(spec: KernelSpec) -> KernelMoments:
-    """Kernel moments by adaptive radial-spherical quadrature.
+    """Kernel moments by adaptive radial quadrature along one ray.
 
-    An unbounded profile adds its closed-form tail beyond the last breakpoint.
+    intK is kappa Id, with kappa the integral of tr K / m.  An unbounded
+    profile adds its closed-form tail beyond the last breakpoint.
     """
-    # intK and the g moments share their nodes: one kernel evaluation (and one
-    # eigvalsh) per level.  Beyond the integration radius K = f1 Id, so the
-    # tail of intK is 4 pi int f1 s^2 ds Id and that of g |z|^p is 4 pi int f1 s^(p+2) ds.
+    # one kernel evaluation and one eigvalsh per level serve intK and the g
+    # moments.  Beyond the integration radius K = f1 Id, so the tail of kappa
+    # is 4 pi int f1 s^2 ds and that of g |z|^p is 4 pi int f1 s^(p+2) ds.
     powers = (0, 2) if spec.q == 2 else (0, 2, spec.q)
 
-    def integrand(z):
-        K = evaluate_kernel(spec, z)
-        g = min_eigen_g(spec, z, K)
-        return [K] + [g * np.linalg.norm(z, axis=-1) ** p for p in powers]
+    def integrand(r):
+        lam = np.linalg.eigvalsh(evaluate_kernel(spec, _ray(r)))
+        shell = 4.0 * np.pi * r**2
+        return [shell * lam.mean(axis=-1)] + [shell * lam[:, 0] * r**p for p in powers]
 
-    terms = [(2, 4.0 * np.pi * np.eye(spec.m), "intK")]
+    terms = [(2, 4.0 * np.pi, "intK")]
     terms += [(p + 2, 4.0 * np.pi, f"|z|^{p:g} moment") for p in powers]
-    intK, intG, m2, *rest = _moments(spec, integrand, terms)
-    intG, m2 = float(intG), float(m2)
-    mq = float(rest[0]) if rest else m2
+    kappa, intG, m2, *rest = (float(v) for v in _moments(spec, integrand, terms))
+    mq = rest[0] if rest else m2
 
-    def g3(z):
-        return _grad_norm(spec, z) * np.linalg.norm(z, axis=-1) ** 3
+    def g3(r):
+        return 4.0 * np.pi * r**5 * _grad_norm(spec, _ray(r))
 
     # scalar tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
     r_int = _integration_radius(spec)
@@ -346,23 +333,15 @@ def compute_moments(spec: KernelSpec) -> KernelMoments:
     # the gradient is a central difference, good to about 1e-6
     m3grad_val, ok = _converged_integral(spec, g3, r_int, 1e-6)
     m3grad = float((m3grad_val if ok else np.nan) + tail)
-
-    intK = 0.5 * (intK + intK.T)
-    return KernelMoments(intK, intG, m2, m3grad, mq)
+    return KernelMoments(kappa * np.eye(spec.m), intG, m2, m3grad, mq)
 
 
 def second_moment_diverges(spec: KernelSpec, probe_radii=(4.0, 8.0, 16.0, 32.0, 64.0)) -> bool:
     """Detect a divergent second moment from growing partial radial integrals."""
     partials = []
     for R in probe_radii:
-        val = integrate_radial_angular(
-            spec,
-            lambda z: min_eigen_g(spec, z) * np.linalg.norm(z, axis=-1) ** 2,
-            R,
-            n_radial=48,
-            n_theta=8,
-        )
-        partials.append(float(val))
+        r, w = _radial_rule(spec, R, 48)
+        partials.append(float(w @ (4.0 * np.pi * r**4 * min_eigen_g(spec, _ray(r)))))
     inc = np.diff(partials)
     return bool(inc[-1] > 0.5 * inc[0] and inc[-1] > 1e-8 * max(partials[-1], 1e-300))
 
@@ -423,16 +402,13 @@ def check_assumptions(spec: KernelSpec, resolution: int = 64) -> AssumptionRepor
     passed["K2_even"] = bool(np.array_equal(K, Kneg))
     passed["K1_symmetric"] = bool(np.allclose(K, np.swapaxes(K, -1, -2), atol=1e-14))
 
-    g = min_eigen_g(spec, z)
+    lam = np.linalg.eigvalsh(K)
+    g, lam_max = lam[:, 0], lam[:, -1]
     passed["K3_g_nonnegative"] = bool(g.min() >= -1e-12)
 
     rho1, rho2 = spec.annulus
     r_ann = rho1 + (rho2 - rho1) * (np.arange(1, 4 * resolution) / (4 * resolution))
-    dirs = rng.standard_normal((8, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    z_ann = (r_ann[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    g_ann = min_eigen_g(spec, z_ann)
-    k_measured = float(g_ann.min())
+    k_measured = float(min_eigen_g(spec, _ray(r_ann)).min())
     passed["K3_annulus"] = k_measured > 0.0
 
     diverges = second_moment_diverges(spec) if not np.isfinite(spec.support_radius) else False
@@ -449,7 +425,6 @@ def check_assumptions(spec: KernelSpec, resolution: int = 64) -> AssumptionRepor
         passed["K4_second_moment"] = bool(np.isfinite(moments.m2) and np.isfinite(moments.intG))
         passed["K6_grad_moment"] = bool(np.isfinite(moments.m3grad))
         passed["Kprime_q_moment"] = bool(np.isfinite(moments.mq))
-        lam_max = max_eigen(spec, z)
         # domination |K| <= C g: only points carrying non-negligible mass matter
         sig = lam_max > 1e-12 * max(lam_max.max(), 1e-300)
         gpos = g > 0.0
@@ -485,11 +460,17 @@ class ElasticTensor:
 
 
 def elastic_tensor(spec: KernelSpec) -> ElasticTensor:
-    """L[i,j,a,b] = (1/4) int K_ab(z) z_i z_j dz, symmetrised."""
+    """L[i,j,a,b] = (1/4) int K_ab(z) z_i z_j dz, symmetrised.
 
-    def integrand(z):
-        K = evaluate_kernel(spec, z)
-        return [np.einsum("ni,nj,nab->nijab", z, z, K)]
+    The radial rule of the moments times the 32 nodes of sphere_rule(4, 8),
+    which is exact for the degree <= 6 angular polynomials of K(z) z_i z_j.
+    """
+    s, ws = sphere_rule(4, 8)
+    ss = np.einsum("n,ni,nj->nij", ws * (np.pi / 4), s, s)  # the rule's 2 pi / n_phi
+
+    def integrand(r):
+        K = evaluate_kernel(spec, np.multiply.outer(r, s))  # (nr, 32, m, m)
+        return [np.einsum("nij,rnab->rijab", ss, K) * (r**4)[:, None, None, None, None]]
 
     # beyond the integration radius K = f1 Id, and z_i z_j averages to |z|^2 delta_ij / 3
     iso = (4.0 * np.pi / 3.0) * np.einsum("ij,ab->ijab", np.eye(3), np.eye(spec.m))
@@ -542,19 +523,17 @@ def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor | None = None,
 
 
 def radial_tail(spec: KernelSpec, r) -> np.ndarray:
-    """integral_{|z| > r} lambda_max(K(z)) dz per radius r, lambda_max taken as the
-    largest over four directions.
+    """integral_{|z| > r} lambda_max(K(z)) dz per radius r.
 
-    A midpoint table out to the support radius (64 times the integration
-    radius for an unbounded kernel) plus 4 pi _closed_tail(2) beyond it.
+    A midpoint table of lambda_max on the ray out to the support radius (64
+    times the integration radius for an unbounded kernel) plus
+    4 pi _closed_tail(2) beyond it.
     """
     R = spec.support_radius
     r_hi = R if np.isfinite(R) else 64.0 * _integration_radius(spec)
     rs = np.linspace(0.0, r_hi, 2049)
     mid = 0.5 * (rs[:-1] + rs[1:])
-    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                     [0.577350269189626, 0.577350269189626, 0.577350269189626]])
-    lam = np.max([max_eigen(spec, mid[:, None] * d[None, :]) for d in dirs], axis=0)
+    lam = np.linalg.eigvalsh(evaluate_kernel(spec, _ray(mid)))[:, -1]
     cum = np.concatenate([[0.0], np.cumsum(4.0 * np.pi * mid**2 * lam * np.diff(rs))])
     r = np.asarray(r, dtype=float)
     beyond = np.vectorize(lambda s: 4.0 * np.pi * _closed_tail(spec, 2, max(s, r_hi)),

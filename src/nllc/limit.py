@@ -108,27 +108,16 @@ def _central_gradient(values: np.ndarray, h: float, omega: np.ndarray) -> np.nda
     return g
 
 
-def _gradient_in(mfield: ManifoldField, region: np.ndarray | None) -> np.ndarray:
-    """_central_gradient of the field on Omega, or on G intersect Omega for a mask G."""
-    dom = mfield.domain
-    omega = dom.omega_mask if region is None else dom.omega_mask & np.asarray(region, dtype=bool)
-    return _central_gradient(mfield.values, dom.h, omega)
-
-
 def limit_energy(mfield: ManifoldField, L: ElasticTensor, region: np.ndarray | None = None) -> float:
     """int_G L grad(u) . grad(u) with central differences and midpoint cells.
 
     G defaults to Omega; a boolean mask restricts the quadrature to
     G intersect Omega.
     """
-    g = _gradient_in(mfield, region)
-    return float(np.einsum("ijab,xyzia,xyzjb->", L.L, g, g) * mfield.domain.cell_volume)
-
-
-def dirichlet_energy(mfield: ManifoldField, region: np.ndarray | None = None) -> float:
-    """int_G |grad u|^2 with the same differencing as limit_energy."""
-    g = _gradient_in(mfield, region)
-    return float(np.sum(g * g) * mfield.domain.cell_volume)
+    dom = mfield.domain
+    omega = dom.omega_mask if region is None else dom.omega_mask & np.asarray(region, dtype=bool)
+    g = _central_gradient(mfield.values, dom.h, omega)
+    return float(np.einsum("ijab,xyzia,xyzjb->", L.L, g, g) * dom.cell_volume)
 
 
 def _limit_operator(dom: Domain, M: np.ndarray):

@@ -26,7 +26,7 @@ import numpy as np
 # scipy.fft loads scipy.special already, so the Bessel functions cost no import
 from scipy.special import i0e, i1e
 
-from .errors import DegenerateMinimum, OutsideMomentDomain
+from .errors import OutsideMomentDomain
 
 # Dual-variable cap: |b| beyond this is treated as "u outside or at the
 # boundary of the moment set" (psi_s = +infinity in the continuum model).
@@ -578,10 +578,3 @@ def hessian_diagnostics(model: MicroModel, bulk: BulkPotential) -> HessianReport
     err = float(np.abs(ident).max())
     return HessianReport(c_est, cov_norm, bulk.manifold.transverse_curvature, err)
 
-
-def check_nondegenerate(bulk: BulkPotential) -> None:
-    """Raise DegenerateMinimum if the vacuum orbit fails the curvature condition."""
-    if bulk.manifold.degenerate:
-        raise DegenerateMinimum(
-            f"transverse curvature {bulk.manifold.transverse_curvature:.3e} below tolerance"
-        )

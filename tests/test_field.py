@@ -383,3 +383,31 @@ def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
     scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
     assert energy.interaction == pytest.approx(box.interaction, abs=1e-12 * scale)
     assert energy.total == pytest.approx(box.total, abs=1e-12 * scale)
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=st.sampled_from(sorted(SPLIT_CASES)),
+       make_domain=st.sampled_from([fld.ball_domain, fld.cube_domain]),
+       perm=st.permutations(range(3)), signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+       angle=st.floats(0.0, 2.0 * np.pi), reflect=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_lattice_energies_are_frame_indifferent(case, make_domain, perm, signs, angle, reflect,
+                                                seed):
+    # u'(x) = rho(g) u(g^T x) for a cube symmetry g of the centred domain and
+    # the stencil: rho = D(g) in nematic mode; a scalar kernel lets the s1
+    # values turn by any rho in O(2), independently of the positions
+    model, sampled, bulk = split_case(case)
+    dom = make_domain(SPLIT_N, SPLIT_H, 0.3)
+    g = np.eye(3)[list(perm)] * np.array(signs)[:, None]
+    if sampled.spec.mode == "nematic":
+        rho = potential._frame_rotation(g[None])[0]
+    else:
+        c, s = np.cos(angle), np.sin(angle)
+        rho = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+    f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(seed)))
+    # x @ g is g^T x; the cell centres are symmetric about the box centre
+    idx = np.rint(dom.cell_centers() @ g / dom.h + (SPLIT_N - 1) / 2).astype(int)
+    moved = fld.OrderField(dom, SPLIT_EPS, f.values[tuple(np.moveaxis(idx, -1, 0))] @ rho.T)
+    for energy in (fld.energy_primal, fld.energy_oscillation):
+        assert energy(moved, sampled, bulk).total == pytest.approx(
+            energy(f, sampled, bulk).total, rel=1e-12)

@@ -169,14 +169,26 @@ def test_unbounded_stencil_too_large_raises_before_allocating(monkeypatch):
         kernel.sample_on_lattice(INV6, eps=0.5, h=0.1)
 
 
-def test_inverse6_grad_moment_includes_its_tail():
-    # quadrature of |grad K| |z|^3 out to r = 400, plus the closed-form
-    # remainder 4 pi sqrt(m) int_400^inf 6 A r^-2 dr of the scalar profile
-    def g3(z):
-        return kernel._grad_norm(INV6, z) * np.linalg.norm(z, axis=-1) ** 3
+def product_rule(spec, r_max):
+    """Nodes z and weights of a fixed 3-D product rule over the ball of radius
+    r_max: 96 Gauss-Legendre points on each segment between the profiles'
+    breakpoints times sphere_rule(18, 36); the reference for the one-ray rule."""
+    pts = sorted({0.0, r_max} | {b for p in spec.profiles for b in p.breakpoints() if 0 < b < r_max})
+    a, b = np.array(pts[:-1]), np.array(pts[1:])
+    x, w = np.polynomial.legendre.leggauss(96)
+    r = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x).ravel()
+    wr = (0.5 * (b - a)[:, None] * w).ravel()
+    s, ws = kernel.sphere_rule(18, 36)
+    z = (r[:, None, None] * s[None]).reshape(-1, 3)
+    return z, ((wr * r**2)[:, None] * (ws * (np.pi / 18))[None]).ravel()
 
+
+def test_inverse6_grad_moment_includes_its_tail():
+    # 3-D quadrature of |grad K| |z|^3 out to r = 400, plus the closed-form
+    # remainder 4 pi sqrt(m) int_400^inf 6 A r^-2 dr of the scalar profile
     r_far = 400.0
-    near = kernel.integrate_radial_angular(INV6, g3, r_far, n_radial=96)
+    z, w = product_rule(INV6, r_far)
+    near = w @ (kernel._grad_norm(INV6, z) * np.linalg.norm(z, axis=-1) ** 3)
     far = 24.0 * np.pi * 2.0 * np.sqrt(2.0) / r_far
     assert kernel.compute_moments(INV6).m3grad == pytest.approx(near + far, rel=1e-8)
 
@@ -218,13 +230,38 @@ def test_annulus_radial_moment_closed_form_property(k, r1, width, power):
 
 
 def test_quadrature_convergence_levels_agree():
-    # the adaptive integrator refines until two successive levels agree;
-    # re-evaluating at a fixed high level must match the adaptive answer
-    val = kernel.integrate_radial_angular(
-        GAUSS, lambda z: kernel.evaluate_kernel(GAUSS, z), GAUSS.support_radius, 96, 18
+    # the one-ray rule refines until two successive levels agree; a fixed
+    # high-level 3-D product rule over directions must match its answer
+    for spec in (GAUSS, NEMATIC):
+        z, w = product_rule(spec, spec.support_radius)
+        K = kernel.evaluate_kernel(spec, z)
+        intK = kernel.compute_moments(spec).intK
+        assert np.allclose(np.einsum("n,nab->ab", w, K), intK, rtol=1e-9, atol=1e-12 * intK[0, 0])
+        L = 0.25 * np.einsum("n,ni,nj,nab->ijab", w, z, z, K)
+        tensor = kernel.elastic_tensor(spec).L
+        assert np.allclose(L, tensor, rtol=1e-9, atol=1e-12 * np.abs(L).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    r=st.floats(0.05, 0.7),
+    f2=st.floats(-1.0, 1.0),
+    f3=st.floats(-1.0, 1.0),
+)
+def test_spectrum_trace_and_gradient_norm_depend_on_the_radius_only(d, r, f2, f3):
+    # frame indifference, the premise of taking every kernel integral on the ray r e3
+    spec = kernel.kernel_preset(
+        "gaussian-nematic", 5, {"strength": 3.0, "width": 0.3, "cut": 2.5, "f2": f2, "f3": f3}
     )
-    moments = kernel.compute_moments(GAUSS)
-    assert np.allclose(val, moments.intK, rtol=1e-9)
+    z = np.stack([r * np.asarray(d) / np.linalg.norm(d), [0.0, 0.0, r]])
+    K = kernel.evaluate_kernel(spec, z)
+    lam = np.linalg.eigvalsh(K)
+    tol = 1e-12 * np.abs(lam[1]).max()
+    assert np.allclose(lam[0], lam[1], rtol=0, atol=tol)
+    assert np.trace(K[0]) == pytest.approx(np.trace(K[1]), rel=0, abs=tol)
+    grad = kernel._grad_norm(spec, z)
+    assert grad[0] == pytest.approx(grad[1], rel=1e-7)
 
 
 def test_unconverged_grad_moment_fails_k6(monkeypatch):
