@@ -41,8 +41,7 @@ class Mollifier:
     """Radial annulus bump scaled to eps and sampled on the kernel stencil.
 
     values holds eps^-3 phi(z/eps) after exact lattice normalization
-    (sum * h^3 = 1); grad_norm holds |grad of the scaled bump| at the same
-    stencil points.  domination is the measured constant C with
+    (sum * h^3 = 1).  domination is the measured constant C with
     phi_eps + eps*|grad phi_eps| <= C * g_eps wherever the left side is
     positive (inf when the kernel vanishes there).
     """
@@ -53,7 +52,6 @@ class Mollifier:
     rho1: float
     rho2: float
     values: np.ndarray  # (2S+1,)*3
-    grad_norm: np.ndarray  # (2S+1,)*3
     domination: float
 
     @property
@@ -104,7 +102,7 @@ def build_mollifier(sampled: SampledKernel) -> Mollifier:
         C = float(ratio.max())
     else:
         C = 0.0
-    return Mollifier(eps, h, S, rho1, rho2, vals, grad, C)
+    return Mollifier(eps, h, S, rho1, rho2, vals, C)
 
 
 def mollify(moll: Mollifier, values: np.ndarray, h: float) -> np.ndarray:
@@ -235,7 +233,6 @@ class DecayProfile:
     scaled_energy: np.ndarray  # rho^-1 F_eps, or zeros when no kernel given
     mu: float  # fitted oscillation exponent (osc ~ rho^{2 mu})
     alpha: float  # fitted energy exponent (rho^-1 F ~ rho^alpha), nan if unset
-    fit_residual: float
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) >= 0):
@@ -244,16 +241,11 @@ class DecayProfile:
             raise ValueError("recorded decay values must be nonnegative")
 
 
-def _loglog_slope(radii, values) -> tuple:
+def _loglog_slope(radii, values) -> float:
     keep = values > 0
     if keep.sum() < 2:
-        return 0.0, 0.0
-    x = np.log(radii[keep])
-    y = np.log(values[keep])
-    coef, res = np.polyfit(x, y, 1), 0.0
-    fit = np.polyval(coef, x)
-    res = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return float(coef[0]), res
+        return 0.0
+    return float(np.polyfit(np.log(radii[keep]), np.log(values[keep]), 1)[0])
 
 
 def campanato_profile(
@@ -282,12 +274,8 @@ def campanato_profile(
             osc[k] = float(np.mean(np.sum((u - mean) ** 2, axis=-1)))
         if sampled is not None and bulk is not None:
             en[k] = local_energy(field, ball_mask(dom, center, rho), sampled, bulk) / rho
-    slope, res = _loglog_slope(radii, osc)
-    if sampled is not None and bulk is not None:
-        alpha, _ = _loglog_slope(radii, en)
-    else:
-        alpha = float("nan")
-    return DecayProfile(radii, osc, en, 0.5 * slope, alpha, res)
+    alpha = _loglog_slope(radii, en) if sampled is not None and bulk is not None else float("nan")
+    return DecayProfile(radii, osc, en, 0.5 * _loglog_slope(radii, osc), alpha)
 
 
 def holder_seminorm(

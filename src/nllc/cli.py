@@ -131,7 +131,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
             alpha=_get(parser, "solver", "alpha", float, default=0.5),
             tol=_get(parser, "solver", "tol", float, default=1e-8),
             max_iter=_get(parser, "solver", "max_iter", int, default=2000),
-            descent_step=_get(parser, "solver", "descent_step", float, default=0.1),
             seed=seed,
         )
     except ValueError as exc:
@@ -257,7 +256,7 @@ def _run_kernel_report(cfg: ExperimentConfig) -> None:
 def _run_potential_report(cfg: ExperimentConfig) -> None:
     _, sk, bulk = _sampled_ladder(cfg, _spec(cfg))[0]
     model = bulk.model
-    diag = potential_mod.hessian_diagnostics(model, bulk)
+    diag = potential_mod.hessian_diagnostics(model)
     rows = [
         ("model", cfg.model),
         ("sigma_max", model.sigma_max),
@@ -265,6 +264,7 @@ def _run_potential_report(cfg: ExperimentConfig) -> None:
         ("c0", bulk.c0),
         ("transverse_curvature", bulk.manifold.transverse_curvature),
         ("degenerate", bulk.manifold.degenerate),
+        ("intK_split", bulk.manifold.intK_split),
         ("intK_disc_norm", float(np.linalg.norm(sk.intK_disc))),
         ("hessian_c_est", diag.c_est),
         ("hessian_cov_norm_max", diag.cov_norm_max),

@@ -17,7 +17,8 @@ of its traceless 3x3 matrix, where the sum over the nodes folds onto the
 nodes of one octant and the dual map is a Newton solve in two unknowns (Ball &
 Majumdar 2010, Mol. Cryst. Liq. Cryst. 525).  Every other model sums over its
 quadrature nodes; that path is also the reference for s1 and s2 (a MicroModel
-with their nodes under another name takes it).
+with their nodes under another name takes it).  The vacuum orbit of the bulk
+potential is found along one dual ray b = t e from lambda_inverse alone.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -35,8 +36,10 @@ B_CAP = 50.0
 DUAL_TOL, DUAL_MAX_ITER = 1e-12, 80
 # transverse curvature of psi_b below which the vacuum orbit counts as degenerate
 DEGENERACY_TOL = 1e-6
-# hessian_diagnostics: seeded moments sampled out to this share of sigma_max
-HESSIAN_SAMPLES, HESSIAN_RADIUS = 200, 0.9
+# hessian_diagnostics: seeded duals in the ball where s1's |Lambda^{-1}(b)| = A(|b|) <= 0.9
+HESSIAN_SAMPLES, HESSIAN_DUAL_RADIUS = 200, 5.304689062957715
+# relative round-off allowed in intK's cubic block form and in its E/T2 tie
+CUBIC_TOL = 1e-12
 # s1: below this |b|, A(s)/s = 1/2 - s^2/16 + ... is 1/2 to double precision
 S1_SMALL = 1e-8
 
@@ -418,21 +421,15 @@ def minimal_distribution(model: MicroModel, u: np.ndarray) -> np.ndarray:
     return np.exp(a - log_partition(model, b))
 
 
-def psi_s_hessian(model: MicroModel, u: np.ndarray) -> np.ndarray:
-    """Hessian of psi_s at u: the inverse of the lnZ covariance at b = Lambda(u)."""
-    b = dual_map(model, u)
-    return np.linalg.inv(covariance(model, b))
-
-
 @dataclass(frozen=True)
 class VacuumManifold:
     """Descriptor of the zero set of the bulk potential."""
 
     s0: float
     direction: np.ndarray  # representative unit direction of the orbit
-    c0: float
     transverse_curvature: float
     degenerate: bool
+    intK_split: float  # (k_T - k_E) / kappa: a lattice's E/T2 split of intK; 0.0 for m = 2
 
 
 @dataclass(frozen=True)
@@ -453,28 +450,34 @@ def representative_direction(model: MicroModel) -> np.ndarray:
     return e / np.linalg.norm(e)
 
 
-def _radial_bulk_derivative(model, e, kappa, s):
-    """d/ds [psi_s(s e) - kappa s^2/2] = b(s e).e - kappa s, at one radius or a grid of them."""
-    return dual_map(model, np.multiply.outer(s, e)) @ e - kappa * s
+# the uniaxial ray along [111] on m = 5: pure T2, where [001] is pure E
+_RAY_111 = q_tensor_coords(np.full(3, 1.0 / np.sqrt(3.0)))
 
 
 def compute_c0_and_NN(model: MicroModel, intK: np.ndarray) -> tuple[float, float, VacuumManifold]:
     """Normalising constant c0 and the vacuum orbit N = s0 O of the bulk potential.
 
-    One ray: the radial minimum s0 of psi_s(s e) - kappa s^2 / 2, kappa =
-    e.intK e, along the representative uniaxial direction e, with c0 minus
-    that minimum.  For equivariant intK = kappa Id every uniaxial ray gives
-    the same minimum.  When a lattice splits intK (E/T2 for m = 5) other
-    directions can go lower; no other direction is searched.
+    psi_s is rotation invariant, so the radial minimum of psi_s(s e) - kappa
+    s^2 / 2 along a uniaxial ray e depends on e only through kappa = e.intK e,
+    and the largest kappa goes lowest; c0 is minus that minimum.  On m = 5 a
+    lattice leaves intK = diag(k_E, k_E, k_T, k_T, k_T) (else ValueError), and
+    kappa is extremal at [001] (k_E, also taken on a tie to CUBIC_TOL) or
+    [111] (k_T).  The transverse curvature is 1/(e.C(t0 e) e) - kappa at the
+    dual t0 e of s0 e: by axial symmetry e is an eigenvector of the covariance.
     """
     intK = np.asarray(intK, dtype=float)
     e = representative_direction(model)
-    s0, raw_min = _radial_ray_minimum(model, e, float(e @ intK @ e))
-    c0 = -raw_min
-    # transverse (radial) curvature of psi_b on the orbit
-    curv = float(e @ (psi_s_hessian(model, s0 * e[None])[0] - intK) @ e)
-    manifold = VacuumManifold(s0, e, c0, curv, curv < DEGENERACY_TOL)
-    return c0, s0, manifold
+    k_E = k_T = kappa = float(e @ intK @ e)
+    if model.m == 5:
+        k_T = float(_RAY_111 @ intK @ _RAY_111)
+        if np.abs(intK - np.diag([k_E, k_E, k_T, k_T, k_T])).max() > CUBIC_TOL * np.abs(intK).max():
+            raise ValueError("intK is not of the cubic form diag(k_E, k_E, k_T, k_T, k_T)")
+        if k_T - k_E > CUBIC_TOL * abs(k_E):
+            e, kappa = _RAY_111, k_T
+    t0, s0, raw_min = _radial_ray_minimum(model, e, kappa)
+    curv = float(1.0 / (e @ covariance(model, t0 * e) @ e) - kappa)
+    split = (k_T - k_E) / kappa if k_T != k_E else 0.0
+    return -raw_min, s0, VacuumManifold(s0, e, curv, curv < DEGENERACY_TOL, split)
 
 
 def _bracketed_root(f, a, b, fa, fb, xtol):
@@ -505,36 +508,31 @@ def _bracketed_root(f, a, b, fa, fb, xtol):
 
 
 def _radial_ray_minimum(model, e, kappa):
-    """Minimise psi_s(s e) - kappa s^2/2 over s in [0, sigma_max)."""
-    # back off from the orbit-boundary until the dual Newton solve converges;
-    # psi_s blows up there, so the minimum cannot hide beyond this point
-    smax = 0.995 * model.sigma_max
-    for _ in range(60):
-        try:
-            dual_map(model, smax * e)
-            break
-        except OutsideMomentDomain:
-            smax *= 0.97
-    grid = np.linspace(0.0, smax, 400)
-    d = _radial_bulk_derivative(model, e, kappa, grid[1:])  # one batched dual solve
+    """(t0, s0, min) of psi_s(s e) - kappa s^2/2 along the dual ray b = t e, t in [0, B_CAP].
+
+    A uniaxial ray is its own dual ray, Lambda^{-1}(t e) = s(t) e, and psi_s(s e)
+    = t s - lnZ(t e) with slope t in s, so the scan and the polish need no dual
+    solve: the slope has the sign of t - kappa s(t).
+    """
+    def slope(t):
+        return t - kappa * (lambda_inverse(model, np.multiply.outer(t, e)) @ e)
+
+    grid = np.linspace(0.0, B_CAP, 400)
+    d = slope(grid[1:])
     if d[-1] < 0:
-        raise OutsideMomentDomain("bulk minimum beyond the resolvable radius")
+        raise OutsideMomentDomain("bulk minimum beyond the dual cap |b| = B_CAP")
     crit = [0.0]
     for a, bnd, d_a, d_b in zip(grid[1:-1], grid[2:], d[:-1], d[1:]):
         if d_a == 0.0:
             crit.append(a)
         elif d_a * d_b < 0:
-            crit.append(_bracketed_root(
-                lambda s: _radial_bulk_derivative(model, e, kappa, s), a, bnd, d_a, d_b, xtol=1e-12))
-
-    def raw(s):
-        if s == 0.0:
-            return 0.0
-        return float(psi_s(model, s * e)) - 0.5 * kappa * s * s
-
-    vals = [raw(s) for s in crit]
+            crit.append(_bracketed_root(slope, a, bnd, d_a, d_b, xtol=1e-12))
+    b = np.multiply.outer(crit, e)
+    t, s = np.array(crit), lambda_inverse(model, b) @ e
+    vals = t * s - log_partition(model, b) - 0.5 * kappa * s * s
+    s[0] = vals[0] = 0.0  # Lambda^{-1}(0) and lnZ(0) on the fold are round-off away from 0
     i = int(np.argmin(vals))
-    return crit[i], vals[i]
+    return float(t[i]), float(s[i]), float(vals[i])
 
 
 def make_bulk_potential(model: MicroModel, intK: np.ndarray) -> BulkPotential:
@@ -558,23 +556,20 @@ def psi_b_at_dual(bulk: BulkPotential, u: np.ndarray, b: np.ndarray) -> np.ndarr
 class HessianReport:
     c_est: float  # min over sampled moment set of lambda_min(Hess psi_s)
     cov_norm_max: float  # max operator norm of Hess lnZ over the b-sample
-    transverse_curvature: float
     inverse_identity_error: float  # max |Hess psi_s . Hess lnZ - Id|
 
 
-def hessian_diagnostics(model: MicroModel, bulk: BulkPotential) -> HessianReport:
-    """Sampled curvature diagnostics for psi_s and psi_b."""
+def hessian_diagnostics(model: MicroModel) -> HessianReport:
+    """Sampled curvature of psi_s: at u = Lambda^{-1}(b), Hess psi_s = C(b)^{-1}, with C =
+    Hess lnZ taken at seeded duals b directly, so every sample is admissible."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal((HESSIAN_SAMPLES, model.m))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = HESSIAN_RADIUS * model.sigma_max * rng.random(HESSIAN_SAMPLES) ** (1.0 / model.m)
-    u = v * r[:, None]
-    b = dual_map(model, u)
-    cov = covariance(model, b)
+    r = HESSIAN_DUAL_RADIUS * rng.random(HESSIAN_SAMPLES) ** (1.0 / model.m)
+    cov = covariance(model, v * r[:, None])
     hess = np.linalg.inv(cov)
     c_est = float(np.linalg.eigvalsh(hess)[:, 0].min())
     cov_norm = float(np.linalg.eigvalsh(cov)[:, -1].max())
     ident = np.einsum("nab,nbc->nac", hess, cov) - np.eye(model.m)
     err = float(np.abs(ident).max())
-    return HessianReport(c_est, cov_norm, bulk.manifold.transverse_curvature, err)
-
+    return HessianReport(c_est, cov_norm, err)

@@ -108,6 +108,17 @@ def test_potential_report_artifacts(tmp_path):
     assert float(kv["hessian_inverse_identity_error"]) < 1e-8
 
 
+def test_potential_report_on_s2(tmp_path):
+    # the Hessian samples are seeded duals, admissible on the s2 moment set too
+    ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI.replace("name = s1", "name = s2"))
+    out = tmp_path / "out"
+    assert cli.main(["potential-report", ini, "--out", str(out)]) == 0
+    kv = read_kv(out / "potential_report.txt")
+    assert 0 < float(kv["s0"]) < float(kv["sigma_max"])
+    assert abs(float(kv["intK_split"])) < 1e-12  # a scalar-mode kernel does not split intK
+    assert float(kv["hessian_inverse_identity_error"]) < 1e-8
+
+
 def test_zero_kernel_minimize_is_trivial(tmp_path):
     ini = write_ini(tmp_path / "exp.ini", ZERO_INI)
     out = tmp_path / "out"
@@ -286,7 +297,6 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("tol = 1e-7", "tol = -1e-7", "[solver]"),
     ("tol = 1e-7", "tol = nan", "[solver]"),
     ("max_iter = 3000", "max_iter = 0", "[solver]"),
-    ("seed = 0", "seed = 0\ndescent_step = 0", "[solver]"),
     ("h = 0.1", "h = nan", "[domain]"),
     ("h = 0.1", "h = inf", "[domain]"),
     ("eps = 0.6 0.5", "eps = inf 0.5", "[sweep] eps"),

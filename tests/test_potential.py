@@ -158,14 +158,16 @@ def test_bulk_potential_vacuum_and_normalisation():
         assert np.all(potential.psi_b(bulk, sample) >= -1e-9)
 
 
-@pytest.mark.parametrize("model, kappa", [(S1, 2.1), (S1, 5.0), (S1, 14.0), (S2, 5.0), (S2, 20.0)])
+@pytest.mark.parametrize("model, kappa", [(S1, 2.1), (S1, 5.0), (S1, 14.0), (S2, 5.0), (S2, 20.0),
+                                          (S1, 20.0), (S1, 45.0), (S2, 8.0)])
 def test_vacuum_radius_matches_brentq(model, kappa):
-    # the radial polish is a numpy root finder; brentq is the oracle
+    # the vacuum is found along the dual ray; brentq on the radial derivative
+    # d/ds [psi_s(s e) - kappa s^2/2] = Lambda(s e).e - kappa s is the oracle
     c0, s0, _ = potential.compute_c0_and_NN(model, kappa * np.eye(model.m))
     e = potential.representative_direction(model)
 
     def d(s):
-        return potential._radial_bulk_derivative(model, e, kappa, s)
+        return potential.dual_map(model, s * e) @ e - kappa * s
 
     ref = brentq(d, s0 - 1e-3, s0 + 1e-3, xtol=1e-12)
     ref_c0 = 0.5 * kappa * ref**2 - float(potential.psi_s(model, ref * e))
@@ -173,17 +175,52 @@ def test_vacuum_radius_matches_brentq(model, kappa):
     assert c0 == pytest.approx(ref_c0, rel=1e-12)
 
 
-def test_split_intK_orbit_is_the_one_ray_along_e(monkeypatch):
-    # a lattice splits intK into E and T2 blocks; the orbit stays the single
-    # radial ray along e, with kappa = e.intK e, and draws no random numbers
+# intK_disc of the gaussian-nematic kernel (strength 8, f2 0.3, f3 -0.2, width
+# 0.75, cut 2.5) sampled at eps 0.3, h 0.1: the lattice splits it into E and T2
+LATTICE_K_E, LATTICE_K_T = 8.375888714559558, 8.37823380103858
+RAY_001 = potential.representative_direction(S2)
+RAY_111 = potential.q_tensor_coords(np.full(3, 1.0 / np.sqrt(3.0)))
+
+
+@pytest.mark.parametrize("k_E, k_T", [(5.0, 5.3), (5.3, 5.0), (LATTICE_K_E, LATTICE_K_T),
+                                      (LATTICE_K_T, LATTICE_K_E), (5.0, 5.0 * (1 + 1e-13))],
+                         ids=["T2-above", "E-above", "lattice", "lattice-swapped", "round-off-tie"])
+def test_split_intK_orbit_takes_the_ray_of_the_larger_coupling(monkeypatch, k_E, k_T):
+    # a lattice splits intK into E and T2 blocks; the orbit is the one radial
+    # ray along [111] (pure T2) when k_T > k_E, else along [001] (pure E, also
+    # on a round-off tie), and no random numbers are drawn
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a, **k: pytest.fail("compute_c0_and_NN drew random numbers"))
-    intK = np.diag([5.0, 5.0, 5.3, 5.3, 5.3])
-    e = potential.representative_direction(S2)
+    intK = np.diag([k_E, k_E, k_T, k_T, k_T])
+    e = RAY_111 if k_T > k_E * (1 + 1e-12) else RAY_001
     c0, s0, manifold = potential.compute_c0_and_NN(S2, intK)
-    ref_s0, ref_min = potential._radial_ray_minimum(S2, e, float(e @ intK @ e))
+    _, ref_s0, ref_min = potential._radial_ray_minimum(S2, e, float(e @ intK @ e))
     assert (s0, c0) == (ref_s0, -ref_min)
     assert np.array_equal(manifold.direction, e)
+    assert manifold.intK_split == pytest.approx((k_T - k_E) / max(k_E, k_T), rel=1e-12)
+
+
+def test_intK_off_the_cubic_form_raises():
+    intK = np.diag([5.0, 5.0, 5.3, 5.3, 5.3])
+    intK[0, 2] = intK[2, 0] = 1e-3
+    with pytest.raises(ValueError, match="cubic form"):
+        potential.compute_c0_and_NN(S2, intK)
+    with pytest.raises(ValueError, match="cubic form"):
+        potential.compute_c0_and_NN(S2, np.diag([5.0, 5.1, 5.3, 5.3, 5.3]))
+
+
+SPLIT_BULKS = [potential.make_bulk_potential(S2, np.diag([k_E, k_E, k_T, k_T, k_T]))
+               for k_E, k_T in [(LATTICE_K_E, LATTICE_K_T), (5.0, 5.3)]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(bulk=st.sampled_from(SPLIT_BULKS), seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 30.0))
+def test_split_intK_bulk_potential_is_nonnegative(bulk, seed, t):
+    # inf psi_b = 0 on the moment set also when a lattice splits intK; the
+    # points Lambda^{-1}(b) are admissible, and so is the [111] vacuum
+    u = potential.lambda_inverse(S2, t * _unit(S2, seed))
+    assert potential.psi_b(bulk, u[None])[0] >= -1e-12
+    assert potential.psi_b(bulk, (bulk.manifold.s0 * RAY_111)[None])[0] >= -1e-12
 
 
 def test_weak_coupling_is_isotropic():
@@ -197,17 +234,30 @@ def test_weak_coupling_is_isotropic():
 
 def test_hessian_diagnostics_consistency():
     bulk = potential.make_bulk_potential(S1, 5.0 * np.eye(2))
-    diag = potential.hessian_diagnostics(S1, bulk)
+    diag = potential.hessian_diagnostics(S1)
     assert diag.c_est > 0
     assert diag.inverse_identity_error < 1e-10
     assert not bulk.manifold.degenerate
 
 
 def test_strong_coupling_raises_instead_of_a_wrong_vacuum():
-    # the minimiser (s near 0.975) lies beyond the radius the dual solve
-    # resolves; returning s0 = 0 would leave psi_b negative along the ray
-    with pytest.raises(OutsideMomentDomain, match="beyond the resolvable radius"):
-        potential.make_bulk_potential(S1, 20.0 * np.eye(2))
+    # at kappa = 60 the slope t - kappa A(t) is still negative at the dual cap:
+    # the minimiser lies beyond it, and returning s0 = 0 would leave psi_b
+    # negative along the ray
+    with pytest.raises(OutsideMomentDomain, match="beyond the dual cap"):
+        potential.make_bulk_potential(S1, 60.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("model, intK", [(S1, 0.5 * np.eye(2)), (S1, 5.0 * np.eye(2)),
+                                         (S1, 45.0 * np.eye(2)), (S2, 8.0 * np.eye(5)),
+                                         (S2, np.diag([5.0, 5.0, 5.3, 5.3, 5.3]))])
+def test_transverse_curvature_matches_the_inverse_covariance(model, intK):
+    # 1/(e.C e) - kappa on the dual ray equals e.(C^{-1} - intK) e at Lambda(s0 e)
+    bulk = potential.make_bulk_potential(model, intK)
+    e, s0 = bulk.manifold.direction, bulk.manifold.s0
+    hess = np.linalg.inv(potential.covariance(model, potential.dual_map(model, s0 * e)))
+    ref = float(e @ (hess - intK) @ e)
+    assert bulk.manifold.transverse_curvature == pytest.approx(ref, rel=1e-10)
 
 
 def test_bulk_potential_solves_the_radial_scan_in_one_batch(monkeypatch):
@@ -219,8 +269,9 @@ def test_bulk_potential_solves_the_radial_scan_in_one_batch(monkeypatch):
         return dual_map(*args, **kwargs)
 
     monkeypatch.setattr(potential, "dual_map", counted)
-    potential.make_bulk_potential(S1, 5.0 * np.eye(2))
-    assert len(calls) <= 15
+    for model in (S1, S2):
+        potential.make_bulk_potential(model, 5.0 * np.eye(model.m))
+    assert not calls
 
 
 E1 = np.array([0.6, 0.8])
@@ -298,10 +349,10 @@ def test_s1_closed_form_matches_the_quadrature(shape):
         cov = potential.covariance(S1, bb)
         assert cov.shape == bb.shape + (2,)
         assert np.allclose(cov, potential.covariance(S1_NODES, bb), rtol=0.0, atol=1e-14)
-        # psi_s_hessian runs each path's own dual map; near |b| = 45 the
+        # Hess psi_s at u, by each path's own dual map; near |b| = 45 the
         # quadrature dual is up to about 5e-11 relative off, and 1/A' is about 4000
-        hess = potential.psi_s_hessian(S1, u)
-        ref = potential.psi_s_hessian(S1_NODES, u)
+        hess = np.linalg.inv(potential.covariance(S1, potential.dual_map(S1, u)))
+        ref = np.linalg.inv(potential.covariance(S1_NODES, potential.dual_map(S1_NODES, u)))
         assert np.allclose(hess, ref, rtol=1e-8, atol=1e-12)
         back = potential.dual_map(S1, u)
         assert back.shape == bb.shape
