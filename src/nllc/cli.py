@@ -33,12 +33,25 @@ SUBCOMMANDS = (
     "holder-probe",
 )
 
-_KERNEL_PARAM_KEYS = (
-    "strength", "width", "cut", "f2", "f3",
-    "k", "rho1", "rho2",
-    "amplitude", "r_on", "r_full",
-    "q", "tau",
-)
+# the [kernel] keys each preset of kernel.kernel_preset reads
+_PRESET_KEYS = {
+    "zero": (),
+    "annulus": ("k", "rho1", "rho2", "q", "tau"),
+    "gaussian": ("strength", "width", "cut", "q", "tau"),
+    "gaussian-nematic": ("strength", "width", "cut", "f2", "f3", "q", "tau"),
+    "inverse6": ("amplitude", "r_on", "r_full", "q", "tau"),
+}
+# every [section] and key that load_config reads; a config may hold nothing else
+CONFIG_KEYS = {
+    "kernel": ("preset",) + tuple(dict.fromkeys(k for keys in _PRESET_KEYS.values() for k in keys)),
+    "model": ("name",),
+    "domain": ("n", "h", "omega_radius", "layer"),
+    "boundary": ("preset", "slope", "winding"),
+    "sweep": ("eps",),
+    "solver": ("alpha", "tol", "max_iter", "seed"),
+    "output": ("dir",),
+    "probe": ("ball_radius",),
+}
 
 
 @dataclass
@@ -81,15 +94,23 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError("config", f"cannot read {path}")
+    unknown = []
+    for sec in parser.sections():
+        if sec not in CONFIG_KEYS:
+            unknown.append(f"[{sec}]")
+        else:
+            unknown += [f"[{sec}] {key}" for key in parser.options(sec) if key not in CONFIG_KEYS[sec]]
+    if unknown:
+        raise ConfigError(", ".join(unknown), "unknown section or key")
 
     preset = _get(parser, "kernel", "preset", str, required=True)
-    if preset not in ("zero", "annulus", "gaussian", "gaussian-nematic", "inverse6"):
+    if preset not in _PRESET_KEYS:
         raise ConfigError("[kernel] preset", f"unknown preset {preset!r}")
-    params = {}
-    if parser.has_section("kernel"):
-        for key in parser.options("kernel"):
-            if key in _KERNEL_PARAM_KEYS:
-                params[key] = _get(parser, "kernel", key, float)
+    keys = [key for key in parser.options("kernel") if key != "preset"]
+    other = [f"[kernel] {key}" for key in keys if key not in _PRESET_KEYS[preset]]
+    if other:
+        raise ConfigError(", ".join(other), f"not a parameter of the {preset} preset")
+    params = {key: _get(parser, "kernel", key, float) for key in keys}
 
     model = _get(parser, "model", "name", str, default="s1")
     if model not in ("s1", "s2"):

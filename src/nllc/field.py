@@ -18,13 +18,16 @@ w = (K_eps*u_c)|Omega and the constant box sums of u_c.  The oscillation
 energy of any values on Omega then costs one FFT convolution over Omega's
 bounding window, where the stencil is cut to the window, and sums over Omega.
 The whole-box convolve and energies stay the reference it is tested against.
+
+Every convolution is a numpy FFT over the box axes of a components-first
+array, zero-extended per axis to the 5-smooth length fast_len(n + min(S, n - 1)):
+just long enough that no source wraps into the box.
 """
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, radial_tail
@@ -262,22 +265,53 @@ def _neighbour_slices():
         yield lo, hi
 
 
+def fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n: numpy's FFT is fastest on these."""
+    best = 1 << max(n - 1, 0).bit_length()  # the least power of 2 >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best, p35 = min(best, p), 3 * p35
+        p5 *= 5
+    return best
+
+
 def _padded_shape(n, radius: int) -> tuple:
     """FFT lengths of a linear convolution over a box n with a centred stencil of the
-    given radius; offsets |z_i| >= n_i pair no two cells of the box and are cut."""
-    return tuple(scipy.fft.next_fast_len(min(2 * k - 1, k + 2 * radius)) for k in n)
+    given radius, cut per axis to S' = min(radius, n_i - 1): offsets |z_i| >= n_i pair no
+    two cells of the box.  A source x - z of a cell x in the box lies in [-S', n_i - 1 + S'],
+    so a length p_i >= n_i + S' keeps every image that wraps in the zero padding."""
+    return tuple(fast_len(k + min(radius, k - 1)) for k in n)
+
+
+_BOX_AXES = (-3, -2, -1)
+
+
+def _components_first(u: np.ndarray) -> np.ndarray:
+    """A (Nx,Ny,Nz, ...) array as a contiguous (..., Nx,Ny,Nz) one."""
+    return np.ascontiguousarray(np.moveaxis(u, (0, 1, 2), _BOX_AXES))
+
+
+def _components_last(x: np.ndarray) -> np.ndarray:
+    """The (Nx,Ny,Nz, ...) view of a (..., Nx,Ny,Nz) array."""
+    return np.moveaxis(x, _BOX_AXES, (0, 1, 2))
 
 
 def _stencil_fft(stencil: np.ndarray, n) -> np.ndarray:
     """Spectrum of a centred (2S+1)^3 stencil, any trailing shape, for a box n: cut to
-    the per-axis radius min(S, n_i - 1) and wrapped onto _padded_shape(n, S)."""
+    the per-axis radius min(S, n_i - 1), wrapped onto _padded_shape(n, S) and stored
+    components first, (..., P0, P1, P2 // 2 + 1)."""
     S = len(stencil) // 2
     p = _padded_shape(n, S)
     cut = [min(S, k - 1) for k in n]
-    kern = np.zeros(p + stencil.shape[3:])
-    kern[np.ix_(*(np.mod(np.arange(-c, c + 1), q) for c, q in zip(cut, p)))] = stencil[
-        tuple(slice(S - c, S + c + 1) for c in cut)]
-    return scipy.fft.rfftn(kern, axes=(0, 1, 2))
+    kern = np.zeros(stencil.shape[3:] + p)
+    kern[(...,) + np.ix_(*(np.mod(np.arange(-c, c + 1), q) for c, q in zip(cut, p)))] = \
+        _components_first(stencil[tuple(slice(S - c, S + c + 1) for c in cut)])
+    return np.fft.rfftn(kern, axes=_BOX_AXES)
 
 
 def _kernel_fft(sampled: SampledKernel, n):
@@ -288,18 +322,20 @@ def _kernel_fft(sampled: SampledKernel, n):
 
 
 def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
-    """Zero-extend x over its box axes to _padded_shape(box, radius), map the spectrum
-    through times and crop the inverse back to x's box."""
-    n, axes = x.shape[:3], (0, 1, 2)
+    """Zero-extend x, components first (..., Nx,Ny,Nz), over its box axes to
+    _padded_shape(box, radius), map the spectrum through times and crop the inverse
+    back to x's box."""
+    n = x.shape[-3:]
     p = _padded_shape(n, radius)
-    out = scipy.fft.irfftn(times(scipy.fft.rfftn(x, s=p, axes=axes)), s=p, axes=axes)
-    return out[: n[0], : n[1], : n[2]]
+    out = np.fft.irfftn(times(np.fft.rfftn(x, s=p, axes=_BOX_AXES)), s=p, axes=_BOX_AXES)
+    return out[..., : n[0], : n[1], : n[2]]
 
 
 def _kernel_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndarray:
     """convolve's FFT path, without its checks; u's box may be any window."""
-    return _fft_convolve(u, sampled.radius_cells, lambda uf: np.einsum(
-        "...ab,...b->...a", _kernel_fft(sampled, u.shape[:3]), uf)) * h**3
+    kf = _kernel_fft(sampled, u.shape[:3])
+    return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells,
+                                          lambda uf: np.einsum("ab...,b...->a...", kf, uf)) * h**3)
 
 
 def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
@@ -321,17 +357,19 @@ def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method:
 
 def convolve_mask(sampled: SampledKernel, mask: np.ndarray, h: float) -> np.ndarray:
     """(K_eps * 1_G)(x) h^3 as an (Nx,Ny,Nz,m,m) matrix field."""
-    return _fft_convolve(mask.astype(float), sampled.radius_cells,
-                         lambda mf: _kernel_fft(sampled, mask.shape) * mf[..., None, None]) * h**3
+    kf = _kernel_fft(sampled, mask.shape)
+    out = np.ascontiguousarray(_components_last(
+        _fft_convolve(mask.astype(float), sampled.radius_cells, lambda mf: kf * mf)))
+    out *= h**3
+    return out
 
 
 def convolve_stencil(stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_z stencil(z) u(x - z) for a centred scalar (2S+1)^3 stencil, with zero
     extension off the box; u may carry trailing component axes."""
     u = np.asarray(values, dtype=float)
-    trail = (...,) + (None,) * (u.ndim - 3)
-    return _fft_convolve(u, len(stencil) // 2,
-                         lambda uf: _stencil_fft(stencil, u.shape[:3])[trail] * uf)
+    return _components_last(_fft_convolve(_components_first(u), len(stencil) // 2,
+                                          lambda uf: _stencil_fft(stencil, u.shape[:3]) * uf))
 
 
 def box_moment_field(sampled: SampledKernel, domain: Domain) -> np.ndarray:

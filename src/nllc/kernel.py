@@ -19,7 +19,7 @@ unbounded kernel's last breakpoint, and add one closed-form tail beyond it,
 which raises QuadratureUnderresolved when the profile has none.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace as dc_replace
 
 import numpy as np
 
@@ -191,11 +191,28 @@ def _ray(r) -> np.ndarray:
 # quadrature
 
 
+def _branch_crossing(spec: KernelSpec) -> list:
+    """Radii where g = lambda_min(K) changes eigenvalue branch on the ray, a kink
+    that a Gauss segment only resolves when split there.
+
+    On r e3, K is diagonal with the entries f1 (twice), f1 + f2 r^2/2 (twice)
+    and f1 + (2/3)(f2 + f3 r^2) r^2.  For f2 and f3 of one shape,
+    f2/f3 is the constant a2/a3 of their amplitudes, and g changes branch only
+    when a2 a3 < 0: at r^2 = -a2/a3 for a2 > 0 and at r^2 = -a2/(4 a3) for a2 < 0.
+    """
+    f2, f3 = spec.f2, spec.f3
+    a2, a3 = getattr(f2, "amplitude", 0.0), getattr(f3, "amplitude", 0.0)
+    if spec.mode != "nematic" or not a2 * a3 < 0.0 or \
+            dc_replace(f2, amplitude=1.0) != dc_replace(f3, amplitude=1.0):
+        return []
+    return [float(np.sqrt(-a2 / (a3 if a2 > 0.0 else 4.0 * a3)))]
+
+
 def _radial_rule(spec: KernelSpec, r_max: float, n: int):
     """n-point Gauss-Legendre nodes and weights on each segment of (0, r_max)
-    between the profiles' breakpoints."""
-    pts = sorted({0.0, r_max} | {float(b) for p in spec.profiles for b in p.breakpoints()
-                                 if 0.0 < b < r_max})
+    between the profiles' breakpoints and the branch crossings of g."""
+    cuts = [b for p in spec.profiles for b in p.breakpoints()] + _branch_crossing(spec)
+    pts = sorted({0.0, r_max} | {float(b) for b in cuts if 0.0 < b < r_max})
     a, b = np.array(pts[:-1]), np.array(pts[1:])
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)[:, None]

@@ -5,18 +5,18 @@ N = s0 * O; an orbit-valued field stores its values on N, and its boundary
 presets are those of field.boundary_values.  This module provides the
 quadratic elastic energy with tensor L on such fields, a projected-gradient
 minimiser that keeps the constraint exact per cell (it descends on the
-forward-difference energy, assembled once per solve as a sparse operator on
-the cells its links touch), a detector for concentration of the limit
-Dirichlet density, and the two-sided convergence diagnostics comparing
-small-scale energies with the limit energy on balls.
+forward-difference energy, assembled once per solve as a matrix stored in
+padded rows on the cells its links touch, Omega's first), a detector for
+concentration of the limit Dirichlet density, and the two-sided convergence
+diagnostics comparing small-scale energies with the limit energy on balls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
@@ -120,6 +120,18 @@ def limit_energy(mfield: ManifoldField, L: ElasticTensor, region: np.ndarray | N
     return float(np.einsum("ijab,xyzia,xyzjb->", L.L, g, g) * dom.cell_volume)
 
 
+@dataclass(frozen=True)
+class PaddedRows:
+    """A sparse square matrix as rows padded to its longest row (the ELL layout):
+    row i holds vals[i] at columns cols[i]; padding entries are zeros."""
+
+    cols: np.ndarray  # (n, width) int
+    vals: np.ndarray  # (n, width)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.vals, np.take(x, self.cols))
+
+
 def _limit_operator(dom: Domain, M: np.ndarray):
     """Forward-difference form of the limit energy as a sparse quadratic form.
 
@@ -134,32 +146,53 @@ def _limit_operator(dom: Domain, M: np.ndarray):
     links would leave the negative-side boundary trace uncoupled.  The links
     must not reach the box faces (padding_cells() >= 1).
 
-    Returns ``cells``, the sorted flat box indices that a live link touches,
-    and the CSR matrix ``K = D^T (I x M) D`` on their values x (shape
-    ``(len(cells), m)``, flattened): D holds the forward differences of the
-    live links of each axis at their base cell and M[(i,a),(j,b)] = L[i,j,a,b].
-    The energy is cell_volume * x.Kx and its Euclidean gradient is 2Kx.
+    Returns ``cells``, the flat box indices that a live link touches, Omega's
+    cells first and each part sorted, and ``K = D^T (I x M) D`` as PaddedRows
+    on their values x (shape ``(len(cells), m)``, flattened): D holds the
+    forward differences (x(c + e_i) - x(c)) / h of the live links of each axis
+    at their base cell c and M[(i,a),(j,b)] = L[i,j,a,b].  So K gathers, for
+    each base cell and each pair of its live axes (i, j), the block
+    L[i,j] / h^2 between the two ends of link i and the two of link j; the
+    entries are summed by position and padded to the longest row.  The energy
+    is cell_volume * x.Kx and its Euclidean gradient is 2Kx.
     """
     omega = dom.omega_mask
     m = M.shape[0] // 3
     flat = np.arange(omega.size).reshape(omega.shape)
-    links = []
-    for lo, hi in _neighbour_slices():
-        live = omega[lo] | omega[hi]
-        links.append((flat[lo][live], flat[hi][live]))
-    cells = np.unique(np.concatenate([end for pair in links for end in pair]))
-    comp = np.arange(m)
-    rows, cols, data = [], [], []
-    for i, pair in enumerate(links):
-        base, ahead = (np.searchsorted(cells, end)[:, None] for end in pair)
-        row = (3 * base + i) * m + comp
-        rows += [row, row]
-        cols += [ahead * m + comp, base * m + comp]
-        data += [np.full(row.shape, 1.0 / dom.h), np.full(row.shape, -1.0 / dom.h)]
-    rows, cols, data = (np.concatenate(a, axis=None) for a in (rows, cols, data))
-    D = sparse.csr_matrix((data, (rows, cols)), shape=(3 * m * cells.size, m * cells.size))
-    K = D.T @ sparse.kron(sparse.identity(cells.size), M, format="csr") @ D
-    return cells, K.tocsr()
+    ahead = np.full((3, omega.size), -1)  # the far end of each live link, by axis and base cell
+    for i, (lo, hi) in enumerate(_neighbour_slices()):
+        link = omega[lo] | omega[hi]
+        ahead[i, flat[lo][link]] = flat[hi][link]
+    live = ahead >= 0
+    ends = np.concatenate([ahead[live], np.nonzero(live.any(axis=0))[0]])
+    cells = np.concatenate([flat[omega], np.setdiff1d(ends, flat[omega])])
+    pos = np.zeros(omega.size, dtype=int)
+    pos[cells] = np.arange(cells.size)
+    step = np.array([1.0, -1.0]) / dom.h
+    rows, cols, vals = [], [], []
+    for i, j in itertools.product(range(3), repeat=2):
+        base = np.nonzero(live[i] & live[j])[0]
+        block = M[i * m:(i + 1) * m, j * m:(j + 1) * m]
+        a, b = np.nonzero(block)
+        # the two ends (ahead, base) of links i and j, weighted +1/h and -1/h in D
+        ends_i, ends_j = (pos[np.stack([ahead[k, base], base])][..., None] * m for k in (i, j))
+        shape = (2, 2, base.size, a.size)
+        rows.append(np.broadcast_to(ends_i[:, None] + a, shape))
+        cols.append(np.broadcast_to(ends_j[None, :] + b, shape))
+        weight = step[:, None, None, None] * block[a, b] * step[None, :, None, None]
+        vals.append(np.broadcast_to(weight, shape))
+    rows, cols, vals = (np.concatenate([p.reshape(-1) for p in parts]) for parts in (rows, cols, vals))
+    n = m * cells.size
+    key, where = np.unique(rows * n + cols, return_inverse=True)
+    summed = np.bincount(where, weights=vals, minlength=key.size)
+    row, col = np.divmod(key[summed != 0.0], n)
+    summed = summed[summed != 0.0]
+    width = np.bincount(row, minlength=n)
+    slot = np.arange(row.size) - (np.cumsum(width) - width)[row]
+    ell_cols = np.zeros((n, width.max(initial=0)), dtype=int)
+    ell_vals = np.zeros(ell_cols.shape)
+    ell_cols[row, slot], ell_vals[row, slot] = col, summed
+    return cells, PaddedRows(ell_cols, ell_vals)
 
 
 @dataclass
@@ -187,14 +220,15 @@ def harmonic_minimize(
     Projected gradient descent on solver.monotone_descent: Euclidean step on
     the interior cells followed by the closest-point retraction onto the
     orbit.  The descent objective is the forward-difference quadrature,
-    assembled once as the sparse operator K of _limit_operator; the iteration
-    runs on the values of the cells that K touches, so each trial costs one
-    sparse product K @ x, and the values go back into the box at the end
-    (cells outside Omega keep their trace bitwise).  Recorded energies are
-    the objective's values.  Stationarity is measured as the sup-norm of the
-    retracted update per unit step, one residual per accepted step.  Raises
-    ResolutionMismatch when Omega touches a box face, and MaxIterations (with
-    the best iterate attached) when the budget or the step runs out.
+    assembled once as the padded rows K of _limit_operator; the iteration
+    runs on the values of the cells that K touches, Omega's leading, so each
+    trial costs one product K @ x and reads Omega as a leading slice, and the
+    values go back into the box at the end (cells outside Omega keep their
+    trace bitwise).  Recorded energies are the objective's values.
+    Stationarity is measured as the sup-norm of the retracted update per unit
+    step, one residual per accepted step.  Raises ResolutionMismatch when
+    Omega touches a box face, and MaxIterations (with the best iterate
+    attached) when the budget or the step runs out.
     """
     dom = boundary.domain
     if dom.n_omega and dom.padding_cells() < 1:
@@ -210,7 +244,7 @@ def harmonic_minimize(
     step = dom.h**2 / (24.0 * max(lam, 1e-300))
     cells, K = _limit_operator(dom, M)
     box = vals.reshape(-1, m)
-    om = omega.reshape(-1)[cells]
+    n_om = dom.n_omega  # Omega's cells lead cells: x[:n_om] are the values the descent moves
     # cap per-iteration motion: large retracted steps can wrap around the
     # orbit and settle into rough metastable configurations
     move_cap = 0.2 * s0
@@ -221,11 +255,12 @@ def harmonic_minimize(
 
     def trial(state, tau, rejected):
         x, grad = state
-        sup_g = float(np.max(np.linalg.norm(grad[om], axis=-1))) if om.any() else 0.0
+        x_om, g_om = x[:n_om], grad[:n_om]
+        sup_g = float(np.max(np.linalg.norm(g_om, axis=-1))) if n_om else 0.0
         tau_eff = min(tau, move_cap / sup_g) if sup_g > 0 else tau
         y = x.copy()
-        y[om] = project_orbit(x[om] - tau_eff * grad[om], s0, kind)
-        res = float(np.max(np.linalg.norm(y[om] - x[om], axis=-1))) / tau_eff if om.any() else 0.0
+        y[:n_om] = project_orbit(x_om - tau_eff * g_om, s0, kind)
+        res = float(np.max(np.linalg.norm(y[:n_om] - x_om, axis=-1))) / tau_eff if n_om else 0.0
         energy, g = objective(y)
         return (y, g), energy, res
 

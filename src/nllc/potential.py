@@ -10,7 +10,8 @@ Lambda^{-1} = grad lnZ forming a Legendre pair.
 Three paths evaluate lnZ and its derivatives.  The circle model "s1" (sigma =
 (cos 2theta, sin 2theta) under the uniform measure) has the closed form lnZ(b)
 = log I0(|b|), so log_partition, lambda_inverse, covariance and dual_map use
-modified Bessel functions there; its quadrature nodes serve only
+modified Bessel functions there, as fitted piecewise polynomials, and the dual
+map is a Halley iteration; its quadrature nodes serve only
 minimal_distribution and test oracles.  The sphere model "s2" carries an
 OctantFold: lnZ is rotation invariant, so each cell is taken to the eigenframe
 of its traceless 3x3 matrix, where the sum over the nodes folds onto the
@@ -24,15 +25,13 @@ potential is found along one dual ray b = t e from lambda_inverse alone.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-# scipy.fft loads scipy.special already, so the Bessel functions cost no import
-from scipy.special import i0e, i1e
 
 from .errors import OutsideMomentDomain
 
 # Dual-variable cap: |b| beyond this is treated as "u outside or at the
 # boundary of the moment set" (psi_s = +infinity in the continuum model).
 B_CAP = 50.0
-# residual at which dual_map stops a cell, and its Newton step budget
+# residual at which dual_map stops a cell, and its step budget
 DUAL_TOL, DUAL_MAX_ITER = 1e-12, 80
 # transverse curvature of psi_b below which the vacuum orbit counts as degenerate
 DEGENERACY_TOL = 1e-6
@@ -40,7 +39,8 @@ DEGENERACY_TOL = 1e-6
 HESSIAN_SAMPLES, HESSIAN_DUAL_RADIUS = 200, 5.304689062957715
 # relative round-off allowed in intK's cubic block form and in its E/T2 tie
 CUBIC_TOL = 1e-12
-# s1: below this |b|, A(s)/s = 1/2 - s^2/16 + ... is 1/2 to double precision
+# s1: below this |b| the covariance takes the direction b/|b| as b/S1_SMALL; its
+# radial weight A' - A/s = -s^2/8 + ... is at most 1.3e-17 there
 S1_SMALL = 1e-8
 
 
@@ -187,10 +187,158 @@ def _covariance_of(model: MicroModel, f: np.ndarray, u: np.ndarray) -> np.ndarra
     return second - u[..., :, None] * u[..., None, :]
 
 
+# s1's Bessel functions as polynomials of degree 16 on nine intervals of s >= 0,
+# cut at _BESSEL_CUTS: in the variable s on [0, 8] and in 1/s from 8 on, mapped to
+# t in [-1, 1] by (v - centre) / half.  Each row is one interval's Chebyshev
+# interpolant at 48 points of 40-digit mpmath values, truncated to degree 16 (the
+# dropped terms sum to below 3e-17 of the function on every interval) and written
+# in powers of t, whose coefficients stay below 1 in size, for Horner's rule.
+_BESSEL_CUTS = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0])
+_BESSEL_HEAD = 8.0  # the variable is s below, 1/s above
+_BESSEL_CENTRE = np.array([0.5, 1.5, 2.5, 3.5, 5.0, 7.0, 3 / 32, 3 / 64, 1 / 64])
+_BESSEL_HALF = np.array([0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1 / 32, 1 / 64, 1 / 64])
+# A(s)/s on [0, 8] and A(s) = I1(s)/I0(s) above: A and A/s within 2.2e-16 and
+# 1.9e-16 of themselves over [1e-6, 1e6]
+_BESSEL_RATIO = np.array([
+    [0.4849992251616039, -0.02880451242504688, -0.012106751912442534, 0.0021065231398709754,
+     0.0003060467862009952, -0.00011174702622219047, -3.2917094978103986e-06,
+     4.8943948458042865e-06, -2.70064897499794e-07, -1.8034625756349526e-07,
+     2.6141838191653375e-08, 5.307438933123975e-09, -1.5223212977824898e-09,
+     -9.549799227343287e-11, 7.017810354915503e-11, -8.638377493765377e-13,
+     -2.3947877671987293e-12],
+    [0.3974221592208605, -0.05007305229373522, 0.00047553840794133654, 0.0013133637072100857,
+     -0.0002655291183821051, 9.84731675795592e-06, 6.404253701125267e-06,
+     -1.509243864029212e-06, 8.298978344162274e-08, 3.150136762400617e-08,
+     -8.469822341692075e-09, 6.013343328623741e-10, 1.513993630512849e-10,
+     -4.7136564273571885e-11, 4.0299037751229145e-12, 8.005501005593888e-13,
+     -2.4194466856660965e-13],
+    [0.30599869903552396, -0.03944348437850106, 0.003511312992253693, -1.7344757620683093e-05,
+     -6.713161457164392e-05, 1.4672432023521173e-05, -1.6932155966957048e-06,
+     4.75421618869223e-08, 2.5515949284799193e-08, -6.308076644163007e-09,
+     7.803376715798399e-10, -3.093690678853069e-11, -9.793948818946662e-12,
+     2.6858847116726103e-12, -3.539335032423745e-13, 1.275712334193564e-14,
+     4.355668976543856e-15],
+    [0.2403153705859533, -0.026869476940748774, 0.002619885263582709, -0.0001898408581851723,
+     3.07514466140595e-06, 2.034689924731299e-06, -4.501735694727678e-07,
+     6.027949704728065e-08, -5.4841732988601785e-09, 2.2449598193292883e-10,
+     3.2966857011247425e-11, -9.528490943384283e-12, 1.3908414722989518e-12,
+     -1.3785540515260994e-13, 7.445753784771894e-15, 6.019727218376715e-16,
+     -2.0850144269014422e-16],
+    [0.17867662740881704, -0.03109733687447296, 0.005185700250786024, -0.0008030048865395323,
+     0.00010815151851271049, -1.0453886532801921e-05, -8.019863956151925e-08,
+     3.818116523181605e-07, -1.2522245179386453e-07, 2.871308051489074e-08,
+     -5.273107538468041e-09, 7.744559579751829e-10, -7.904462655201358e-11,
+     6.455106327545005e-13, 2.4034505861191227e-12, -9.482252009767248e-13,
+     2.0271857964642893e-13],
+    [0.13221888725630745, -0.017292521104303696, 0.0022284913772110965,
+     -0.00028117901146936696, 3.435731578259814e-05, -3.9865016592439405e-06,
+     4.22687110814277e-07, -3.7322202732619244e-08, 1.8403438012460533e-09,
+     2.3391703765219466e-10, -9.797423865068275e-11, 2.1331255351703735e-11,
+     -3.706544096253952e-12, 5.580305353959583e-13, -7.459896899408514e-14,
+     9.022931602700223e-15, -8.660538965954438e-16],
+    [0.9519043064175391, -0.01648768958968738, -0.0001718666169187612, -8.319705522661725e-06,
+     -8.009479346689322e-07, -1.2470351259787456e-07, -1.649353658035522e-08,
+     2.871355766345751e-09, 2.2863225368976167e-09, 2.0272231409507123e-10,
+     -1.8244037095342754e-10, -2.6204402995450548e-11, 1.7397812760397252e-11,
+     1.4828481885757303e-12, -1.7518188420985232e-12, 5.451035060309863e-15,
+     1.2203564471720013e-13],
+    [0.9762739192415744, -0.008009917470201132, -3.556328285992109e-05, -6.616807013784904e-07,
+     -2.0422387228332015e-08, -8.992819267374083e-10, -5.3310423712594e-11,
+     -4.166199270812594e-12, -4.3203005118036286e-13, -6.088807748041047e-14,
+     -1.1231424048848243e-14, -2.1413296496627845e-15, -1.7751609957671561e-16,
+     1.2513116642501282e-16, 6.230925727392578e-17, 3.782034397269252e-18,
+     -3.2279811159530722e-18],
+    [0.9921564935488112, -0.007875014222565941, -3.20219676260639e-05, -5.275198875867756e-07,
+     -1.3790840578441372e-08, -4.878686967187916e-10, -2.1775172155198825e-11,
+     -1.1786318734031576e-12, -7.540089049057078e-14, -5.597742796350517e-15,
+     -4.756675730259207e-16, -4.577129034546469e-17, -4.9443648251247335e-18,
+     -5.923681173116165e-19, -7.877716671218538e-20, -1.3283350541555611e-20,
+     -2.2271541888813012e-21],
+]).T
+# log I0(s)/s^2 on [0, 8] and log(e^-s I0(s) sqrt(2 pi s)) above, which tends to
+# 0 as 1/(8s): log I0 within 2.9e-16 of itself over [1e-6, 1e6]
+_LOG_I0 = np.array([
+    [0.24619887674192523, -0.0073985283222465425, -0.003304463729153604, 0.0003703676680574213,
+     6.36711998955218e-05, -1.519608263620895e-05, -8.957412912243147e-07,
+     5.534601300549378e-07, -1.0843304586348924e-08, -1.7959131959801975e-08,
+     1.720449266269358e-09, 4.997475940159594e-10, -9.914194626094919e-11,
+     -1.0409413146740005e-11, 4.3533788306227985e-12, 7.837882219153543e-14,
+     -1.4269769186189648e-13],
+    [0.22168327454027387, -0.015314796619895758, -0.0006881104056746557,
+     0.00035866444784888495, -3.9996544336203365e-05, -1.7033234910005307e-06,
+     1.209476733120845e-06, -1.5578857917897343e-07, -4.46444407440589e-09,
+     4.727193316445869e-09, -6.832580625819134e-10, -8.203480707756273e-12,
+     1.9665430614686738e-11, -3.1777004756219796e-12, 1.3005500448768762e-14,
+     8.512928316933954e-14, -1.3574733063740026e-14],
+    [0.1905341873913645, -0.015013935149441, 0.0005598321069821943, 8.479897095499339e-05,
+     -2.206698061978189e-05, 2.610810765896019e-06, -1.201081112632677e-07,
+     -2.0924305991327644e-08, 5.8965229144812325e-09, -7.433170343268669e-10,
+     3.7368173581812575e-11, 6.034342099105116e-12, -1.8230073441094425e-12,
+     2.4257415111433266e-13, -1.3640274980187079e-14, -2.153502982369106e-15,
+     6.245537597087582e-16],
+    [0.16314532013133667, -0.012282181382388577, 0.0007126476576012112,
+     -1.0985969848673108e-05, -4.818250319350254e-06, 9.138470450712612e-07,
+     -1.0386284263722694e-07, 7.769983096782998e-09, -1.723276936554599e-10,
+     -5.969677563653918e-11, 1.2588008139618954e-11, -1.5336114109851966e-12,
+     1.2390926440862566e-13, -3.795243536581721e-15, -8.252030448161832e-16,
+     2.0594402638350055e-16, -2.602963968184847e-17],
+    [0.13218727103290134, -0.017139582931397127, 0.002032141191971841, -0.0001961909678067725,
+     8.897497624730562e-06, 2.1906613108037814e-06, -8.596171903933574e-07,
+     1.941925380809161e-07, -3.414802931863696e-08, 4.805734642367815e-09,
+     -4.830009531354071e-10, 9.498203636853823e-12, 1.0850768583716463e-11,
+     -3.5433167358686666e-12, 7.678185655704268e-13, -1.3737989182249757e-13,
+     1.751170514598103e-14],
+    [0.1046427125527112, -0.01100950540701642, 0.0011239996511961119, -0.00010797653464635029,
+     9.239416491513777e-06, -6.022623761818866e-07, 5.460356524158116e-09,
+     7.734780766903856e-09, -1.9095576706811914e-09, 3.323162694741505e-10,
+     -4.8879459012134366e-11, 6.345051189225432e-12, -7.280252427811238e-13,
+     7.141707619730168e-14, -5.2391184469201215e-15, 5.334631490696679e-18,
+     8.028278130193689e-17],
+    [0.012331601981584435, 0.004340243848749931, 8.69224320831438e-05, 4.3118039872957756e-06,
+     4.103677995826582e-07, 6.32465479362363e-08, 8.3637921011367e-09, -1.421193619608945e-09,
+     -1.144109197077533e-09, -1.0247575156138154e-10, 9.109284403931802e-11,
+     1.3168018604902562e-11, -8.687404799473363e-12, -7.465675485361521e-13,
+     8.752852986405342e-13, -2.3722448757094325e-15, -6.100834945091956e-14],
+    [0.006003954067356118, 0.0020521298376930406, 1.788550370634315e-05,
+     3.4423040243673605e-07, 1.0566950879862123e-08, 4.607723151623685e-10,
+     2.7093895316224605e-11, 2.1051642243788406e-12, 2.1745035916764677e-13,
+     3.056793629562248e-14, 5.630438333089341e-15, 1.0730248753759783e-15,
+     8.916524976161462e-17, -6.253327725736436e-17, -3.1172227811383844e-17,
+     -1.898212452099864e-18, 1.6133532297745448e-18],
+    [0.0019686383987243556, 0.0019844128760834606, 1.6042246026640693e-05,
+     2.7468929268876453e-07, 7.161249034915644e-09, 2.511853349257384e-10,
+     1.1124516847798108e-11, 5.985915904917155e-13, 3.8132064935580885e-14,
+     2.8225339978760762e-15, 2.3934862760934365e-16, 2.299787252008527e-17,
+     2.4817171807309175e-18, 2.9710275902353174e-19, 3.948843997329527e-20,
+     6.65503610600395e-21, 1.1154378081203234e-21],
+]).T
+
+
+def _bessel_fit(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """table's polynomial on each cell's interval at s >= 0 (any shape; NaN stays NaN)."""
+    s = np.asarray(s, dtype=float)
+    k = np.clip(np.searchsorted(_BESSEL_CUTS, s, side="right") - 1, 0, len(_BESSEL_CUTS) - 1)
+    v = np.where(s < _BESSEL_HEAD, s, 1.0 / np.maximum(s, _BESSEL_HEAD))
+    t = (v - _BESSEL_CENTRE[k]) / _BESSEL_HALF[k]
+    c = table[:, k]
+    out = c[-1]
+    for ck in c[-2::-1]:
+        out = out * t + ck
+    return out
+
+
 def _bessel_ratio(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A(s) = I1(s)/I0(s) = d/ds log I0(s), and A(s)/s with its limit 1/2 at s = 0."""
-    a = i1e(s) / i0e(s)
-    return a, np.where(s > S1_SMALL, a / np.maximum(s, S1_SMALL), 0.5)
+    fit = _bessel_fit(_BESSEL_RATIO, s)
+    head = s < _BESSEL_HEAD
+    return np.where(head, s * fit, fit), np.where(head, fit, fit / np.maximum(s, _BESSEL_HEAD))
+
+
+def _log_i0(s: np.ndarray) -> np.ndarray:
+    """log I0(s) for s >= 0."""
+    fit = _bessel_fit(_LOG_I0, s)
+    tail = s - 0.5 * np.log(2.0 * np.pi * np.maximum(s, _BESSEL_HEAD))
+    return np.where(s < _BESSEL_HEAD, s * s * fit, tail + fit)
 
 
 # s1: |b| > B_CAP exactly when |u| = A(|b|) > A(B_CAP), since A increases
@@ -244,8 +392,7 @@ def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
     sum runs over the folded nodes in b's eigenframe.
     """
     if model.name == "s1":
-        s = np.linalg.norm(b, axis=-1)
-        return np.log(i0e(s)) + s
+        return _log_i0(np.linalg.norm(b, axis=-1))
     if model.fold is not None:
         return _folded_average(model.fold, _eigenframe(b)[0])[0].reshape(np.shape(b)[:-1])
     e, amax = _shifted_exp(model, b)
@@ -296,17 +443,17 @@ def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
 
 
 def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
-    """Lambda(u): the dual variable b with grad lnZ(b) = u, by Newton's method.
+    """Lambda(u): the dual variable b with grad lnZ(b) = u, by Newton's or Halley's method.
 
     Batched over leading axes.  A cell stops updating once its residual
-    |lambda_inverse(b) - u| is within DUAL_TOL, so each cell follows the Newton
+    |lambda_inverse(b) - u| is within DUAL_TOL, so each cell follows the
     sequence of a one-cell call.  Raises OutsideMomentDomain if |u| >=
     sigma_max, if the iteration does not converge in DUAL_MAX_ITER steps, or if
     |b| exceeds B_CAP anywhere, which is the finite-precision image of psi_s
     blowing up towards the boundary of the moment set.
 
-    On s1, b = s u/|u| with A(s) = |u|, by a 1-D Newton per cell (_s1_dual_map);
-    b0 is ignored.  With an octant fold b shares u's eigenframe, and the damped
+    On s1, b = s u/|u| with A(s) = |u|, by a 1-D Halley iteration per cell
+    (_s1_dual_map); b0 is ignored.  With an octant fold b shares u's eigenframe, and the damped
     Newton below runs on b's two diagonal coordinates there (_folded_dual_map).
     Elsewhere a damped Newton on b starts from b0 (zero by default), and each
     step takes one exponential: the tilted density of the live cells gives both
@@ -376,15 +523,22 @@ def _folded_dual_map(fold: OctantFold, u: np.ndarray, b0: np.ndarray | None) -> 
 
 
 def _s1_dual_map(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """s1 dual map b = s u/r with A(s) = r = |u|, one 1-D Newton per cell.
+    """s1 dual map b = s u/r with A(s) = r = |u|, one 1-D Halley iteration per cell.
 
-    The start s = r (2 - r^2)/(1 - r^2) lies at most about 7 % above the root.
-    A is concave and increasing on s >= 0, so a Newton step lands at or left
-    of the root, and from there the iterates rise monotonically to it,
-    undamped.  |A(s) - r| is the vector residual
-    |lambda_inverse(b) - u|.  The B_CAP test runs before the loop on r, through
-    its image A(B_CAP); that also keeps the start away from r -> 1, where A'
-    vanishes in floating point.
+    Halley's step on f = A - r is Newton's step -f/A' divided by 1 - L, L =
+    f A''/(2 A'^2), and costs no Bessel evaluation beyond Newton's: the Riccati
+    identity A' = 1 - A/s - A^2 gives A'' = A/s^2 - A'/s - 2 A A'.  The start s
+    = r (2 - r^2)/(1 - r^2) lies at most about 7 % above the root.  A is
+    concave and increasing on s >= 0, so there f > 0 > A'' and L < 0: the
+    first step has Newton's sign and is shorter than Newton's, which lands at
+    or left of the root.  On a grid of 2,400 r over (0, S1_R_CAP], L of the
+    first step stayed in (-0.075, 0) and that step landed within 2.4e-5 of
+    the root (relative, on either side), from where the convergence is cubic:
+    the second step is within 2e-14, so most cells take 3 evaluations (Newton
+    took 5 at r = 0.83).  The loop stops on the same residual as before.
+    |A(s) - r| is the vector residual |lambda_inverse(b) - u|.  The B_CAP test
+    runs before the loop on r, through its image A(B_CAP); that also keeps the
+    start away from r -> 1, where A' vanishes in floating point.
     """
     if np.any(r > S1_R_CAP):
         raise OutsideMomentDomain("dual variable exceeded cap; u near/outside boundary")
@@ -399,8 +553,11 @@ def _s1_dual_map(u: np.ndarray, r: np.ndarray) -> np.ndarray:
             scale = np.divide(s, r, out=np.zeros_like(s), where=r > 0.0)
             return u * scale.reshape(u.shape[:-1] + (1,))
         live[live] = keep
-        s[live] -= res[keep] / (1.0 - q[keep] - a[keep] ** 2)
-    raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
+        a, q, res, sk = a[keep], q[keep], res[keep], s[live]
+        d1 = 1.0 - q - a * a
+        d2 = (2.0 * q + a * a - 1.0) / sk - 2.0 * a * d1  # A/s^2 - A'/s - 2 A A'
+        s[live] = sk - res / (d1 - 0.5 * res * d2 / d1)
+    raise OutsideMomentDomain("Halley did not converge; u near/outside boundary")
 
 
 def psi_s(model: MicroModel, u: np.ndarray) -> np.ndarray:

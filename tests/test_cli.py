@@ -258,10 +258,13 @@ def test_minimize_s2_default_boundary_on_the_readme_config(tmp_path):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
+    # the package runs on numpy alone: no scipy module after importing the CLI and
+    # every other nllc module
     src = str(Path(cli.__file__).resolve().parents[1])
-    # the package's scipy is fft and sparse; the subpackages below serve it nothing
-    heavy = ("scipy.signal", "scipy.optimize", "scipy.ndimage", "scipy.linalg", "scipy.spatial")
-    code = f"import sys, nllc.cli; sys.exit(' '.join(m for m in {heavy!r} if m in sys.modules) or None)"
+    mods = ("nllc.cli", "nllc.analysis", "nllc.errors", "nllc.field", "nllc.kernel",
+            "nllc.limit", "nllc.potential", "nllc.solver")
+    code = (f"import sys, importlib; [importlib.import_module(m) for m in {mods!r}]; "
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -311,6 +314,47 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
     assert cli.main(["minimize", ini, "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, names", [
+    ("tol = 1e-7", "tolerance = 0", ["[solver] tolerance"]),
+    ("seed = 0", "seed = 0\ndescent_step = 5.0", ["[solver] descent_step"]),
+    ("k = 1.3", "k = 1.3\nwidht = 0.7", ["[kernel] widht"]),
+    ("[probe]", "[probes]", ["[probes]"]),
+    ("[probe]", "[extra]\n\n[probe]", ["[extra]"]),
+    ("seed = 0", "seed = 0\nstep = 1\n\n[extra]\nx = 1", ["[solver] step", "[extra]"]),
+], ids=["misspelt-key", "dropped-key", "kernel-key", "misspelt-section", "empty-section",
+        "two-unknowns"])
+def test_unknown_config_key_exit_2(tmp_path, capsys, old, new, names):
+    # a misspelt or dropped key used to be ignored: tolerance = 0 solved at tol 1e-8
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["kernel-report", ini, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown section or key" in err and all(name in err for name in names)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, names", [
+    ("rho2 = 1.0", "rho2 = 1.0\nwidth = 0.7", ["[kernel] width"]),
+    ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian\nf2 = 0.3",
+     ["[kernel] f2"]),
+    ("preset = annulus", "preset = zero", ["[kernel] k", "[kernel] rho1", "[kernel] rho2"]),
+], ids=["annulus-width", "gaussian-f2", "zero-annulus-keys"])
+def test_kernel_key_of_another_preset_exit_2(tmp_path, capsys, old, new, names):
+    # a key the preset does not read raised a raw TypeError (annulus) or was dropped
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
+    assert cli.main(["kernel-report", ini, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "not a parameter of the" in err and all(name in err for name in names)
+
+
+def test_benchmark_cli_config_loads(tmp_path):
+    # the config of the benchmark's cli_suite workload holds only keys the CLI reads
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    text = re.search(r'CLI_CONFIG = """\\\n(.*?)"""', source, re.S).group(1)
+    cfg = cli.load_config(write_ini(tmp_path / "exp.ini", text.format(seed=7)), "minimize")
+    assert cfg.seed == 7 and cfg.ball_radius == 0.6
 
 
 def test_gamma_check_probe_ball_without_omega_cells_exit_2(tmp_path, capsys):

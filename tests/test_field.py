@@ -411,3 +411,54 @@ def test_lattice_energies_are_frame_indifferent(case, make_domain, perm, signs, 
     for energy in (fld.energy_primal, fld.energy_oscillation):
         assert energy(moved, sampled, bulk).total == pytest.approx(
             energy(f, sampled, bulk).total, rel=1e-12)
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    lengths = [k for k in range(1, 1025) if smooth(k)]
+    for n in range(1, 513):
+        assert fld.fast_len(n) == min(k for k in lengths if k >= n)
+
+
+def direct_stencil(stencil, u):
+    """sum_z stencil(z) u(x - z) over the offsets shorter than the box, one at a time."""
+    S, n = len(stencil) // 2, u.shape[:3]
+    out = np.zeros_like(u)
+    for idx in np.ndindex(stencil.shape):
+        z = [i - S for i in idx]
+        if all(abs(d) < k for d, k in zip(z, n)):
+            lo = tuple(slice(max(0, -d), k - max(0, d)) for d, k in zip(z, n))
+            hi = tuple(slice(max(0, d), k - max(0, -d)) for d, k in zip(z, n))
+            out[hi] += stencil[idx] * u[lo]
+    return out
+
+
+@pytest.mark.parametrize("tight", [True, False], ids=["S<k-1", "S>=k-1"])
+@settings(max_examples=10, deadline=None)
+@given(case=st.sampled_from(sorted(SPLIT_CASES)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_fft_lengths_wrap_no_source_into_the_box(tight, case, data, seed):
+    # each axis transforms on fast_len(k + min(S, k - 1)): the FFT paths match the
+    # sums over stencil offsets on boxes longer and shorter than the stencil
+    _, sampled, _ = split_case(case)
+    S, m, h = sampled.radius_cells, sampled.m, sampled.h
+    n = tuple(data.draw(st.integers(S + 2, 3 * S) if tight else st.integers(1, S + 1))
+              for _ in range(3))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n + (m,))
+    scale = np.abs(sampled.values).sum() * h**3  # bounds |K_eps * u| for |u| <= 1
+    direct = fld.convolve(sampled, u, h, method="direct")
+    assert np.abs(fld.convolve(sampled, u, h) - direct).max() <= 1e-13 * scale * np.abs(u).max()
+    mask = rng.random(n) < 0.6
+    columns = [fld.convolve(sampled, mask[..., None] * np.eye(m)[b], h, method="direct")
+               for b in range(m)]
+    assert np.abs(fld.convolve_mask(sampled, mask, h) - np.stack(columns, axis=-1)).max() <= 1e-13 * scale
+    stencil = sampled.values[..., 0, 0]
+    ref = direct_stencil(stencil, u)
+    got = fld.convolve_stencil(stencil, u)
+    assert got.shape == u.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(stencil).sum() * np.abs(u).max()

@@ -41,6 +41,30 @@ def test_gaussian_strength_normalises_intg():
     assert moments.intG == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("f2, f3, crossing", [(0.3, -0.2, np.sqrt(1.5)), (-0.3, 0.2, np.sqrt(0.375))],
+                         ids=["f2>0>f3", "f2<0<f3"])
+def test_split_nematic_moments_converge(f2, f3, crossing):
+    # g = lambda_min(K) changes eigenvalue branch at the crossing radius; without a
+    # breakpoint there the g moments raised QuadratureUnderresolved
+    from scipy.integrate import quad
+
+    spec = kernel.kernel_preset("gaussian-nematic", 5, {"strength": 8.0, "width": 0.75, "cut": 2.5,
+                                                        "f2": f2, "f3": f3})
+    moments = kernel.compute_moments(spec)
+    assert kernel._branch_crossing(spec) == [pytest.approx(crossing, rel=1e-15)]
+    # K is diagonal on the ray; its smallest entry changes place at the crossing
+    branches = np.diagonal(kernel.evaluate_kernel(spec, kernel._ray(crossing * np.array([0.99, 1.01]))),
+                           axis1=1, axis2=2)
+    assert np.argmin(branches[0]) != np.argmin(branches[1])
+
+    def g_moment(p):
+        return quad(lambda r: 4 * np.pi * r ** (2 + p) * kernel.min_eigen_g(spec, kernel._ray(r)),
+                    0, 2.5 * 0.75, points=[crossing], epsabs=0, epsrel=1e-12, limit=200)[0]
+
+    assert moments.intG == pytest.approx(g_moment(0), rel=1e-9)
+    assert moments.m2 == pytest.approx(g_moment(2), rel=1e-9)
+
+
 def test_kernel_evenness():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((64, 3))

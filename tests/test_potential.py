@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -367,6 +369,45 @@ def test_s1_closed_form_at_the_origin():
     assert np.array_equal(potential.covariance(S1, zero), 0.5 * np.eye(2))
     assert np.array_equal(potential.dual_map(S1, zero), zero)
     assert np.array_equal(potential.dual_map(S1, np.zeros((3, 1, 2))), np.zeros((3, 1, 2)))
+
+
+def test_s1_bessel_fits_match_scipy_special():
+    # the fitted A = I1/I0, A/s and log I0 on a dense grid; log I0 below s = 2 from
+    # its power series, where log(i0e(s)) + s cancels
+    from scipy.special import i0e, i1e
+
+    s = np.geomspace(1e-6, 1e5, 20001)
+    a, q = potential._bessel_ratio(s)
+    ref = i1e(s) / i0e(s)
+    assert np.max(np.abs(a / ref - 1.0)) <= 1e-14
+    assert np.max(np.abs(q * s / ref - 1.0)) <= 1e-14
+    small = s < 2.0
+    x = (s[small] / 2.0) ** 2
+    ref = np.log(i0e(s)) + s
+    ref[small] = np.log1p(sum(x**k / math.factorial(k) ** 2 for k in range(1, 30)))
+    log_i0 = potential.log_partition(S1, np.stack([s, np.zeros_like(s)], axis=-1))
+    assert np.max(np.abs(log_i0 / ref - 1.0)) <= 1e-14
+
+
+def test_s1_dual_map_matches_brentq(monkeypatch):
+    # Halley's iteration stops on the residual |A(s) - r| <= DUAL_TOL, so it lands
+    # within DUAL_TOL / A' of the root, over the whole of (0, S1_R_CAP]
+    from scipy.special import i0e, i1e
+
+    r = np.concatenate([np.geomspace(1e-9, 0.5, 60), np.linspace(0.5, potential.S1_R_CAP, 300)])
+    b = potential.dual_map(S1, np.stack([r, np.zeros_like(r)], axis=-1))
+    root = np.array([brentq(lambda s: i1e(s) / i0e(s) - ri, 0.0, potential.B_CAP + 1.0,
+                            xtol=1e-300, rtol=1e-15) for ri in r])
+    a = i1e(root) / i0e(root)
+    slope = 1.0 - a / root - a * a
+    assert np.all(np.abs(b[:, 0] - root) <= potential.DUAL_TOL / slope + 4e-15 * root)
+    assert np.all(b[:, 1] == 0.0)
+    # near the vacuum radius, two steps and the check that ends the loop
+    calls = []
+    ratio = potential._bessel_ratio
+    monkeypatch.setattr(potential, "_bessel_ratio", lambda s: calls.append(s) or ratio(s))
+    potential.dual_map(S1, np.array([0.83, 0.0]))
+    assert len(calls) == 3
 
 
 def _unit(model, seed):
