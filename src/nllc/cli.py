@@ -23,30 +23,17 @@ from . import analysis, field as field_mod, kernel as kernel_mod, limit as limit
 from . import potential as potential_mod, solver as solver_mod
 from .errors import ConfigError, NllcError
 
-SUBCOMMANDS = (
-    "kernel-report",
-    "potential-report",
-    "minimize",
-    "eps-sweep",
-    "limit-solve",
-    "gamma-check",
-    "holder-probe",
-)
+def _preset_keys(table):
+    """A preset section's keys: preset, then every parameter of the table's presets."""
+    return ("preset",) + tuple(dict.fromkeys(key for params in table.values() for key in params))
 
-# the [kernel] keys each preset of kernel.kernel_preset reads
-_PRESET_KEYS = {
-    "zero": (),
-    "annulus": ("k", "rho1", "rho2", "q", "tau"),
-    "gaussian": ("strength", "width", "cut", "q", "tau"),
-    "gaussian-nematic": ("strength", "width", "cut", "f2", "f3", "q", "tau"),
-    "inverse6": ("amplitude", "r_on", "r_full", "q", "tau"),
-}
+
 # every [section] and key that load_config reads; a config may hold nothing else
 CONFIG_KEYS = {
-    "kernel": ("preset",) + tuple(dict.fromkeys(k for keys in _PRESET_KEYS.values() for k in keys)),
+    "kernel": _preset_keys(kernel_mod.PRESETS),
     "model": ("name",),
     "domain": ("n", "h", "omega_radius", "layer"),
-    "boundary": ("preset", "slope", "winding"),
+    "boundary": _preset_keys(field_mod.BOUNDARY_PRESETS),
     "sweep": ("eps",),
     "solver": ("alpha", "tol", "max_iter", "seed"),
     "output": ("dir",),
@@ -58,8 +45,8 @@ CONFIG_KEYS = {
 class ExperimentConfig:
     subcommand: str
     kernel_preset: str
-    kernel_params: dict
-    model: str  # "s1" | "s2"
+    spec: kernel_mod.KernelSpec
+    model: potential_mod.MicroModel
     n: int
     h: float
     omega_radius: float | None
@@ -72,9 +59,12 @@ class ExperimentConfig:
     seed: int
     ball_radius: float | None  # probe ball for gamma/holder pipelines
 
-    @property
-    def m(self) -> int:
-        return 2 if self.model == "s1" else 5
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _get(parser, section, key, cast, default=None, required=False):
@@ -87,6 +77,20 @@ def _get(parser, section, key, cast, default=None, required=False):
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}", f"cannot parse {raw!r}: {exc}") from exc
+
+
+def _preset(parser, section, table, default=None):
+    """(name, params) of [section]: its preset, one of table, and the finite
+    values of its other keys, each of which that preset must read."""
+    name = _get(parser, section, "preset", str, default=default, required=default is None)
+    if name not in table:
+        raise ConfigError(f"[{section}] preset", f"unknown preset {name!r}")
+    keys = parser.options(section) if parser.has_section(section) else []
+    keys = [key for key in keys if key != "preset"]
+    other = [f"[{section}] {key}" for key in keys if key not in table[name]]
+    if other:
+        raise ConfigError(", ".join(other), f"not a parameter of the {name} preset")
+    return name, {key: _get(parser, section, key, _finite) for key in keys}
 
 
 def load_config(path, subcommand: str) -> ExperimentConfig:
@@ -103,38 +107,28 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     if unknown:
         raise ConfigError(", ".join(unknown), "unknown section or key")
 
-    preset = _get(parser, "kernel", "preset", str, required=True)
-    if preset not in _PRESET_KEYS:
-        raise ConfigError("[kernel] preset", f"unknown preset {preset!r}")
-    keys = [key for key in parser.options("kernel") if key != "preset"]
-    other = [f"[kernel] {key}" for key in keys if key not in _PRESET_KEYS[preset]]
-    if other:
-        raise ConfigError(", ".join(other), f"not a parameter of the {preset} preset")
-    params = {key: _get(parser, "kernel", key, float) for key in keys}
-
-    model = _get(parser, "model", "name", str, default="s1")
-    if model not in ("s1", "s2"):
-        raise ConfigError("[model] name", f"unknown micro-model {model!r}")
+    preset, params = _preset(parser, "kernel", kernel_mod.PRESETS)
+    name = _get(parser, "model", "name", str, default="s1")
+    if name not in potential_mod.MODELS:
+        raise ConfigError("[model] name", f"unknown micro-model {name!r}")
+    model = potential_mod.MODELS[name]()
+    try:
+        spec = kernel_mod.kernel_preset(preset, model.m, params)
+    except ValueError as exc:
+        raise ConfigError("[kernel]", str(exc)) from exc
 
     n = _get(parser, "domain", "n", int, required=True)
-    h = _get(parser, "domain", "h", float, required=True)
-    if n < 4 or not 0 < h < np.inf:
+    h = _get(parser, "domain", "h", _finite, required=True)
+    if n < 4 or h <= 0:
         raise ConfigError("[domain] n/h", "need n >= 4 and a finite h > 0")
-    omega_radius = _get(parser, "domain", "omega_radius", float)
-    if omega_radius is not None and not 0 < omega_radius < np.inf:
+    omega_radius = _get(parser, "domain", "omega_radius", _finite)
+    if omega_radius is not None and omega_radius <= 0:
         raise ConfigError("[domain] omega_radius", "need a finite omega_radius > 0")
     layer = _get(parser, "domain", "layer", float, default=float("inf"))
     if not layer >= 0:  # NaN fails too; inf prescribes everything outside Omega
         raise ConfigError("[domain] layer", "need a layer thickness >= 0")
 
-    boundary = _get(parser, "boundary", "preset", str, default="constant")
-    if boundary not in ("constant", "smooth-angle", "vortex"):
-        raise ConfigError("[boundary] preset", f"unknown preset {boundary!r}")
-    bparams = {}
-    for key in ("slope", "winding"):
-        val = _get(parser, "boundary", key, float)
-        if val is not None:
-            bparams[key] = val
+    boundary, bparams = _preset(parser, "boundary", field_mod.BOUNDARY_PRESETS, default="constant")
 
     eps_raw = _get(parser, "sweep", "eps", str, required=True)
     try:
@@ -149,8 +143,8 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     seed = _get(parser, "solver", "seed", int, default=0)
     try:
         solver_cfg = solver_mod.SolverConfig(
-            alpha=_get(parser, "solver", "alpha", float, default=0.5),
-            tol=_get(parser, "solver", "tol", float, default=1e-8),
+            alpha=_get(parser, "solver", "alpha", _finite, default=0.5),
+            tol=_get(parser, "solver", "tol", _finite, default=1e-8),
             max_iter=_get(parser, "solver", "max_iter", int, default=2000),
             seed=seed,
         )
@@ -158,12 +152,12 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
         raise ConfigError("[solver]", str(exc)) from exc
 
     out_dir = Path(_get(parser, "output", "dir", str, default="out"))
-    ball_radius = _get(parser, "probe", "ball_radius", float)
+    ball_radius = _get(parser, "probe", "ball_radius", _finite)
 
     return ExperimentConfig(
         subcommand=subcommand,
         kernel_preset=preset,
-        kernel_params=params,
+        spec=spec,
         model=model,
         n=n,
         h=h,
@@ -183,17 +177,12 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
 # shared pipeline pieces
 
 
-def _spec(cfg: ExperimentConfig):
-    return kernel_mod.kernel_preset(cfg.kernel_preset, cfg.m, cfg.kernel_params)
-
-
-def _sampled_ladder(cfg: ExperimentConfig, spec):
+def _sampled_ladder(cfg: ExperimentConfig):
     """One (eps, sampled kernel, bulk potential) per eps, all on the common grid."""
-    model = potential_mod.make_s1_model() if cfg.model == "s1" else potential_mod.make_s2_model()
     out = []
     for eps in cfg.eps_list:
-        sk = kernel_mod.sample_on_lattice(spec, eps, cfg.h)
-        bulk = potential_mod.make_bulk_potential(model, sk.intK_disc)
+        sk = kernel_mod.sample_on_lattice(cfg.spec, eps, cfg.h)
+        bulk = potential_mod.make_bulk_potential(cfg.model, sk.intK_disc)
         out.append((eps, sk, bulk))
     return out
 
@@ -214,15 +203,14 @@ def _domain(cfg: ExperimentConfig, max_stencil: int):
 
 
 def _setup(cfg: ExperimentConfig):
-    """(spec, ladder, dom): the kernel, its eps ladder and the domain padded for the
+    """(ladder, dom): the kernel's eps ladder and the domain padded for the
     widest stencil of the ladder."""
-    spec = _spec(cfg)
-    ladder = _sampled_ladder(cfg, spec)
-    return spec, ladder, _domain(cfg, max(sk.radius_cells for _, sk, _ in ladder))
+    ladder = _sampled_ladder(cfg)
+    return ladder, _domain(cfg, max(sk.radius_cells for _, sk, _ in ladder))
 
 
 def _boundary_field(cfg: ExperimentConfig, dom, s0, eps):
-    bd = field_mod.boundary_values(cfg.boundary, dom, s0, cfg.m, **cfg.boundary_params)
+    bd = field_mod.boundary_values(cfg.boundary, dom, s0, cfg.model.m, **cfg.boundary_params)
     return field_mod.make_field(dom, eps, bd)
 
 
@@ -251,10 +239,9 @@ def _solve(cfg, init, sk, bulk):
 
 
 def _run_kernel_report(cfg: ExperimentConfig) -> None:
-    spec = _spec(cfg)
-    report = kernel_mod.check_assumptions(spec)
-    tensor = kernel_mod.elastic_tensor(spec)
-    bounds = kernel_mod.ellipticity_bounds(spec, tensor, report)
+    report = kernel_mod.check_assumptions(cfg.spec)
+    tensor = kernel_mod.elastic_tensor(cfg.spec)
+    bounds = kernel_mod.ellipticity_bounds(cfg.spec, tensor, report)
     rows = [
         ("preset", cfg.kernel_preset),
         ("assumptions_passed", report.all_pass()),
@@ -275,11 +262,11 @@ def _run_kernel_report(cfg: ExperimentConfig) -> None:
 
 
 def _run_potential_report(cfg: ExperimentConfig) -> None:
-    _, sk, bulk = _sampled_ladder(cfg, _spec(cfg))[0]
+    _, sk, bulk = _sampled_ladder(cfg)[0]
     model = bulk.model
     diag = potential_mod.hessian_diagnostics(model)
     rows = [
-        ("model", cfg.model),
+        ("model", cfg.model.name),
         ("sigma_max", model.sigma_max),
         ("s0", bulk.manifold.s0),
         ("c0", bulk.c0),
@@ -295,7 +282,7 @@ def _run_potential_report(cfg: ExperimentConfig) -> None:
 
 
 def _run_minimize(cfg: ExperimentConfig) -> None:
-    _, ladder, dom = _setup(cfg)
+    ladder, dom = _setup(cfg)
     eps, sk, bulk = ladder[0]
     init = _boundary_field(cfg, dom, bulk.manifold.s0, eps)
     best, log = solver_mod.minimize_multistart(init, sk, bulk, cfg.solver)
@@ -312,16 +299,17 @@ def _run_minimize(cfg: ExperimentConfig) -> None:
     _write_kv(cfg.out_dir / "minimize_report.txt", rows)
 
 
-def _limit_reference(cfg: ExperimentConfig, dom, s0, spec):
-    boundary = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model, **cfg.boundary_params)
-    tensor = kernel_mod.elastic_tensor(spec)
+def _limit_reference(cfg: ExperimentConfig, dom, s0):
+    boundary = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model.name,
+                                        **cfg.boundary_params)
+    tensor = kernel_mod.elastic_tensor(cfg.spec)
     return tensor, solver_mod.result_of(limit_mod.harmonic_minimize, boundary, tensor,
                                         tol=1e-5, max_iter=4000)
 
 
 def _run_eps_sweep(cfg: ExperimentConfig) -> None:
-    spec, ladder, dom = _setup(cfg)
-    _, limit_res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0, spec)
+    ladder, dom = _setup(cfg)
+    _, limit_res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0)
     _write_kv(
         cfg.out_dir / "limit_reference.txt",
         [
@@ -361,8 +349,8 @@ def _run_eps_sweep(cfg: ExperimentConfig) -> None:
 
 
 def _run_limit_solve(cfg: ExperimentConfig) -> None:
-    spec, ladder, dom = _setup(cfg)
-    tensor, res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0, spec)
+    ladder, dom = _setup(cfg)
+    tensor, res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0)
     field_mod.write_nllc1(cfg.out_dir / "limit.nllc1", res.mfield.order_field(cfg.eps_list[-1]))
     rows = [
         ("energy_descent", res.energies[-1]),
@@ -381,10 +369,10 @@ def _probe_radius(cfg: ExperimentConfig, dom) -> float:
 
 
 def _run_gamma_check(cfg: ExperimentConfig) -> None:
-    spec, ladder, dom = _setup(cfg)
+    ladder, dom = _setup(cfg)
     s0 = ladder[0][2].manifold.s0
-    v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model, **cfg.boundary_params)
-    tensor = kernel_mod.elastic_tensor(spec)
+    v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model.name, **cfg.boundary_params)
+    tensor = kernel_mod.elastic_tensor(cfg.spec)
     rho = _probe_radius(cfg, dom)
     region = field_mod.ball_mask(dom, np.zeros(3), rho)
     if not (region & dom.omega_mask).any():
@@ -400,7 +388,7 @@ def _run_gamma_check(cfg: ExperimentConfig) -> None:
 
 
 def _run_holder_probe(cfg: ExperimentConfig) -> None:
-    _, ladder, dom = _setup(cfg)
+    ladder, dom = _setup(cfg)
     rho = _probe_radius(cfg, dom)
     floor = field_mod.RESOLVABLE_CELLS * dom.h
     radii = [rho * f for f in (1.0, 0.85, 0.7, 0.55) if rho * f >= floor]
@@ -442,6 +430,7 @@ _PIPELINES = {
     "gamma-check": _run_gamma_check,
     "holder-probe": _run_holder_probe,
 }
+SUBCOMMANDS = tuple(_PIPELINES)
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
-from .kernel import KernelSpec, SampledKernel, radial_tail
+from .kernel import KernelSpec, SampledKernel, preset_params, radial_tail
 from .potential import (
     BulkPotential,
     dual_map,
@@ -171,6 +171,10 @@ class OrderField:
         return OrderField(self.domain, self.eps, self.values.copy())
 
 
+# every boundary preset of boundary_values and the parameters it reads, with their defaults
+BOUNDARY_PRESETS = {"constant": {}, "smooth-angle": {"slope": 1.0}, "vortex": {"winding": 1.0}}
+
+
 def boundary_values(preset: str, domain: Domain, s0: float, m: int, **params) -> np.ndarray:
     """Boundary-datum presets on the s0-orbit, evaluated on the full box.
 
@@ -182,15 +186,15 @@ def boundary_values(preset: str, domain: Domain, s0: float, m: int, **params) ->
 
 
 def boundary_angle(preset: str, domain: Domain, **params) -> np.ndarray:
-    """Orbit angle phi of a boundary preset on the full box."""
+    """Orbit angle phi of a boundary preset on the full box; a key that the
+    preset's entry of BOUNDARY_PRESETS lacks raises ValueError."""
+    p = preset_params(BOUNDARY_PRESETS, preset, params)
     if preset == "constant":
         return np.zeros(domain.shape)
     x = domain.cell_centers()
     if preset == "smooth-angle":
-        return float(params.get("slope", 1.0)) * x[..., 0]
-    if preset == "vortex":
-        return float(params.get("winding", 1.0)) * np.arctan2(x[..., 1], x[..., 0])
-    raise ValueError(f"unknown boundary preset {preset!r}")
+        return float(p["slope"]) * x[..., 0]
+    return float(p["winding"]) * np.arctan2(x[..., 1], x[..., 0])
 
 
 def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:

@@ -143,8 +143,10 @@ class KernelSpec:
             raise ValueError(f"unknown kernel mode {self.mode!r}")
         if self.mode == "nematic" and self.m != 5:
             raise ValueError("nematic mode requires m = 5")
-        if self.q < 2:
-            raise ValueError("tail exponent q must be >= 2")
+        if not 2 <= self.q < np.inf:  # NaN fails too
+            raise ValueError(f"tail exponent q must be finite and >= 2, not {self.q!r}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"layer constant tau must be finite and > 0, not {self.tau!r}")
 
     @property
     def profiles(self):
@@ -658,6 +660,29 @@ def sample_on_lattice(spec: KernelSpec, eps: float, h: float,
 # presets
 
 
+# every preset of kernel_preset and the parameters it reads, with their defaults
+_LAYER = {"q": KernelSpec.q, "tau": KernelSpec.tau}  # the boundary-layer constants
+_GAUSSIAN = {"strength": 4.0, "width": 1.0, "cut": 6.0}
+PRESETS = {
+    "zero": {},
+    "annulus": {"k": 1.0, "rho1": 0.5, "rho2": 1.0, **_LAYER},
+    "gaussian": {**_GAUSSIAN, **_LAYER},
+    "gaussian-nematic": {**_GAUSSIAN, "f2": 0.0, "f3": 0.0, **_LAYER},
+    "inverse6": {"amplitude": 1.0, "r_on": 0.5, "r_full": 1.0, **_LAYER, "q": 2.5},
+}
+
+
+def preset_params(table: dict, name: str, params: dict) -> dict:
+    """params over the defaults of preset name of a {preset: {param: default}} table;
+    a name outside the table, or a key its entry lacks, raises ValueError."""
+    if name not in table:
+        raise ValueError(f"unknown preset {name!r}")
+    other = [key for key in params if key not in table[name]]
+    if other:
+        raise ValueError(f"{', '.join(other)}: not a parameter of the {name} preset")
+    return {**table[name], **params}
+
+
 def kernel_preset(name: str, m: int, params: dict | None = None) -> KernelSpec:
     """Named kernel presets used by the CLI and the test suite.
 
@@ -665,44 +690,27 @@ def kernel_preset(name: str, m: int, params: dict | None = None) -> KernelSpec:
     value (the mean-field coupling), except for the annulus preset whose k is
     prescribed directly.
     """
-    params = dict(params or {})
+    p = preset_params(PRESETS, name, params or {})
     if name == "zero":
         # no positivity annulus to resolve; tag the full unit ball
         return KernelSpec("scalar", m, ZERO_PROFILE, annulus=(0.0, 1.0))
+    layer = {"q": p["q"], "tau": p["tau"]}
     if name == "annulus":
-        k = params.pop("k", 1.0)
-        r1 = params.pop("rho1", 0.5)
-        r2 = params.pop("rho2", 1.0)
-        spec = KernelSpec("scalar", m, AnnulusProfile(k, r1, r2), annulus=(r1, r2), **params)
-        return spec
-    if name in ("gaussian", "gaussian-nematic"):
-        strength = params.pop("strength", 4.0)
-        width = params.pop("width", 1.0)
-        cut = params.pop("cut", 6.0)
-        a2 = params.pop("f2", 0.0)
-        a3 = params.pop("f3", 0.0)
-        base = np.pi ** 1.5 * width**3  # int exp(-(r/w)^2) dz for an uncut Gaussian
-        amp = strength / base
-        f1 = GaussianProfile(amp, width, cut)
-        # the positivity annulus can span nearly the whole support: the profile
-        # is strictly positive inside the cutoff
-        ann = (0.1 * width, 0.9 * cut * width)
-        if name == "gaussian":
-            return KernelSpec("scalar", m, f1, annulus=ann, **params)
-        f2 = GaussianProfile(a2 * amp, width, cut) if a2 else None
-        f3 = GaussianProfile(a3 * amp, width, cut) if a3 else None
-        return KernelSpec("nematic", 5, f1, f2, f3, annulus=ann, **params)
+        r1, r2 = p["rho1"], p["rho2"]
+        return KernelSpec("scalar", m, AnnulusProfile(p["k"], r1, r2), annulus=(r1, r2), **layer)
     if name == "inverse6":
-        amp = params.pop("amplitude", 1.0)
-        r_on = params.pop("r_on", 0.5)
-        r_full = params.pop("r_full", 1.0)
-        q = params.pop("q", 2.5)
-        return KernelSpec(
-            "scalar",
-            m,
-            InverseSixthProfile(amp, r_on, r_full),
-            q=q,
-            annulus=(r_full, 2.0 * r_full),
-            **params,
-        )
-    raise ValueError(f"unknown kernel preset {name!r}")
+        profile = InverseSixthProfile(p["amplitude"], p["r_on"], p["r_full"])
+        return KernelSpec("scalar", m, profile, annulus=(p["r_full"], 2.0 * p["r_full"]), **layer)
+    width, cut = p["width"], p["cut"]
+    if not 0 < width < np.inf:
+        raise ValueError(f"Gaussian width must be finite and > 0, not {width!r}")
+    amp = p["strength"] / (np.pi ** 1.5 * width**3)  # int exp(-(r/w)^2) dz for an uncut Gaussian
+    f1 = GaussianProfile(amp, width, cut)
+    # the positivity annulus can span nearly the whole support: the profile
+    # is strictly positive inside the cutoff
+    ann = (0.1 * width, 0.9 * cut * width)
+    if name == "gaussian":
+        return KernelSpec("scalar", m, f1, annulus=ann, **layer)
+    f2 = GaussianProfile(p["f2"] * amp, width, cut) if p["f2"] else None
+    f3 = GaussianProfile(p["f3"] * amp, width, cut) if p["f3"] else None
+    return KernelSpec("nematic", m, f1, f2, f3, annulus=ann, **layer)

@@ -167,6 +167,9 @@ def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
     return MicroModel("s2", 5, sigma, w, 1.0, fold)
 
 
+MODELS = {"s1": make_s1_model, "s2": make_s2_model}  # the micro-models by name
+
+
 def _shifted_exp(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(b . sigma_i - amax) per node and its shift amax (keepdims), for b of shape (..., m)."""
     a = np.asarray(b, dtype=float) @ model.sigma.T  # (..., n)

@@ -40,8 +40,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not (self.tol > 0 and self.max_iter > 0 and self.descent_step > 0):  # NaN fails too
-            raise ValueError("tolerances, step and iteration budget must be positive")
+        if not (0 < self.tol < np.inf and self.max_iter > 0 and self.descent_step > 0):  # NaN fails too
+            raise ValueError("tolerances, step and iteration budget must be positive, tol finite")
 
 
 @dataclass
@@ -171,7 +171,7 @@ def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
     while it < max_iter and not residuals[-1] <= tol:
         it += 1
         candidate, e_trial, r_trial = trial(state, step, rejected)
-        rejected = e_trial > energies[-1] + rtol * (1.0 + abs(energies[-1]))
+        rejected = not e_trial <= energies[-1] + rtol * (1.0 + abs(energies[-1]))  # NaN rejects
         if not rejected:
             state, step = candidate, min(step * grow, cap)
             energies.append(e_trial)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import os
 import re
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nllc import cli
+from nllc import cli, kernel
 from nllc import field as fld
+from nllc.errors import ConfigError
 
 
 def write_ini(path, text):
@@ -309,6 +311,17 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("h = 0.1", "h = 0.1\nomega_radius = -0.3", "[domain] omega_radius"),
     ("h = 0.1", "h = 0.1\nlayer = -1", "[domain] layer"),
     ("h = 0.1", "h = 0.1\nlayer = nan", "[domain] layer"),
+    ("rho2 = 1.0", "rho2 = 1.0\nq = 1.5", "[kernel]"),
+    # these exited 0 with wrong numbers (tol = inf: 'converged' after 0 iterations),
+    # 1 with a raw exception or 3 from inside a solve
+    ("tol = 1e-7", "tol = inf", "[solver] tol"),
+    ("slope = 1.5", "slope = nan", "[boundary] slope"),
+    ("ball_radius = 0.3", "ball_radius = inf", "[probe] ball_radius"),
+    ("rho1 = 0.2", "rho1 = nan", "[kernel] rho1"),
+    ("rho2 = 1.0", "rho2 = 1.0\ntau = nan", "[kernel] tau"),
+    ("k = 1.3", "k = nan", "[kernel] k"),
+    ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian\nwidth = 0", "[kernel]"),
+    ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian-nematic", "[kernel]"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
@@ -347,6 +360,42 @@ def test_kernel_key_of_another_preset_exit_2(tmp_path, capsys, old, new, names):
     assert cli.main(["kernel-report", ini, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "not a parameter of the" in err and all(name in err for name in names)
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("preset = smooth-angle", "preset = vortex", "[boundary] slope"),
+    ("preset = smooth-angle\nslope = 1.5", "preset = constant\nwinding = 1.0", "[boundary] winding"),
+], ids=["vortex-slope", "constant-winding"])
+def test_boundary_key_of_another_preset_exit_2(tmp_path, capsys, old, new, name):
+    # slope under preset = vortex was dropped, and the solve ran the winding-1 vortex
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
+    assert cli.main(["minimize", ini, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "not a parameter of the" in err and name in err
+
+
+# the config keys that do not hold one float, and [domain] layer, which may be inf
+# (prescribe everything outside Omega)
+NOT_FLOAT = {"preset", "name", "n", "layer", "eps", "max_iter", "seed", "dir"}
+
+
+def test_non_finite_float_values_are_config_errors(tmp_path):
+    presets = {"kernel": kernel.PRESETS, "boundary": fld.BOUNDARY_PRESETS}
+    base = configparser.ConfigParser()
+    base.read_string(ANNULUS_INI)
+    for section, keys in cli.CONFIG_KEYS.items():
+        for key in sorted(set(keys) - NOT_FLOAT):
+            parser = configparser.ConfigParser()
+            parser.read_dict(base)
+            if section in presets:  # a preset that reads the key, and no other key
+                preset = next(name for name, params in presets[section].items() if key in params)
+                parser[section] = {"preset": preset}
+            for value in ("nan", "inf", "-inf"):
+                parser.set(section, key, value)
+                with open(tmp_path / "bad.ini", "w") as fh:
+                    parser.write(fh)
+                with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
+                    cli.load_config(tmp_path / "bad.ini", "minimize")
 
 
 def test_benchmark_cli_config_loads(tmp_path):

@@ -65,6 +65,48 @@ def test_split_nematic_moments_converge(f2, f3, crossing):
     assert moments.m2 == pytest.approx(g_moment(2), rel=1e-9)
 
 
+@pytest.mark.parametrize("name, key", [("gaussian", "f2"), ("zero", "k"), ("annulus", "width"),
+                                       ("inverse6", "width")])
+def test_kernel_preset_rejects_a_key_its_preset_does_not_read(name, key):
+    # gaussian and zero dropped such a key; annulus and inverse6 raised a raw TypeError
+    assert key not in kernel.PRESETS[name]
+    with pytest.raises(ValueError, match=f"{key}: not a parameter of the {name} preset"):
+        kernel.kernel_preset(name, 2, {key: 0.5})
+
+
+def test_kernel_preset_defaults_come_from_its_table():
+    for name, defaults in kernel.PRESETS.items():
+        spec = kernel.kernel_preset(name, 5 if name == "gaussian-nematic" else 2)
+        assert kernel.kernel_preset(name, spec.m, defaults) == spec, name
+    assert kernel.kernel_preset("inverse6", 2).q == 2.5
+
+
+@pytest.mark.parametrize("name, params", [
+    ("annulus", {"q": np.nan}), ("annulus", {"q": np.inf}), ("annulus", {"q": 1.5}),
+    ("annulus", {"tau": np.nan}), ("annulus", {"tau": 0.0}), ("annulus", {"tau": -1.0}),
+    ("gaussian", {"width": 0.0}), ("gaussian", {"width": -0.3}),
+    ("gaussian-nematic", {"width": np.inf}),
+])
+def test_kernel_values_that_leave_the_construction_undefined_raise(name, params):
+    # a NaN q passed q < 2, tau was unchecked and width 0 raised ZeroDivisionError
+    with pytest.raises(ValueError):
+        kernel.kernel_preset(name, 5, params)
+
+
+def test_nematic_preset_takes_the_callers_m():
+    # it was built at m = 5 whatever m was asked for, and an s1 solve then failed
+    # in a raw matmul
+    with pytest.raises(ValueError, match="m = 5"):
+        kernel.kernel_preset("gaussian-nematic", 2)
+
+
+def test_failing_assumptions_are_reported_not_raised():
+    # a negative amplitude or a reversed annulus is kernel-report's to flag
+    for name, params in (("annulus", {"rho1": 1.0, "rho2": 0.5}), ("gaussian", {"strength": -1.0}),
+                         ("inverse6", {"amplitude": -2.0})):
+        assert not kernel.check_assumptions(kernel.kernel_preset(name, 2, params)).all_pass()
+
+
 def test_kernel_evenness():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((64, 3))

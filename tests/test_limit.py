@@ -250,6 +250,16 @@ def test_orbit_boundary_matches_field_presets():
         limit.orbit_boundary("nope", dom, s0, "s1")
 
 
+@pytest.mark.parametrize("preset, key", [("vortex", "slope"), ("constant", "winding")])
+def test_boundary_presets_reject_a_key_their_preset_does_not_read(preset, key):
+    # such a key was dropped silently: slope under vortex drew the winding-1 vortex
+    dom = make_domain(n=8)
+    with pytest.raises(ValueError, match=f"{key}: not a parameter of the {preset} preset"):
+        fld.boundary_values(preset, dom, 0.6, 2, **{key: 1.5})
+    with pytest.raises(ValueError, match=f"{key}: not a parameter of the {preset} preset"):
+        limit.orbit_boundary(preset, dom, 0.6, "s1", **{key: 1.5})
+
+
 def test_manifold_field_rejects_values_off_the_orbit():
     dom = make_domain(n=8)
     s0 = 0.6

@@ -249,6 +249,21 @@ def test_driver_checks_convergence_after_the_last_allowed_iteration():
     assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 1, "max_iterations")
 
 
+def test_driver_accepts_no_trial_against_a_nan_energy():
+    # e_trial > nan is False: a failed trial's (None, inf, inf) used to be accepted,
+    # and the next proposal then started from None
+    def trial(x, step, rejected):
+        return None, np.inf, np.inf
+
+    kw = dict(tol=1e-3, max_iter=50, step=1.0, grow=1.0, cap=np.inf, floor=1e-3, rtol=0.0,
+              exhausted="toy_exhausted")
+    with pytest.raises(MaxIterations) as err:
+        solver.monotone_descent(trial, 1.0, np.nan, 1.0, lambda *r: r, **kw)
+    state, energies, residuals, iterations, reason = err.value.result
+    assert reason == "toy_exhausted" and iterations == 10
+    assert state == 1.0 and residuals == [1.0] and np.isnan(energies).all() and len(energies) == 1
+
+
 @pytest.mark.parametrize("energies, kept", [((1.0, 1.0 - 1e-15), "first"),
                                             ((1.0, 0.5), "second")])
 def test_best_of_keeps_the_earlier_start_on_a_round_off_tie(energies, kept):
