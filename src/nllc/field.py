@@ -529,13 +529,11 @@ def energy_oscillation(
     sampled: SampledKernel,
     bulk: BulkPotential,
     method: str = "fast",
-    b0: np.ndarray | None = None,
 ) -> EnergyBreakdown:
     """(1/4eps^2) double-sum K_eps (u(x)-u(y))^tensor2 + (1/eps^2) sum_Omega psi_b.
 
     method "fast" expands the square through two convolutions; "pairwise"
-    evaluates the defining double sum shift by shift.  b0 warm-starts the
-    dual solve on Omega.
+    evaluates the defining double sum shift by shift.
     """
     require_padding(field.domain, sampled)
     if method not in ("fast", "pairwise"):
@@ -547,7 +545,7 @@ def energy_oscillation(
     else:
         pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
     u_om = field.values[dom.omega_mask]
-    return _oscillation(pair, bulk, u_om, dual_map(bulk.model, u_om, b0=b0), dom.cell_volume, eps2)
+    return _oscillation(pair, bulk, u_om, dual_map(bulk.model, u_om), dom.cell_volume, eps2)
 
 
 def _oscillation(pair: float, bulk: BulkPotential, u_om: np.ndarray, b: np.ndarray,

@@ -699,11 +699,15 @@ def kernel_preset(name: str, m: int, params: dict | None = None) -> KernelSpec:
         r1, r2 = p["rho1"], p["rho2"]
         return KernelSpec("scalar", m, AnnulusProfile(p["k"], r1, r2), annulus=(r1, r2), **layer)
     if name == "inverse6":
-        profile = InverseSixthProfile(p["amplitude"], p["r_on"], p["r_full"])
-        return KernelSpec("scalar", m, profile, annulus=(p["r_full"], 2.0 * p["r_full"]), **layer)
+        r_on, r_full = p["r_on"], p["r_full"]
+        if not r_on < r_full < np.inf:  # the cutoff divides by r_full - r_on
+            raise ValueError(f"inverse6 needs r_on < r_full < inf, not {r_on!r}, {r_full!r}")
+        profile = InverseSixthProfile(p["amplitude"], r_on, r_full)
+        return KernelSpec("scalar", m, profile, annulus=(r_full, 2.0 * r_full), **layer)
     width, cut = p["width"], p["cut"]
-    if not 0 < width < np.inf:
-        raise ValueError(f"Gaussian width must be finite and > 0, not {width!r}")
+    for key in ("width", "cut"):
+        if not 0 < p[key] < np.inf:
+            raise ValueError(f"Gaussian {key} must be finite and > 0, not {p[key]!r}")
     amp = p["strength"] / (np.pi ** 1.5 * width**3)  # int exp(-(r/w)^2) dz for an uncut Gaussian
     f1 = GaussianProfile(amp, width, cut)
     # the positivity annulus can span nearly the whole support: the profile

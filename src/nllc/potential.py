@@ -445,7 +445,7 @@ def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
     return _covariance_of(model, f, f @ model.sigma)
 
 
-def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> np.ndarray:
+def dual_map(model: MicroModel, u: np.ndarray) -> np.ndarray:
     """Lambda(u): the dual variable b with grad lnZ(b) = u, by Newton's or Halley's method.
 
     Batched over leading axes.  A cell stops updating once its residual
@@ -456,11 +456,11 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
     blowing up towards the boundary of the moment set.
 
     On s1, b = s u/|u| with A(s) = |u|, by a 1-D Halley iteration per cell
-    (_s1_dual_map); b0 is ignored.  With an octant fold b shares u's eigenframe, and the damped
+    (_s1_dual_map).  With an octant fold b shares u's eigenframe, and the damped
     Newton below runs on b's two diagonal coordinates there (_folded_dual_map).
-    Elsewhere a damped Newton on b starts from b0 (zero by default), and each
-    step takes one exponential: the tilted density of the live cells gives both
-    the residual and, on the cells still above DUAL_TOL, the covariance.
+    Elsewhere a damped Newton on b starts from zero, and each step takes one
+    exponential: the tilted density of the live cells gives both the residual
+    and, on the cells still above DUAL_TOL, the covariance.
     """
     u = np.asarray(u, dtype=float)
     r = np.linalg.norm(u, axis=-1)
@@ -469,8 +469,8 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
     if model.name == "s1":
         return _s1_dual_map(u, r)
     if model.fold is not None:
-        return _folded_dual_map(model.fold, u, b0)
-    b = np.zeros_like(u) if b0 is None else np.array(b0, dtype=float)
+        return _folded_dual_map(model.fold, u)
+    b = np.zeros_like(u)
     live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     eye = np.eye(model.m)
     for _ in range(DUAL_MAX_ITER):
@@ -491,21 +491,16 @@ def dual_map(model: MicroModel, u: np.ndarray, b0: np.ndarray | None = None) -> 
     raise OutsideMomentDomain("Newton did not converge; u near/outside boundary")
 
 
-def _folded_dual_map(fold: OctantFold, u: np.ndarray, b0: np.ndarray | None) -> np.ndarray:
+def _folded_dual_map(fold: OctantFold, u: np.ndarray) -> np.ndarray:
     """The damped Newton of dual_map in u's eigenframe, on the diagonal coordinates d of b.
 
     The residual, the step and |b| = |d| are the same in every frame, so
-    DUAL_TOL, the damping and B_CAP act as on the full coordinates.  A warm
-    start b0 enters as the diagonal of R^T B0 R.  The covariance is the 2x2
-    block of the folded second moments, and its Tikhonov guard the 2x2 block of
-    the full one.
+    DUAL_TOL, the damping and B_CAP act as on the full coordinates.  The
+    covariance is the 2x2 block of the folded second moments, and its Tikhonov
+    guard the 2x2 block of the full one.
     """
     target, R = _eigenframe(u)
-    if b0 is None:
-        d = np.zeros_like(target)
-    else:
-        mat = (np.reshape(b0, (-1, 5)) @ _SYM0_FLAT).reshape(-1, 3, 3)
-        d = np.einsum("nki,nkl,nli->ni", R, mat, R) @ _SYM0_DIAG
+    d = np.zeros_like(target)
     live = np.ones(len(d), dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     for _ in range(DUAL_MAX_ITER):
         avg = _folded_average(fold, d[live])[1]

@@ -4,11 +4,13 @@ monotone_descent is the package's one accept/reject loop (the harmonic limit
 solve runs on it too).  Two update rules share it here: the Anderson-
 accelerated Euler-Lagrange self-consistency iteration for the fixed point
 u = Lambda^{-1}(K_eps * u), and a projected gradient descent.  Both monitor
-the oscillation-form energy and only accept non-increasing trials whose dual
-solve succeeds, so agreement of their minima cross-checks the two rules.
-A damped fixed-point step stays inside the moment set, because Lambda^{-1}
-maps into it; an extrapolated Anderson trial can leave it, and is then
-rejected through OutsideMomentDomain like any other failed trial.
+the oscillation-form energy and only accept non-increasing trials, so
+agreement of their minima cross-checks the two rules.  The fixed point
+iterates on the duals b = Lambda(u), where it reads b = K_eps*Lambda^{-1}(b):
+each trial maps its duals to values through the explicit Lambda^{-1}, whose
+image is the moment set, so no Euler-Lagrange trial leaves it or runs a dual
+Newton solve.  A descent trial runs one, and is rejected through
+OutsideMomentDomain when it leaves the set.
 """
 
 from dataclasses import dataclass
@@ -88,38 +90,39 @@ def el_fixed_point(
     bulk: BulkPotential,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Anderson-accelerated Euler-Lagrange self-consistency iteration.
+    """Anderson-accelerated Euler-Lagrange self-consistency iteration on the duals.
 
-    The fixed-point map is G(u) = Lambda^{-1}(K_eps*u) on Omega, with residual
-    f = G(x) - x, evaluated once per accepted iterate x.  Over the last
+    The Euler-Lagrange equation Lambda(u) = K_eps*u on Omega is, in the duals
+    b = Lambda(u), the fixed point b = K_eps*Lambda^{-1}(b), with residual
+    f = v - b (v = K_eps*u) held by every accepted iterate.  Over the last
     ANDERSON_DEPTH + 1 accepted iterates the proposal solves the small
     least-squares problem min |f - dF gamma| on the residual differences dF
-    and extrapolates to x + alpha f - (dX + alpha dF) gamma, where dX are the
-    iterate differences.  config.alpha is both the mixing weight and the
-    damping of the plain step x + alpha f = (1-alpha) x + alpha G(x), which is
-    the first trial and the trial after a rejection (or a non-finite gamma).
-    A damped trial lies strictly inside the moment set; an extrapolated one
-    can leave it, and its dual solve then raises OutsideMomentDomain.  Trials
-    that leave the set or raise the oscillation energy are rejected: the
+    and extrapolates to b + alpha f - (dB + alpha dF) gamma, where dB are the
+    dual differences; the trial values are u = Lambda^{-1}(b), which lie in
+    the moment set.  config.alpha is both the mixing weight and the damping of
+    the plain step b + alpha f = (1-alpha) b + alpha v, which is the first
+    trial and the trial after a rejection (or a non-finite gamma).  A trial
+    that raises the oscillation energy (or makes it NaN) is rejected: the
     history is dropped and the step halved.  Running out of damping or
     iterations raises MaxIterations with the best result attached.
     """
-    xs, fs = [], []  # flattened accepted iterates on Omega and their residuals
+    bs, fs = [], []  # flattened accepted duals on Omega and their residuals
 
     def propose(u_om, v_om, b, alpha, rejected):
         if rejected:
-            del xs[:-1], fs[:-1]
+            del bs[:-1], fs[:-1]
         else:
-            xs.append(u_om.ravel())
-            fs.append((lambda_inverse(bulk.model, v_om) - u_om).ravel())
-            del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
-        trial = xs[-1] + alpha * fs[-1]
-        if len(xs) > 1:
-            dX, dF = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            bs.append(b.ravel())
+            fs.append((v_om - b).ravel())
+            del bs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
+        trial = bs[-1] + alpha * fs[-1]
+        if len(bs) > 1:
+            dB, dF = np.diff(bs, axis=0).T, np.diff(fs, axis=0).T
             gamma = np.linalg.lstsq(dF, fs[-1], rcond=None)[0]
             if np.all(np.isfinite(gamma)):
-                trial -= (dX + alpha * dF) @ gamma
-        return trial.reshape(u_om.shape)
+                trial -= (dB + alpha * dF) @ gamma
+        trial = trial.reshape(b.shape)
+        return lambda_inverse(bulk.model, trial), trial
 
     return _oscillation_descent(init, sampled, bulk, config, "el_fixed_point", propose,
                                 step=config.alpha, grow=1.0, floor=ALPHA_MIN,
@@ -145,7 +148,8 @@ def gradient_descent(
     def propose(u_om, v_om, b, step, rejected):
         cand = u_om - step * ((b - v_om) / init.eps**2)
         norms = np.linalg.norm(cand, axis=-1, keepdims=True)
-        return np.where(norms > safe, cand * (safe / norms), cand)
+        cand = np.where(norms > safe, cand * (safe / norms), cand)
+        return cand, dual_map(bulk.model, cand)
 
     return _oscillation_descent(init, sampled, bulk, config, "gradient_descent", propose,
                                 step=config.descent_step, grow=1.1, floor=1e-12,
@@ -226,30 +230,29 @@ def _oscillation_descent(init, sampled, bulk, config, method, propose, step, gro
     Only the values on Omega change, so the state is (u, v, b) on Omega: the
     values, v = K_eps*u and the duals b = Lambda(u) there.  The start's
     OmegaSplit holds what the fixed values off Omega contribute; it costs the
-    solve's one whole-box convolution.  propose(u, v, b, step, rejected)
-    returns the trial values, and each trial then costs one FFT convolution
-    over Omega's bounding window, sums over Omega and one dual solve
-    warm-started from b, with no array of the box's size.  A trial whose dual
-    solve leaves the moment set (OutsideMomentDomain) has infinite energy, so
-    monotone_descent rejects it.  An accepted trial's state is the next
-    iterate's, and its residual sup |b - v| costs nothing more.  finish builds
-    the one whole-box field.
+    solve's one whole-box convolution, and the start's duals its one
+    dual_map call.  propose(u, v, b, step, rejected) returns a trial's pair
+    (u, b), and evaluating it costs one FFT convolution over Omega's bounding
+    window and sums over Omega, with no array of the box's size.  A trial
+    whose proposal leaves the moment set (OutsideMomentDomain) has infinite
+    energy, so monotone_descent rejects it.  An accepted trial's state is the
+    next iterate's, and its residual sup |b - v| costs nothing more.  finish
+    builds the one whole-box field.
     """
     dom = init.domain
     om = dom.omega_mask
     require_padding(dom, sampled)
     split = omega_split(init, sampled)
 
-    def evaluate(u, b0=None):
+    def evaluate(u, b):
         v = split.convolve(u)
-        b = dual_map(bulk.model, u, b0=b0)
         energy = split.energy(bulk, u, v, b).total
         # sup-norm of Lambda(u) - K_eps*u over interior cells
         return (u, v, b), energy, float(np.linalg.norm(b - v, axis=-1).max(initial=0.0))
 
     def trial(state, step, rejected):
         try:
-            return evaluate(propose(*state, step, rejected), state[2])
+            return evaluate(*propose(*state, step, rejected))
         except OutsideMomentDomain:
             return None, np.inf, np.inf
 
@@ -259,9 +262,10 @@ def _oscillation_descent(init, sampled, bulk, config, method, propose, step, gro
         return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
                            lipschitz_estimate(u), it, reason, method)
 
-    return monotone_descent(trial, *evaluate(init.values[om]), finish, tol=config.tol,
-                            max_iter=config.max_iter, step=step, grow=grow, cap=np.inf,
-                            floor=floor, rtol=1e-12, exhausted=exhausted)
+    u0 = init.values[om]
+    return monotone_descent(trial, *evaluate(u0, dual_map(bulk.model, u0)), finish,
+                            tol=config.tol, max_iter=config.max_iter, step=step, grow=grow,
+                            cap=np.inf, floor=floor, rtol=1e-12, exhausted=exhausted)
 
 
 def energy_gradient(field: OrderField, sampled: SampledKernel, bulk: BulkPotential):
@@ -326,9 +330,7 @@ def omega_minimality_probe(
     mask = ball_mask(dom, center, rho) & dom.omega_mask
     if not mask.any():
         return 0.0
-    om_all = dom.omega_mask
-    b_warm = dual_map(bulk.model, field.values[om_all])
-    e0 = energy_oscillation(field, sampled, bulk, b0=b_warm).total
+    e0 = energy_oscillation(field, sampled, bulk).total
     model = bulk.model
     safe = 0.98 * model.sigma_max
     rng = np.random.default_rng(seed)
@@ -338,8 +340,7 @@ def omega_minimality_probe(
         # radial clipping keeps an s1 value in the moment set but not every m = 5
         # one; a competitor outside it has infinite energy and decreases nothing
         try:
-            return energy_oscillation(OrderField(dom, field.eps, vals), sampled, bulk,
-                                      b0=b_warm).total
+            return energy_oscillation(OrderField(dom, field.eps, vals), sampled, bulk).total
         except OutsideMomentDomain:
             return np.inf
 

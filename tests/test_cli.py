@@ -322,6 +322,11 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("k = 1.3", "k = nan", "[kernel] k"),
     ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian\nwidth = 0", "[kernel]"),
     ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian-nematic", "[kernel]"),
+    # these two passed kernel-report: a negative resolution bound, a kernel that is 0 everywhere
+    ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian\nwidth = 0.3\ncut = 0",
+     "[kernel]"),
+    ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0",
+     "preset = inverse6\nr_on = 1.2\nr_full = 1.0", "[kernel]"),
 ])
 def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))

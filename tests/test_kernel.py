@@ -86,9 +86,15 @@ def test_kernel_preset_defaults_come_from_its_table():
     ("annulus", {"tau": np.nan}), ("annulus", {"tau": 0.0}), ("annulus", {"tau": -1.0}),
     ("gaussian", {"width": 0.0}), ("gaussian", {"width": -0.3}),
     ("gaussian-nematic", {"width": np.inf}),
+    ("gaussian", {"cut": 0.0}), ("gaussian", {"cut": -2.5}), ("gaussian-nematic", {"cut": np.nan}),
+    ("inverse6", {"r_on": 1.2, "r_full": 1.0}), ("inverse6", {"r_on": 1.0, "r_full": 1.0}),
+    ("inverse6", {"r_full": np.inf}),
 ])
 def test_kernel_values_that_leave_the_construction_undefined_raise(name, params):
-    # a NaN q passed q < 2, tau was unchecked and width 0 raised ZeroDivisionError
+    # a NaN q passed q < 2, tau was unchecked and width 0 raised ZeroDivisionError;
+    # a Gaussian cut of 0 passed kernel-report and then asked a solve for h below a
+    # negative bound; inverse6 with r_on > r_full is 0 at every r, yet its
+    # closed-form tail gave intK = 0.0654 Id, and r_on = r_full made it a step
     with pytest.raises(ValueError):
         kernel.kernel_preset(name, 5, params)
 

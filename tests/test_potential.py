@@ -297,16 +297,6 @@ def test_batched_dual_map_matches_one_cell_solves(model, u):
         assert np.max(np.abs(b - potential.dual_map(model, cell))) <= 1e-12
 
 
-def test_warm_start_matches_cold_start():
-    rng = np.random.default_rng(7)
-    u = 0.5 * rng.standard_normal((30, 2))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    u = np.where(norms > 0.8, u * 0.8 / norms, u)
-    cold = potential.dual_map(S1, u)
-    warm = potential.dual_map(S1, u, b0=cold + 0.1 * rng.standard_normal(cold.shape))
-    assert np.allclose(cold, warm, atol=1e-9)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     r=st.floats(0.0, 0.8),
@@ -438,7 +428,9 @@ def test_dual_map_raises_past_the_image_of_the_cap(model, seed, t):
        angle=st.floats(0.0, 2 * np.pi))
 def test_s1_dual_map_raises_between_the_cap_and_the_boundary(r, angle):
     u = np.array([r * np.cos(angle), r * np.sin(angle)])
-    assume(np.linalg.norm(u) > potential.S1_R_CAP)  # the rotation may round r down
+    # the rotation may round r down; dual_map takes the norm over the last
+    # axis, which can differ from the flat norm in the last bit
+    assume(np.linalg.norm(u, axis=-1) > potential.S1_R_CAP)
     with pytest.raises(OutsideMomentDomain):
         potential.dual_map(S1, u)
 
@@ -531,10 +523,6 @@ def test_s2_dual_map_round_trips_under_both_paths():
         assert back.shape == u.shape
         for reader in (S2, S2_NODES):
             assert np.max(np.abs(potential.lambda_inverse(reader, back) - u)) < 1e-10
-    # a warm start enters through the diagonal of R^T b0 R and lands on the same dual
-    cold = potential.dual_map(S2, u)
-    warm = potential.dual_map(S2, u, b0=cold + 0.1 * np.random.default_rng(11).standard_normal(u.shape))
-    assert np.allclose(warm, cold, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [(23, 48), (24, 46)])

@@ -6,7 +6,7 @@ import pytest
 
 from nllc import field as fld
 from nllc import kernel, potential, solver
-from nllc.errors import MaxIterations, OutsideMomentDomain
+from nllc.errors import MaxIterations
 
 S1 = potential.make_s1_model()
 
@@ -79,18 +79,20 @@ def test_descent_rejects_trials_beyond_the_dual_cap():
 
 
 def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
-    # one convolution and one dual solve per trial plus one of each for the
-    # start: an accepted trial's pair is kept, not recomputed.  A seeded start
-    # of random directions and lengths below s0 on a finer grid takes 18
-    # trials, two of them rejected, well above the 10 the test needs
+    # one convolution and one mean-field map per trial, and one convolution and
+    # the solve's only dual solve for the start: an accepted trial's state is
+    # kept, not recomputed, and a trial's values come from its duals.  A seeded
+    # start of random directions and lengths below s0 on a finer grid takes 15
+    # trials, above the 10 the test needs
     dom, sampled, bulk = setup_case(n=20, h=0.08, eps=0.4)
     f = boundary_field(dom, 0.4, bulk.manifold.s0)
     om = dom.omega_mask
     rng = np.random.default_rng(2)
     v = rng.standard_normal((int(om.sum()), 2))
     f.values[om] = v * (bulk.manifold.s0 * rng.random(len(v)) / np.linalg.norm(v, axis=1))[:, None]
-    calls = {"convolve": 0, "dual_map": 0}
-    for name, original in (("convolve", fld.convolve), ("dual_map", potential.dual_map)):
+    calls = {"convolve": 0, "dual_map": 0, "lambda_inverse": 0}
+    for name, original in (("convolve", fld.convolve), ("dual_map", potential.dual_map),
+                           ("lambda_inverse", potential.lambda_inverse)):
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
@@ -102,7 +104,8 @@ def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
     assert res.converged and res.iterations >= 10
     assert calls["convolve"] <= res.iterations + 1
-    assert calls["dual_map"] <= res.iterations + 1
+    assert calls["dual_map"] == 1
+    assert calls["lambda_inverse"] == res.iterations
 
 
 def test_el_fixed_point_is_anderson_accelerated():
@@ -115,22 +118,24 @@ def test_el_fixed_point_is_anderson_accelerated():
 
 
 def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
-    # the first extrapolated trial (the second trial) leaves the moment set;
-    # the solve drops the history, takes a damped step and still converges
+    # the first extrapolated trial (the second trial) maps to NaN values, so
+    # its energy is NaN; the solve drops the history, takes a damped step and
+    # still converges.  The case's own solve rejects no trial, so the one
+    # rejection is the forced one
     dom, sampled, bulk = setup_case()
-    f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=1.5)
+    f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=0.5)
     cfg = solver.SolverConfig(tol=1e-9)
     ref = solver.el_fixed_point(f.copy(), sampled, bulk, cfg)
+    assert ref.iterations == len(ref.energies) - 1
     calls = {"n": 0}
-    original = solver.dual_map
+    original = solver.lambda_inverse
 
     def failing(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == 3:  # start, first (damped) trial, first extrapolation
-            raise OutsideMomentDomain("forced")
-        return original(*args, **kwargs)
+        u = original(*args, **kwargs)
+        return np.full_like(u, np.nan) if calls["n"] == 2 else u  # first damped trial, then this
 
-    monkeypatch.setattr(solver, "dual_map", failing)
+    monkeypatch.setattr(solver, "lambda_inverse", failing)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
     assert res.converged
     assert res.iterations == len(res.energies)  # exactly one rejected trial
