@@ -731,9 +731,10 @@ def read_nllc1(path) -> OrderField:
     """Read a dump of write_nllc1, or an NLLC1 dump: a ball of radius 0, as that
     format kept no geometry.
 
-    Raises DumpFormatError on a wrong magic or geometry code and on a file
-    whose size is not the one its header declares (a truncated dump or
-    trailing bytes).
+    Raises DumpFormatError on a wrong magic or geometry code, on an h or eps
+    that is not finite and > 0, a negative or non-finite size of Omega, a
+    region tag other than INTERIOR, LAYER and EXTERIOR, and on a file whose
+    size is not the one its header declares (a truncated dump or trailing bytes).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -750,10 +751,14 @@ def read_nllc1(path) -> OrderField:
         nx, ny, nz, m, geometry, h, eps, size = head.unpack_from(data, 5)
     if geometry >= len(_GEOMETRIES):
         raise DumpFormatError(f"unknown geometry code {geometry}")
+    if not (0 < h < np.inf and 0 < eps < np.inf and 0 <= size < np.inf):  # NaN fails too
+        raise DumpFormatError(f"impossible header: h = {h!r}, eps = {eps!r}, Omega's size {size!r}")
     cells = nx * ny * nz
     expect = header + cells * (1 + 8 * m)
     if len(data) != expect:
         raise DumpFormatError(f"dump of {len(data)} bytes; its header declares {expect}")
     region = np.frombuffer(data, np.uint8, cells, header).reshape(nx, ny, nz)
+    if region.max(initial=0) > EXTERIOR:
+        raise DumpFormatError(f"region tag {region.max()} is none of 0, 1 and 2")
     values = np.frombuffer(data, "<f8", cells * m, header + cells).reshape(nx, ny, nz, m).copy()
     return OrderField(Domain(h, region.copy(), _GEOMETRIES[geometry], size), eps, values)

@@ -23,7 +23,7 @@ from .field import Domain, OrderField, ball_mask, boundary_values, convolve_sten
 from .field import _neighbour_slices, require_resolvable
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
-from .solver import best_of, monotone_descent
+from .solver import monotone_descent
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +238,9 @@ def harmonic_minimize(
     vals = boundary.values.copy()
     if interior_init is not None:
         vals[omega] = project_orbit(interior_init[omega], s0, kind)
-    M = L.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+    M = L.matrix
     # Rayleigh bound: the discrete operator norm is <= lam_max * 24/h^2
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (M + M.T)))))
+    lam = float(np.max(np.abs(np.linalg.eigvalsh(M))))
     step = dom.h**2 / (24.0 * max(lam, 1e-300))
     cells, K = _limit_operator(dom, M)
     box = vals.reshape(-1, m)
@@ -275,21 +275,6 @@ def harmonic_minimize(
     return monotone_descent(trial, (x, grad), energy, np.inf, finish,
                             tol=tol, max_iter=max_iter, step=step, grow=1.5, cap=8.0 * step,
                             floor=1e-8 * step, rtol=1e-14, exhausted="step_exhausted")
-
-
-def harmonic_multistart(
-    boundary: ManifoldField,
-    L: ElasticTensor,
-    n_random: int = 2,
-    seed: int = 0,
-    **kwargs,
-):
-    """harmonic_minimize from the trace extension and seeded random interiors."""
-    rng = np.random.default_rng(seed)
-    starts = [("boundary", None)]
-    for k in range(n_random):
-        starts.append((f"random{k}", rng.standard_normal(boundary.values.shape)))
-    return best_of(starts, lambda init: harmonic_minimize(boundary, L, interior_init=init, **kwargs))
 
 
 # ---------------------------------------------------------------------------

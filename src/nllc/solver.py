@@ -103,8 +103,9 @@ def el_fixed_point(
     the plain step b + alpha f = (1-alpha) b + alpha v, which is the first
     trial and the trial after a rejection (or a non-finite gamma).  A trial
     that raises the oscillation energy (or makes it NaN) is rejected: the
-    history is dropped and the step halved.  Running out of damping or
-    iterations raises MaxIterations with the best result attached.
+    history is dropped and the step halved; each accepted trial doubles it
+    again, up to config.alpha.  Running out of damping or iterations raises
+    MaxIterations with the best result attached.
     """
     bs, fs = [], []  # flattened accepted duals on Omega and their residuals
 
@@ -125,7 +126,7 @@ def el_fixed_point(
         return lambda_inverse(bulk.model, trial), trial
 
     return _oscillation_descent(init, sampled, bulk, config, "el_fixed_point", propose,
-                                step=config.alpha, grow=1.0, floor=ALPHA_MIN,
+                                step=config.alpha, grow=2.0, cap=config.alpha, floor=ALPHA_MIN,
                                 exhausted="damping_exhausted")
 
 
@@ -152,7 +153,7 @@ def gradient_descent(
         return cand, dual_map(bulk.model, cand)
 
     return _oscillation_descent(init, sampled, bulk, config, "gradient_descent", propose,
-                                step=config.descent_step, grow=1.1, floor=1e-12,
+                                step=config.descent_step, grow=1.1, cap=np.inf, floor=1e-12,
                                 exhausted="step_exhausted")
 
 
@@ -223,7 +224,7 @@ def best_of(starts, solve):
     return best, log
 
 
-def _oscillation_descent(init, sampled, bulk, config, method, propose, step, grow, floor,
+def _oscillation_descent(init, sampled, bulk, config, method, propose, step, grow, cap, floor,
                          exhausted):
     """Trials of el_fixed_point and gradient_descent on the oscillation energy.
 
@@ -265,7 +266,7 @@ def _oscillation_descent(init, sampled, bulk, config, method, propose, step, gro
     u0 = init.values[om]
     return monotone_descent(trial, *evaluate(u0, dual_map(bulk.model, u0)), finish,
                             tol=config.tol, max_iter=config.max_iter, step=step, grow=grow,
-                            cap=np.inf, floor=floor, rtol=1e-12, exhausted=exhausted)
+                            cap=cap, floor=floor, rtol=1e-12, exhausted=exhausted)
 
 
 def energy_gradient(field: OrderField, sampled: SampledKernel, bulk: BulkPotential):

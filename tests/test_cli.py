@@ -90,14 +90,17 @@ SWEEP_HEADER = ["eps", "E_total", "E_interaction", "E_bulk", "C_eps",
 
 
 def test_kernel_report_artifacts(tmp_path):
+    # the checks take no samples: both artifacts are byte-identical across runs
     ini = write_ini(tmp_path / "exp.ini", ANNULUS_INI)
-    out = tmp_path / "out"
-    assert cli.main(["kernel-report", ini, "--out", str(out)]) == 0
+    out, again = tmp_path / "out", tmp_path / "again"
+    for path in (out, again):
+        assert cli.main(["kernel-report", ini, "--out", str(path)]) == 0
     kv = read_kv(out / "kernel_report.txt")
     assert kv["assumptions_passed"] == "True"
     assert float(kv["m2"]) > 0
     assert float(kv["ellipticity_lower"]) <= float(kv["rayleigh_min"]) + 1e-9
-    assert (out / "kernel_assumptions.txt").exists()
+    for name in ("kernel_report.txt", "kernel_assumptions.txt"):
+        assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_potential_report_artifacts(tmp_path):

@@ -204,6 +204,24 @@ def test_nllc1_size_mismatch_is_a_format_error(damage):
             fld.read_nllc1(p)
 
 
+@pytest.mark.parametrize("header", [
+    {"h": -0.1}, {"h": 0.0}, {"h": np.inf}, {"eps": np.nan}, {"eps": -0.4}, {"eps": np.inf},
+    {"size": -0.15}, {"size": np.nan}, {"size": np.inf}, {"tag": 7},
+], ids=lambda header: "-".join(f"{k}={v}" for k, v in header.items()))
+def test_nllc_dump_with_an_impossible_header_is_a_format_error(tmp_path, header):
+    # each of these read back without error, into a domain no builder makes
+    dom = fld.cube_domain(6, 0.1, 0.15)
+    f = random_field(dom, 0.4, S1.sigma_max * 0.8, seed=12)
+    v = {"h": 0.1, "eps": 0.4, "size": 0.15, "tag": fld.EXTERIOR, **header}
+    region = dom.region.copy()
+    region[0, 0, 0] = v["tag"]
+    p = tmp_path / "bad.nllc1"
+    p.write_bytes(b"NLLC2" + struct.pack("<5I3d", *dom.shape, 2, 1, v["h"], v["eps"], v["size"])
+                  + region.tobytes() + f.values.astype("<f8").tobytes())
+    with pytest.raises(DumpFormatError):
+        fld.read_nllc1(p)
+
+
 @DOMAINS
 def test_finite_thickness_exact_when_no_exterior(make_domain):
     # with layer_thickness = inf there is no exterior and the restricted

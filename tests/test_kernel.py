@@ -134,6 +134,21 @@ def test_min_eigen_nonnegative_on_annulus():
         assert np.all(g > 0)
 
 
+def test_pointwise_checks_bound_the_seeded_sampler():
+    # the deterministic check points against the 512 seeded points in the
+    # support ball that the checks drew before: the domination constant bounds
+    # lambda_max / g there, and the smallest g at the check points bounds g
+    rng = np.random.default_rng(12345)
+    z = rng.standard_normal((512, 3))
+    z *= NEMATIC.support_radius * rng.random((512, 1)) ** (1 / 3) / np.linalg.norm(
+        z, axis=1, keepdims=True)
+    lam = np.linalg.eigvalsh(kernel.evaluate_kernel(NEMATIC, z))
+    assert np.all(lam[:, 0] > 0)
+    report = kernel.check_assumptions(NEMATIC)
+    assert report.lambda_max_constant >= (lam[:, -1] / lam[:, 0]).max()
+    assert kernel.min_eigen_g(NEMATIC, kernel._check_points(NEMATIC)).min() <= lam[:, 0].min()
+
+
 def test_assumptions_pass_on_presets():
     for spec in (ANNULUS, GAUSS, NEMATIC, INV6):
         report = kernel.check_assumptions(spec)
@@ -157,10 +172,11 @@ FAT_TAIL = kernel.KernelSpec("scalar", 2, FatTail(), q=6.0, annulus=(0.25, 0.75)
 
 
 def test_assumptions_fail_on_fat_tail():
-    spec = FAT_TAIL
-    assert kernel.second_moment_diverges(spec)
-    report = kernel.check_assumptions(spec)
+    # the profile gives no closed-form tail: compute_moments raises, and the
+    # report fails the moments and says why
+    report = kernel.check_assumptions(FAT_TAIL)
     assert not report.passed["K4_second_moment"]
+    assert "tail_radial_moment" in report.notes
 
 
 def test_elastic_tensor_raises_without_a_closed_form_tail():
@@ -198,17 +214,23 @@ def test_elastic_tensor_matches_lattice_bruteforce():
 
 
 def test_elastic_contract_matches_dense_eigen_oracle():
+    # the Rayleigh range that ellipticity_bounds reports is the dense spectrum's,
+    # and it brackets seeded Rayleigh quotients
     tensor = kernel.elastic_tensor(NEMATIC)
     m = tensor.L.shape[2]
     flat = tensor.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
     flat = 0.5 * (flat + flat.T)
     w = np.linalg.eigvalsh(flat)
+    bounds = kernel.ellipticity_bounds(NEMATIC, tensor)
+    assert bounds.rayleigh_min == pytest.approx(w[0], rel=1e-12)
+    assert bounds.rayleigh_max == pytest.approx(w[-1], rel=1e-12)
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(100):
         xi = rng.standard_normal((m, 3))
         xi /= np.linalg.norm(xi)
         val = tensor.contract(xi)
         assert w[0] - 1e-12 <= val <= w[-1] + 1e-12
+        assert bounds.rayleigh_min - 1e-12 <= val <= bounds.rayleigh_max + 1e-12
 
 
 def test_ellipticity_bounds_and_flag():

@@ -129,14 +129,6 @@ def test_harmonic_minimize_keeps_boundary_bitwise():
     assert np.allclose(res.mfield.values[~dom.omega_mask], before, atol=1e-12)
 
 
-def test_harmonic_multistart_returns_best():
-    dom = make_domain(n=16)
-    bc = limit.orbit_boundary("smooth-angle", dom, 0.6, "s1", slope=1.5)
-    best, log = limit.harmonic_multistart(bc, LT, n_random=2, tol=1e-6, max_iter=3000)
-    assert len(log) == 3
-    assert best.energies[-1] <= min(e for _, e in log) + 1e-12
-
-
 def test_s2_frame_equivariance():
     # a global frame rotation about the x3-axis leaves the energy invariant
     spec5 = kernel.kernel_preset("annulus", 5, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})

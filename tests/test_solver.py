@@ -121,7 +121,8 @@ def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
     # the first extrapolated trial (the second trial) maps to NaN values, so
     # its energy is NaN; the solve drops the history, takes a damped step and
     # still converges.  The case's own solve rejects no trial, so the one
-    # rejection is the forced one
+    # rejection is the forced one.  The halved damping grows back to alpha on
+    # the next accepted trial; it stayed halved for the rest of the solve
     dom, sampled, bulk = setup_case()
     f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=0.5)
     cfg = solver.SolverConfig(tol=1e-9)
@@ -135,10 +136,24 @@ def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
         u = original(*args, **kwargs)
         return np.full_like(u, np.nan) if calls["n"] == 2 else u  # first damped trial, then this
 
+    steps = []
+    descent = solver.monotone_descent
+
+    def recording(trial, *args, **kwargs):
+        def logged(state, step, rejected):
+            steps.append(step)
+            return trial(state, step, rejected)
+
+        return descent(logged, *args, **kwargs)
+
     monkeypatch.setattr(solver, "lambda_inverse", failing)
+    monkeypatch.setattr(solver, "monotone_descent", recording)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
     assert res.converged
     assert res.iterations == len(res.energies)  # exactly one rejected trial
+    a = cfg.alpha
+    assert steps[:4] == [a, a, a / 2, a]
+    assert steps[3:] == [a] * (len(steps) - 3)
     e = np.array(res.energies)
     assert np.all(np.diff(e) <= 1e-12 * (1.0 + np.abs(e[:-1])))
     assert res.energies[-1] == pytest.approx(ref.energies[-1], rel=1e-10)
