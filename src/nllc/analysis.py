@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
-from .field import _neighbour_slices, require_resolvable
+from .field import _neighbour_slices, require_resolvable, require_same_grid
 from .kernel import MIN_CELLS_ACROSS, SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
@@ -193,6 +193,11 @@ def mollify_l2_check(
     return lhs, rhs, _ratio(lhs, rhs)
 
 
+def _mean_oscillation(u: np.ndarray) -> float:
+    """Mean square distance of the values u (one per row) from their mean."""
+    return float(np.mean(np.sum((u - u.mean(axis=0)) ** 2, axis=-1)))
+
+
 def poincare_check(
     field: OrderField,
     center,
@@ -214,9 +219,7 @@ def poincare_check(
     half = ball_mask(dom, center, 0.5 * rho) & dom.omega_mask
     if not half.any():
         return 0.0, 0.0, 0.0
-    u = field.values[half]
-    mean = u.mean(axis=0)
-    osc = float(np.mean(np.sum((u - mean) ** 2, axis=-1)))
+    osc = _mean_oscillation(field.values[half])
     outer = ball_mask(dom, center, rho)
     scaled = local_energy(field, outer, sampled, bulk) / rho
     return osc, scaled, _ratio(osc, scaled)
@@ -237,8 +240,6 @@ class DecayProfile:
     def __post_init__(self):
         if np.any(np.diff(self.radii) >= 0):
             raise ValueError("radii must be strictly decreasing")
-        if np.any(self.mean_osc < 0) or np.any(self.scaled_energy < 0):
-            raise ValueError("recorded decay values must be nonnegative")
 
 
 def _loglog_slope(radii, values) -> float:
@@ -269,9 +270,7 @@ def campanato_profile(
     for k, rho in enumerate(radii):
         mask = ball_mask(dom, center, rho) & dom.omega_mask
         if mask.any():
-            u = field.values[mask]
-            mean = u.mean(axis=0)
-            osc[k] = float(np.mean(np.sum((u - mean) ** 2, axis=-1)))
+            osc[k] = _mean_oscillation(field.values[mask])
         if sampled is not None and bulk is not None:
             en[k] = local_energy(field, ball_mask(dom, center, rho), sampled, bulk) / rho
     alpha = _loglog_slope(radii, en) if sampled is not None and bulk is not None else float("nan")
@@ -369,6 +368,7 @@ def uniform_convergence_report(
     caller can see stagnation on the flagged cells too.
     """
     dom = u0.domain
+    require_same_grid(fields, dom)
     keep = dom.omega_mask.copy()
     if singular is not None and singular.flagged.any():
         grown = _dilate(singular.flagged, dilation_cells)
@@ -376,8 +376,6 @@ def uniform_convergence_report(
     v0 = u0.values
     rows = []
     for f in fields:
-        if f.domain.shape != dom.shape or abs(f.domain.h - dom.h) > 1e-12:
-            raise ResolutionMismatch("fields and the limit must share a grid")
         d = np.linalg.norm(f.values - v0, axis=-1)
         off = float(d[keep].max()) if keep.any() else 0.0
         full = float(d[dom.omega_mask].max()) if dom.omega_mask.any() else 0.0

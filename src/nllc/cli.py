@@ -56,7 +56,6 @@ class ExperimentConfig:
     eps_list: list
     solver: solver_mod.SolverConfig
     out_dir: Path
-    seed: int
     ball_radius: float | None  # probe ball for gamma/holder pipelines
 
 
@@ -140,13 +139,12 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("[sweep] eps", "entries must be strictly descending")
 
-    seed = _get(parser, "solver", "seed", int, default=0)
     try:
         solver_cfg = solver_mod.SolverConfig(
             alpha=_get(parser, "solver", "alpha", _finite, default=0.5),
             tol=_get(parser, "solver", "tol", _finite, default=1e-8),
             max_iter=_get(parser, "solver", "max_iter", int, default=2000),
-            seed=seed,
+            seed=_get(parser, "solver", "seed", int, default=0),
         )
     except ValueError as exc:
         raise ConfigError("[solver]", str(exc)) from exc
@@ -168,7 +166,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
         eps_list=eps_list,
         solver=solver_cfg,
         out_dir=out_dir,
-        seed=seed,
         ball_radius=ball_radius,
     )
 
@@ -374,12 +371,11 @@ def _run_gamma_check(cfg: ExperimentConfig) -> None:
     v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model.name, **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(cfg.spec)
     rho = _probe_radius(cfg, dom)
-    region = field_mod.ball_mask(dom, np.zeros(3), rho)
-    if not (region & dom.omega_mask).any():
+    if not (field_mod.ball_mask(dom, np.zeros(3), rho) & dom.omega_mask).any():
         raise ConfigError("[probe] ball_radius", f"the ball of radius {rho:g} holds no Omega cell")
-    rows = limit_mod.gamma_limsup_check(
-        v, [sk for _, sk, _ in ladder], [b for _, _, b in ladder], tensor, region=region
-    )
+    _, kernels, bulks = zip(*ladder)
+    fields = [v.order_field(sk.eps) for sk in kernels]  # the recovery family: the upper-bound gaps
+    rows = limit_mod.gamma_gaps(fields, kernels, bulks, v, tensor, [(np.zeros(3), rho)])
     _write_csv(
         cfg.out_dir / "gamma.csv",
         ["eps", "F_eps", "E_limit", "gap"],
@@ -404,7 +400,7 @@ def _run_holder_probe(cfg: ExperimentConfig) -> None:
         res = _solve(cfg, init, sk, bulk)
         prof = analysis.campanato_profile(res.field, np.zeros(3), radii, sk, bulk)
         mu = max(prof.mu, 0.0)
-        semi = analysis.holder_seminorm(res.field, np.zeros(3), 0.5 * rho, mu, seed=cfg.seed)
+        semi = analysis.holder_seminorm(res.field, np.zeros(3), 0.5 * rho, mu, seed=cfg.solver.seed)
         try:
             decay = analysis.decay_lemma_check(
                 res.field, np.zeros(3), rho, sk, bulk, thetas=(0.25,), eta=np.inf, eps_star=1.0

@@ -48,11 +48,11 @@ class LayerTooThin(NllcError):
 
 
 class MaxIterations(NllcError):
-    """An iterative solve hit its iteration cap before reaching tolerance."""
+    """An iterative solve stopped short of tolerance; carries its partial result."""
 
     tag = "max_iterations"
 
-    def __init__(self, message: str, result=None):
+    def __init__(self, message: str, result):
         self.result = result
         super().__init__(message)
 

@@ -147,6 +147,13 @@ def require_resolvable(length: float, h: float, what: str) -> None:
                                  f"{RESOLVABLE_CELLS}h = {RESOLVABLE_CELLS * h:g}")
 
 
+def require_same_grid(fields, domain: Domain) -> None:
+    """Raise ResolutionMismatch unless every field lies on domain's grid."""
+    for f in fields:
+        if f.domain.shape != domain.shape or abs(f.domain.h - domain.h) > 1e-12:
+            raise ResolutionMismatch("fields and the limit must share a grid")
+
+
 def ball_mask(domain: Domain, center, radius: float) -> np.ndarray:
     """Boolean cell mask of the ball B_radius(center)."""
     x = domain.cell_centers()
@@ -209,21 +216,9 @@ def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:
     raise ValueError(f"no orbit parametrization for m = {m}")
 
 
-def make_field(domain: Domain, eps: float, boundary: np.ndarray, interior=None) -> OrderField:
-    """Assemble a field equal to the boundary datum off Omega.
-
-    interior may be None (datum everywhere), a constant vector, or a full
-    (Nx,Ny,Nz,m) array from which interior cells are taken.
-    """
-    vals = np.array(boundary, dtype=float, copy=True)
-    if interior is not None:
-        interior = np.asarray(interior, dtype=float)
-        mask = domain.omega_mask
-        if interior.ndim == 1:
-            vals[mask] = interior
-        else:
-            vals[mask] = interior[mask]
-    return OrderField(domain, eps, vals)
+def make_field(domain: Domain, eps: float, boundary: np.ndarray) -> OrderField:
+    """A field equal to the boundary datum everywhere, a copy of it."""
+    return OrderField(domain, eps, np.array(boundary, dtype=float, copy=True))
 
 
 # ---------------------------------------------------------------------------
@@ -589,33 +584,6 @@ def local_energy(field: OrderField, region: np.ndarray, sampled: SampledKernel,
 # scaling
 
 
-def trilinear_sample(values: np.ndarray, domain: Domain, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a lattice field at physical points.
-
-    Points that land exactly on lattice sites (within 1e-12 cells) take the
-    stored values bitwise; points outside the box clamp to the nearest face.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = np.array(domain.shape)
-    # fractional index coordinates
-    f = pts / domain.h + (n - 1) / 2.0
-    f = np.clip(f, 0.0, n - 1)
-    i0 = np.floor(f).astype(int)
-    i0 = np.minimum(i0, n - 2)
-    t = f - i0
-    on_site = np.all(np.abs(f - np.rint(f)) < 1e-12, axis=-1)
-    out = np.zeros(pts.shape[:-1] + (values.shape[-1],))
-    for corner in range(8):
-        d = np.array([(corner >> a) & 1 for a in range(3)])
-        w = np.prod(np.where(d, t, 1.0 - t), axis=-1)
-        idx = i0 + d
-        out += w[..., None] * values[idx[..., 0], idx[..., 1], idx[..., 2]]
-    if on_site.any():
-        ri = np.rint(f[on_site]).astype(int)
-        out[on_site] = values[ri[:, 0], ri[:, 1], ri[:, 2]]
-    return out
-
-
 def scaling_check(
     field: OrderField,
     center,
@@ -626,14 +594,18 @@ def scaling_check(
     """Compare rho^-1 F_eps(u, B_rho(center)) with F_{eps/rho}(u_rho, B_1(0)).
 
     The rescaled problem lives on an index-aligned lattice of spacing h/rho,
-    so u_rho is sampled exactly at original lattice sites whenever center is a
-    lattice vector and by trilinear interpolation otherwise.
+    so u_rho and its region tags are the original lattice's, shifted by
+    center; a center that is not a lattice vector raises ResolutionMismatch.
     """
     dom = field.domain
     c = np.asarray(center, dtype=float)
+    shift = c / dom.h
+    if np.any(np.abs(shift - np.rint(shift)) >= 1e-12):
+        raise ResolutionMismatch(f"center {tuple(c)} is not a lattice vector of spacing {dom.h:g}")
     lhs = local_energy(field, ball_mask(dom, c, rho), sampled, bulk) / rho
 
-    # rescaled lattice: same index grid, spacing h/rho; values pulled back
+    # rescaled lattice: same index grid, spacing h/rho; values and region tags
+    # pulled back by an index lookup, clamped to the box
     x_src = dom.cell_centers() + c
     # every cell of the unit ball on the rescaled grid must resample from
     # inside the original box
@@ -641,16 +613,11 @@ def scaling_check(
     half = (np.array(dom.shape) - 1) / 2.0 * dom.h
     if ball_src.size and np.any(np.abs(ball_src) > half + 1e-9 * dom.h):
         raise ResolutionMismatch("rescaled ball resamples from outside the box")
-    vals = trilinear_sample(field.values, dom, x_src.reshape(-1, 3)).reshape(
-        dom.shape + (field.m,)
-    )
-    # Omega of the rescaled problem is the pre-image of the original Omega:
-    # pull the region tags back by nearest-neighbour lookup
     n = np.array(dom.shape)
-    src_idx = np.clip(
-        np.rint(x_src / dom.h + (n - 1) / 2.0).astype(int), 0, n - 1
-    )
-    region = dom.region[src_idx[..., 0], src_idx[..., 1], src_idx[..., 2]]
+    idx = np.clip(np.rint(x_src / dom.h + (n - 1) / 2.0).astype(int), 0, n - 1)
+    src = (idx[..., 0], idx[..., 1], idx[..., 2])
+    # Omega of the rescaled problem is the pre-image of the original Omega
+    region = dom.region[src]
     sdom = Domain(dom.h / rho, region, dom.geometry, dom.omega_radius / rho)
     skernel = SampledKernel(
         sampled.spec,
@@ -662,7 +629,7 @@ def scaling_check(
         sampled.trunc_error,
     )
     sbulk = make_bulk_potential(bulk.model, skernel.intK_disc)
-    sfield = OrderField(sdom, field.eps / rho, vals)
+    sfield = OrderField(sdom, field.eps / rho, field.values[src])
     rhs = local_energy(sfield, ball_mask(sdom, np.zeros(3), 1.0), skernel, sbulk)
     return lhs, rhs, rhs - lhs
 

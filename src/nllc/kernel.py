@@ -462,10 +462,6 @@ class ElasticTensor:
         m = self.L.shape[2]
         return self.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
 
-    def contract(self, xi: np.ndarray) -> float:
-        """L xi . xi for xi of shape (m, 3) (rows: components, cols: directions)."""
-        return float(np.einsum("ijab,ai,bj->", self.L, xi, xi))
-
     def isotropic_constant(self):
         """If L = lambda * delta_ij delta_ab, return lambda; else None."""
         m = self.L.shape[2]
@@ -592,18 +588,6 @@ class SampledKernel:
         return np.linalg.eigvalsh(self.values)[..., 0]
 
 
-def truncation_radius(spec: KernelSpec, eps: float, tol: float, moments: KernelMoments | None):
-    """Stencil radius and tail bound; moments may be None only for a compact support."""
-    if np.isfinite(spec.support_radius):
-        return eps * spec.support_radius, 0.0
-    # tail estimate from the q-th moment: mass beyond R is <= mq (eps/R)^q;
-    # the energy-scale version carries the eps^-2 prefactor via (q-2)
-    q = spec.q
-    R = eps * (moments.mq / tol) ** (1.0 / (q - 2.0)) if q > 2 else eps * 1e3
-    err = moments.mq * (eps / R) ** (q - 2.0)
-    return R, err
-
-
 def stencil_offsets(radius_cells: int, h: float) -> np.ndarray:
     """Offsets z of the centred (2S+1)^3 lattice stencil, shape (2S+1,)*3 + (3,)."""
     idx = np.arange(-radius_cells, radius_cells + 1) * h
@@ -626,14 +610,18 @@ def sample_on_lattice(spec: KernelSpec, eps: float, h: float,
             f"h = {h:g} too coarse: need h <= eps*(rho2-rho1)/{MIN_CELLS_ACROSS} = "
             f"{eps * (rho2 - rho1) / MIN_CELLS_ACROSS:g}"
         )
-    moments = None if np.isfinite(spec.support_radius) else compute_moments(spec)
-    r_trunc, err = truncation_radius(spec, eps, TRUNC_TOL, moments)
-    if r_max is not None and r_trunc > r_max:
-        if np.isfinite(spec.support_radius):
+    if np.isfinite(spec.support_radius):
+        r_trunc, err = eps * spec.support_radius, 0.0
+        if r_max is not None and r_trunc > r_max:
             raise ResolutionMismatch("compact kernel support exceeds the allowed stencil radius")
-        r_trunc = r_max
-        q = spec.q
-        err = moments.mq * (eps / r_trunc) ** (q - 2.0) if q > 2 else np.inf
+    else:
+        # tail estimate from the q-th moment: mass beyond R is <= mq (eps/R)^q;
+        # the energy-scale version carries the eps^-2 prefactor via (q-2)
+        mq, q = compute_moments(spec).mq, spec.q
+        r_trunc = eps * (mq / TRUNC_TOL) ** (1.0 / (q - 2.0)) if q > 2 else eps * 1e3
+        if r_max is not None:
+            r_trunc = min(r_trunc, r_max)
+        err = mq * (eps / r_trunc) ** (q - 2.0)
     S = np.floor(r_trunc / h + 1e-12)
     if not (2 * S + 1) ** 3 <= MAX_STENCIL_SAMPLES:
         raise ResolutionMismatch(

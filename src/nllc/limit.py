@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
-from .field import _neighbour_slices, require_resolvable
+from .field import _neighbour_slices, require_resolvable, require_same_grid
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
 from .solver import monotone_descent
@@ -327,44 +327,6 @@ def singular_set(
 @dataclass
 class GammaGapRow:
     eps: float
-    f_eps: float
-    e_limit: float
-
-    @property
-    def gap(self) -> float:
-        return self.f_eps - self.e_limit
-
-
-def gamma_limsup_check(
-    v: ManifoldField,
-    kernels: list[SampledKernel],
-    bulks: list[BulkPotential],
-    L: ElasticTensor,
-    region: np.ndarray | None = None,
-) -> list[GammaGapRow]:
-    """F_eps(v, G) against the limit energy on G for an eps ladder.
-
-    kernels and bulks are aligned lists (one entry per eps, common grid).
-    The recovery family is the fixed orbit-valued map itself, so the gaps
-    measure the upper-bound direction directly.
-    """
-    dom = v.domain
-    if region is None:
-        region = dom.omega_mask
-    region = np.asarray(region, dtype=bool)
-    e0 = limit_energy(v, L, region=region)
-    rows = []
-    for sk, bulk in zip(kernels, bulks):
-        require_resolvable(sk.eps, dom.h, "eps")
-        u = v.order_field(sk.eps)
-        f = local_energy(u, region, sk, bulk)
-        rows.append(GammaGapRow(sk.eps, f, e0))
-    return rows
-
-
-@dataclass
-class LiminfRow:
-    eps: float
     center: tuple
     radius: float
     f_eps: float
@@ -376,32 +338,37 @@ class LiminfRow:
         return self.f_eps - self.e_limit
 
 
-def gamma_liminf_check(
+def gamma_gaps(
     fields: list[OrderField],
     kernels: list[SampledKernel],
     bulks: list[BulkPotential],
     u0: ManifoldField,
     L: ElasticTensor,
     balls,
-) -> list[LiminfRow]:
-    """Per-ball table of F_eps(u_eps, B_s) vs the limit energy and L2 gaps.
+) -> list[GammaGapRow]:
+    """Per-ball table of F_eps(u_eps, B_s) against the limit energy of u0 on B_s,
+    with the L2 distance of u_eps from u0 on the half ball.
 
-    All fields must live on u0's grid; balls is an iterable of (center, s).
+    fields, kernels and bulks are aligned lists (one entry per eps), all on
+    u0's grid; balls is an iterable of (center, s).  Minimisers give the
+    lower-bound direction; the recovery family u0.order_field(eps) gives the
+    upper-bound one, with zero L2 gaps.  Raises ResolutionMismatch for a
+    field whose eps is below the resolvable scale.
     """
     dom = u0.domain
-    v0 = u0.values
+    require_same_grid(fields, dom)
+    balls = [(tuple(np.asarray(center, dtype=float)), s) for center, s in balls]
+    masks = [ball_mask(dom, center, s) for center, s in balls]
+    e_limits = [limit_energy(u0, L, region=mask) for mask in masks]
     rows = []
     for u, sk, bulk in zip(fields, kernels, bulks):
-        if u.domain.shape != dom.shape or abs(u.domain.h - dom.h) > 1e-12:
-            raise ResolutionMismatch("fields and the limit must share a grid")
-        for center, s in balls:
-            mask = ball_mask(dom, center, s)
+        require_resolvable(u.eps, dom.h, "eps")
+        for (center, s), mask, e0 in zip(balls, masks, e_limits):
             f = local_energy(u, mask, sk, bulk)
-            e0 = limit_energy(u0, L, region=mask)
             half = ball_mask(dom, center, 0.5 * s) & dom.omega_mask
-            diff = u.values[half] - v0[half]
+            diff = u.values[half] - u0.values[half]
             l2 = float(np.sqrt(np.sum(diff * diff) * dom.cell_volume))
-            rows.append(LiminfRow(sk.eps, tuple(np.asarray(center, dtype=float)), s, f, e0, l2))
+            rows.append(GammaGapRow(sk.eps, center, s, f, e0, l2))
     return rows
 
 

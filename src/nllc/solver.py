@@ -29,6 +29,8 @@ ANDERSON_DEPTH = 5
 ALPHA_MIN = 1e-3
 # relative band within which best_of counts two final energies as a tie
 BEST_TIE_RTOL = 1e-13
+# random starts minimize_multistart adds to the boundary-datum start
+N_RANDOM_STARTS = 2
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,8 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not (0 < self.tol < np.inf and self.max_iter > 0 and self.descent_step > 0):  # NaN fails too
             raise ValueError("tolerances, step and iteration budget must be positive, tol finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -289,16 +293,15 @@ def minimize_multistart(
     sampled: SampledKernel,
     bulk: BulkPotential,
     config: SolverConfig = SolverConfig(),
-    n_random: int = 2,
 ) -> tuple:
-    """Run the EL iteration from the boundary-datum init plus random starts.
+    """Run the EL iteration from the boundary-datum init plus N_RANDOM_STARTS random starts.
 
     Returns (best result, list of (label, energy) for every start).
     """
     rng = np.random.default_rng(config.seed)
     om = boundary_init.domain.omega_mask
     starts = [("boundary", boundary_init)]
-    for k in range(n_random):
+    for k in range(N_RANDOM_STARTS):
         f = boundary_init.copy()
         r = rng.standard_normal((int(om.sum()), f.m))
         r *= 0.5 * bulk.model.sigma_max / np.maximum(

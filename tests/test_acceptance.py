@@ -156,8 +156,8 @@ def test_localized_test_map_energy_converges_to_the_limit():
     x = dom.cell_centers()
     phi = 1.5 * np.exp(-np.sum(x * x, axis=-1) / (2.0 * 0.06**2))
     v = limit.ManifoldField(dom, s0, "s1", fld._orbit_field(phi, s0, 2))
-    region = fld.ball_mask(dom, np.zeros(3), 0.19)
-    rows = limit.gamma_limsup_check(v, kernels, bulks, tensor, region=region)
+    fields = [v.order_field(e) for e in eps_ladder]
+    rows = limit.gamma_gaps(fields, kernels, bulks, v, tensor, [(np.zeros(3), 0.19)])
     gaps = [abs(r.gap) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 0.05 * rows[2].e_limit

@@ -251,6 +251,20 @@ def test_holder_probe_runs_on_the_readme_config(tmp_path):
     assert rows
 
 
+def test_holder_probe_on_the_constant_datum_of_the_readme_grid(tmp_path):
+    # a constant minimiser's scaled energies are round-off, as low as -5e-16
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    text = re.sub(r"\[boundary\]\n(.+\n)*\n", "[boundary]\npreset = constant\n\n", text)
+    ini = write_ini(tmp_path / "exp.ini", text)
+    out = tmp_path / "out"
+    assert cli.main(["holder-probe", ini, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "holder.csv")
+    assert rows
+    # decay_ratio is nan here: its theta = 0.25 ball lies under 4h
+    assert np.all(np.isfinite([[float(v) for v in r[:6]] for r in rows]))
+
+
 def test_minimize_s2_default_boundary_on_the_readme_config(tmp_path):
     # the default (constant) datum is the uniaxial reference state, on the vacuum orbit
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -411,7 +425,15 @@ def test_benchmark_cli_config_loads(tmp_path):
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
     text = re.search(r'CLI_CONFIG = """\\\n(.*?)"""', source, re.S).group(1)
     cfg = cli.load_config(write_ini(tmp_path / "exp.ini", text.format(seed=7)), "minimize")
-    assert cfg.seed == 7 and cfg.ball_radius == 0.6
+    assert cfg.solver.seed == 7 and cfg.ball_radius == 0.6
+
+
+def test_negative_seed_exit_2(tmp_path, capsys):
+    ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace("seed = 0", "seed = -1"))
+    out = tmp_path / "out"
+    assert cli.main(["minimize", ini, "--out", str(out)]) == 2
+    assert "[solver]" in capsys.readouterr().err
+    assert not (out / "minimizer.nllc1").exists()
 
 
 def test_gamma_check_probe_ball_without_omega_cells_exit_2(tmp_path, capsys):

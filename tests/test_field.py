@@ -125,6 +125,13 @@ def test_scaling_identity_lattice_aligned():
     assert abs(gap) <= 1e-9 * max(abs(lhs), 1.0)
 
 
+def test_scaling_check_refuses_an_off_lattice_center():
+    dom, sampled, bulk = setup_case()
+    f = random_field(dom, 0.5, bulk.manifold.s0, seed=8)
+    with pytest.raises(ResolutionMismatch):
+        fld.scaling_check(f, np.array([0.5 * dom.h, 0.0, 0.0]), 0.5, sampled, bulk)
+
+
 def test_scaling_identity_rho_one_exact():
     dom, sampled, bulk = setup_case()
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=9)
@@ -323,23 +330,13 @@ def test_boundary_presets_shapes_and_norms():
         fld.boundary_values("nope", dom, s0, 2)
 
 
-def test_make_field_interior_modes():
+def test_make_field_copies_the_datum():
     dom = fld.ball_domain(10, 0.1, 0.3)
     bnd = fld.boundary_values("constant", dom, 0.5, 2)
-    f0 = fld.make_field(dom, 0.3, bnd)
-    assert np.array_equal(f0.values, bnd)
-    f1 = fld.make_field(dom, 0.3, bnd, interior=np.array([0.1, 0.2]))
-    assert np.allclose(f1.values[dom.omega_mask], [0.1, 0.2])
-    assert np.array_equal(f1.values[~dom.omega_mask], bnd[~dom.omega_mask])
-
-
-def test_trilinear_on_site_is_bitwise():
-    dom = fld.ball_domain(10, 0.1, 0.3)
-    rng = np.random.default_rng(14)
-    vals = rng.standard_normal(dom.shape + (2,))
-    pts = dom.cell_centers().reshape(-1, 3)[::7]
-    out = fld.trilinear_sample(vals, dom, pts)
-    assert np.array_equal(out, vals.reshape(-1, 2)[::7])
+    f = fld.make_field(dom, 0.3, bnd)
+    assert np.array_equal(f.values, bnd)
+    f.values[dom.omega_mask] = 0.0  # a solve writes only the field's own values
+    assert np.array_equal(bnd, fld.boundary_values("constant", dom, 0.5, 2))
 
 
 # Window split against the whole box.  h = 0.1 and eps = 0.3 give a stencil

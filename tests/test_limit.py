@@ -181,10 +181,10 @@ def test_gamma_limsup_constant_map_gaps_vanish():
     bulks = [potential.make_bulk_potential(S1, sk.intK_disc) for sk in kernels]
     s0 = bulks[0].manifold.s0
     v = limit.orbit_boundary("constant", dom, s0, "s1")
-    rows = [
-        limit.GammaGapRow(r.eps, r.f_eps, r.e_limit)
-        for r in limit.gamma_limsup_check(v, kernels, bulks, LT)
-    ]
+    fields = [v.order_field(e) for e in eps_ladder]
+    # the ball of Omega's radius is Omega
+    assert np.array_equal(fld.ball_mask(dom, np.zeros(3), 0.25), dom.omega_mask)
+    rows = limit.gamma_gaps(fields, kernels, bulks, v, LT, [(np.zeros(3), 0.25)])
     for row, bulk in zip(rows, bulks):
         # per-eps vacuum radius may differ slightly from s0: measure the
         # residual bulk offset and allow it in the gap
@@ -203,12 +203,24 @@ def test_gamma_limsup_eps_resolution_guard():
     )
     v = limit.orbit_boundary("constant", dom, bulk.manifold.s0, "s1")
     with pytest.raises(ResolutionMismatch):
-        limit.gamma_limsup_check(v, [fake], [bulk], LT)
+        limit.gamma_gaps([v.order_field(fake.eps)], [fake], [bulk], v, LT, [(np.zeros(3), 0.25)])
+
+
+def test_gamma_gaps_minimiser_eps_resolution_guard():
+    # a minimiser field whose eps lies below 4h is refused, whatever the kernel's eps
+    h = 1.0 / 24
+    dom = make_domain(n=24, h=h, omega_radius=0.25)
+    sk = kernel.sample_on_lattice(ANNULUS, 0.5, h)
+    bulk = potential.make_bulk_potential(S1, sk.intK_disc)
+    v = limit.orbit_boundary("constant", dom, bulk.manifold.s0, "s1")
+    u = fld.OrderField(dom, 3.0 * h, v.values.copy())
+    with pytest.raises(ResolutionMismatch):
+        limit.gamma_gaps([u], [sk], [bulk], v, LT, [(np.zeros(3), 0.2)])
 
 
 def test_gamma_liminf_collapses_to_limsup_on_same_data():
-    # feeding the recovery map itself as "minimisers" reproduces the limsup
-    # rows and zero L2 gaps: a definitional cross-check of the two tables
+    # feeding the recovery map itself as "minimisers" gives the upper-bound
+    # gaps and zero L2 gaps: a definitional cross-check of the one table
     h = 1.0 / 24
     dom = make_domain(n=24, h=h, omega_radius=0.3)
     eps_ladder = [0.5, 0.4]
@@ -218,13 +230,15 @@ def test_gamma_liminf_collapses_to_limsup_on_same_data():
     v = limit.orbit_boundary("smooth-angle", dom, s0, "s1", slope=1.5)
     balls = [((0.0, 0.0, 0.0), 0.2)]
     fields = [v.order_field(e) for e in eps_ladder]
-    rows = limit.gamma_liminf_check(fields, kernels, bulks, v, LT, balls)
+    rows = limit.gamma_gaps(fields, kernels, bulks, v, LT, balls)
     mask = fld.ball_mask(dom, balls[0][0], balls[0][1])
     for row, sk, bulk in zip(rows, kernels, bulks):
         f_direct = fld.local_energy(v.order_field(sk.eps), mask, sk, bulk)
+        assert (row.eps, row.center, row.radius) == (sk.eps, balls[0][0], balls[0][1])
         assert row.f_eps == pytest.approx(f_direct, rel=1e-12)
         assert row.l2_half == 0.0
         assert row.e_limit == pytest.approx(limit.limit_energy(v, LT, region=mask), rel=1e-12)
+        assert row.gap == row.f_eps - row.e_limit
 
 
 def test_orbit_boundary_matches_field_presets():

@@ -299,8 +299,8 @@ def test_multistart_best_is_no_worse_than_boundary_start():
     dom, sampled, bulk = setup_case(n=14, h=0.1)
     f = boundary_field(dom, 0.5, bulk.manifold.s0)
     cfg = solver.SolverConfig(tol=1e-7, max_iter=2000)
-    best, log = solver.minimize_multistart(f, sampled, bulk, cfg, n_random=2)
-    assert len(log) == 3
+    best, log = solver.minimize_multistart(f, sampled, bulk, cfg)
+    assert len(log) == 1 + solver.N_RANDOM_STARTS
     labels = [l for l, _ in log]
     assert labels[0] == "boundary"
     boundary_energy = dict(log)["boundary"]
