@@ -350,9 +350,9 @@ def _run_limit_solve(cfg: ExperimentConfig) -> None:
     tensor, res = _limit_reference(cfg, dom, ladder[0][2].manifold.s0)
     field_mod.write_nllc1(cfg.out_dir / "limit.nllc1", res.mfield.order_field(cfg.eps_list[-1]))
     rows = [
-        ("energy_descent", res.energies[-1]),
-        ("energy_central", limit_mod.limit_energy(res.mfield, tensor)),
+        ("energy", limit_mod.limit_energy(res.mfield, tensor)),
         ("iterations", res.iterations),
+        ("cg_iterations", sum(res.cg_iterations)),
         ("reason", res.reason),
         ("isotropic_lambda", tensor.isotropic_constant()),
     ]
@@ -367,15 +367,17 @@ def _probe_radius(cfg: ExperimentConfig, dom) -> float:
 
 def _run_gamma_check(cfg: ExperimentConfig) -> None:
     ladder, dom = _setup(cfg)
-    s0 = ladder[0][2].manifold.s0
-    v = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model.name, **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(cfg.spec)
     rho = _probe_radius(cfg, dom)
     if not (field_mod.ball_mask(dom, np.zeros(3), rho) & dom.omega_mask).any():
         raise ConfigError("[probe] ball_radius", f"the ball of radius {rho:g} holds no Omega cell")
-    _, kernels, bulks = zip(*ladder)
-    fields = [v.order_field(sk.eps) for sk in kernels]  # the recovery family: the upper-bound gaps
-    rows = limit_mod.gamma_gaps(fields, kernels, bulks, v, tensor, [(np.zeros(3), rho)])
+    rows = []
+    for eps, sk, bulk in ladder:
+        # the recovery family, each eps on its own vacuum orbit: the upper-bound gaps
+        v = limit_mod.orbit_boundary(cfg.boundary, dom, bulk.manifold.s0, cfg.model.name,
+                                     **cfg.boundary_params)
+        rows += limit_mod.gamma_gaps([v.order_field(eps)], [sk], [bulk], v, tensor,
+                                     [(np.zeros(3), rho)])
     _write_csv(
         cfg.out_dir / "gamma.csv",
         ["eps", "F_eps", "E_limit", "gap"],

@@ -12,8 +12,9 @@ Both modes are frame indifferent, K(Rz) = D(R) K(z) D(R)^T with D orthogonal
 |grad K(z)| therefore depend on |z| only, and the sphere average of K
 commutes with every D(R); as the m = 5 representation is irreducible, it is
 (tr K / m) Id by Schur's lemma.  So every kernel integral is an adaptive
-radial Gauss rule along the one ray r e3, except the elastic tensor, which
-also takes a fixed sphere rule that is exact for its angular polynomials.
+radial Gauss rule along the one ray r e3, except a nematic kernel's elastic
+tensor, which also takes a fixed sphere rule that is exact for its angular
+polynomials (a scalar kernel's is exactly lambda delta_ij delta_ab).
 The integrals run out to one integration radius, the support radius or an
 unbounded kernel's last breakpoint, and add one closed-form tail beyond it,
 which raises QuadratureUnderresolved when the profile has none.
@@ -475,9 +476,22 @@ class ElasticTensor:
 def elastic_tensor(spec: KernelSpec) -> ElasticTensor:
     """L[i,j,a,b] = (1/4) int K_ab(z) z_i z_j dz, symmetrised.
 
-    The radial rule of the moments times the 32 nodes of sphere_rule(4, 8),
-    which is exact for the degree <= 6 angular polynomials of K(z) z_i z_j.
+    In scalar mode K = f1 Id and z_i z_j averages to |z|^2 delta_ij / 3 on
+    each sphere, so L = lambda delta_ij delta_ab exactly, with the one radial
+    moment lambda = (pi/3) int f1(r) r^4 dr: the cross entries are zeros, not
+    quadrature round-off.  Nematic kernels take _tensor_quadrature.
     """
+    if spec.mode == "scalar":
+        lam = (np.pi / 3.0) * _moments(spec, lambda r: [spec.f1(r) * r**4],
+                                       [(4, 1.0, "elastic tensor")])[0]
+        return ElasticTensor(lam * np.einsum("ij,ab->ijab", np.eye(3), np.eye(spec.m)))
+    return _tensor_quadrature(spec)
+
+
+def _tensor_quadrature(spec: KernelSpec) -> ElasticTensor:
+    """elastic_tensor by the radial rule of the moments times the 32 nodes of
+    sphere_rule(4, 8), which is exact for the degree <= 6 angular polynomials
+    of K(z) z_i z_j."""
     s, ws = sphere_rule(4, 8)
     ss = np.einsum("n,ni,nj->nij", ws * (np.pi / 4), s, s)  # the rule's 2 pi / n_phi
 

@@ -3,9 +3,9 @@
 The small-scale problems relax toward fields valued in the vacuum orbit
 N = s0 * O; an orbit-valued field stores its values on N, and its boundary
 presets are those of field.boundary_values.  This module provides the
-quadratic elastic energy with tensor L on such fields, a projected-gradient
-minimiser that keeps the constraint exact per cell (it descends on the
-forward-difference energy, assembled once per solve as a matrix stored in
+quadratic elastic energy with tensor L on such fields, a tangent-plane
+implicit minimiser that keeps the constraint exact per cell (it descends on
+the forward-difference energy, assembled once per solve as a matrix stored in
 padded rows on the cells its links touch, Omega's first), a detector for
 concentration of the limit Dirichlet density, and the two-sided convergence
 diagnostics comparing small-scale energies with the limit energy on balls.
@@ -22,7 +22,7 @@ from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
 from .field import _neighbour_slices, require_resolvable, require_same_grid
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
-from .potential import BulkPotential, coords_to_matrix, q_tensor_coords
+from .potential import _SYM0_BASIS, BulkPotential, coords_to_matrix, q_tensor_coords
 from .solver import monotone_descent
 
 
@@ -200,12 +200,56 @@ class LimitSolveResult:
     mfield: ManifoldField
     energies: list
     residuals: list
+    cg_iterations: list  # conjugate-gradient iterations of each accepted step
     iterations: int
     reason: str
 
     @property
     def converged(self) -> bool:
         return self.reason == "converged"
+
+
+# time step tau of the tangent-plane scheme, halved by a rejection and doubled
+# back by each accepted step; the step count barely depends on it
+TANGENT_STEP = 10.0
+# relative residual at which conjugate gradients stop on a step's tangent system
+CG_RTOL = 1e-1
+
+
+def _orbit_chart(y: np.ndarray, s0: float, kind: str):
+    """(project_orbit(y, s0, kind), T): the closest orbit point and an
+    orthonormal frame T (..., m, d) of the orbit's tangent space there.
+
+    s1: the unit tangent (-x2, x1)/s0 (d = 1).  s2: from the eigenframe of the
+    projection's one eigh, the top eigenvector n and the two others e_k give
+    the coordinates of (e_k n^T + n e_k^T)/sqrt(2) (d = 2), as q_tensor_coords
+    is an isometry up to its sqrt(3/2).
+    """
+    if kind == "s1":
+        x = project_orbit(y, s0, kind)
+        return x, np.stack([-x[..., 1], x[..., 0]], axis=-1)[..., None] / s0
+    frame = np.linalg.eigh(coords_to_matrix(y))[1]
+    n = frame[..., :, -1]
+    T = np.sqrt(2.0) * np.einsum("aij,...ik,...j->...ak", _SYM0_BASIS, frame[..., :, :2], n)
+    return s0 * q_tensor_coords(n), T
+
+
+def _conjugate_gradients(apply, b: np.ndarray):
+    """Solve apply(a) = b for a symmetric positive definite apply by conjugate
+    gradients from a = 0, to a residual |r| <= CG_RTOL |b| (at most b.size
+    steps).  Returns (a, iterations)."""
+    a, r = np.zeros_like(b), b.copy()
+    p, rr = r.copy(), float(np.vdot(r, r))
+    stop, k = CG_RTOL**2 * rr, 0
+    while rr > stop and k < b.size:
+        Ap = apply(p)
+        step = rr / float(np.vdot(p, Ap))
+        a += step * p
+        r -= step * Ap
+        rr, rr_old = float(np.vdot(r, r)), rr
+        p = r + (rr / rr_old) * p
+        k += 1
+    return a, k
 
 
 def harmonic_minimize(
@@ -217,18 +261,22 @@ def harmonic_minimize(
 ) -> LimitSolveResult:
     """Minimise the limit energy over orbit-valued fields with fixed trace.
 
-    Projected gradient descent on solver.monotone_descent: Euclidean step on
-    the interior cells followed by the closest-point retraction onto the
-    orbit.  The descent objective is the forward-difference quadrature,
-    assembled once as the padded rows K of _limit_operator; the iteration
-    runs on the values of the cells that K touches, Omega's leading, so each
-    trial costs one product K @ x and reads Omega as a leading slice, and the
-    values go back into the box at the end (cells outside Omega keep their
-    trace bitwise).  Recorded energies are the objective's values.
-    Stationarity is measured as the sup-norm of the retracted update per unit
-    step, one residual per accepted step.  Raises ResolutionMismatch when
-    Omega touches a box face, and MaxIterations (with the best iterate
-    attached) when the budget or the step runs out.
+    Tangent-plane implicit steps (Alouges 1997; Bartels 2005) on
+    solver.monotone_descent.  The objective is the forward-difference
+    quadrature cell_volume x.Kx, K the padded rows of _limit_operator,
+    assembled once; the iteration runs on the values x of the cells K
+    touches, Omega's leading, and the values go back into the box at the end
+    (cells outside Omega keep their trace bitwise).  A step takes the
+    orthonormal tangent frame T of the orbit on Omega's cells (_orbit_chart)
+    and solves (I/tau + 2 T^T K T) alpha = -T^T (2Kx) by conjugate gradients
+    to CG_RTOL, one product with Omega's rows of K per inner iteration; the
+    trial is x + T alpha retracted with project_orbit, whose eigenframe gives
+    the next T.  A trial that raises the energy is rejected and halves tau.
+    Recorded energies are the objective's values.  Stationarity is the
+    sup-norm over Omega's cells of the tangential gradient |T^T 2Kx|, one
+    residual per accepted step.  Raises ResolutionMismatch when Omega touches
+    a box face, and MaxIterations (with the best iterate attached) when the
+    budget or the step runs out.
     """
     dom = boundary.domain
     if dom.n_omega and dom.padding_cells() < 1:
@@ -238,43 +286,42 @@ def harmonic_minimize(
     vals = boundary.values.copy()
     if interior_init is not None:
         vals[omega] = project_orbit(interior_init[omega], s0, kind)
-    M = L.matrix
-    # Rayleigh bound: the discrete operator norm is <= lam_max * 24/h^2
-    lam = float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    step = dom.h**2 / (24.0 * max(lam, 1e-300))
-    cells, K = _limit_operator(dom, M)
+    cells, K = _limit_operator(dom, L.matrix)
     box = vals.reshape(-1, m)
-    n_om = dom.n_omega  # Omega's cells lead cells: x[:n_om] are the values the descent moves
-    # cap per-iteration motion: large retracted steps can wrap around the
-    # orbit and settle into rough metastable configurations
-    move_cap = 0.2 * s0
+    n_om = dom.n_omega  # Omega's cells lead cells: x[:n_om] are the values the steps move
+    K_om = PaddedRows(K.cols[:n_om * m], K.vals[:n_om * m])  # Omega's rows
 
-    def objective(x):
+    def evaluate(x, T, cg):
         grad = 2.0 * (K @ x.reshape(-1)).reshape(x.shape)
-        return 0.5 * dom.cell_volume * float(np.vdot(x, grad)), grad
+        tangential = np.einsum("cad,ca->cd", T, grad[:n_om])
+        energy = 0.5 * dom.cell_volume * float(np.vdot(x, grad))
+        res = float(np.linalg.norm(tangential, axis=-1).max(initial=0.0))
+        return (x, T, tangential, cg), energy, res
 
     def trial(state, tau, rejected):
-        x, grad = state
-        x_om, g_om = x[:n_om], grad[:n_om]
-        sup_g = float(np.max(np.linalg.norm(g_om, axis=-1))) if n_om else 0.0
-        tau_eff = min(tau, move_cap / sup_g) if sup_g > 0 else tau
+        x, T, tangential, cg = state
+        v = np.zeros_like(x)
+
+        def apply(alpha):
+            v[:n_om] = np.einsum("cad,cd->ca", T, alpha)
+            return alpha / tau + 2.0 * np.einsum("cad,ca->cd", T, (K_om @ v.reshape(-1)).reshape(-1, m))
+
+        alpha, k = _conjugate_gradients(apply, -tangential)
         y = x.copy()
-        y[:n_om] = project_orbit(x_om - tau_eff * g_om, s0, kind)
-        res = float(np.max(np.linalg.norm(y[:n_om] - x_om, axis=-1))) / tau_eff if n_om else 0.0
-        energy, g = objective(y)
-        return (y, g), energy, res
+        y[:n_om], T = _orbit_chart(x[:n_om] + np.einsum("cad,cd->ca", T, alpha), s0, kind)
+        return evaluate(y, T, cg + (k,))
 
     def finish(state, energies, residuals, it, reason):
         box[cells] = state[0]
         mfield = ManifoldField(dom, s0, kind, box.reshape(vals.shape))
-        return LimitSolveResult(mfield, energies, residuals[1:], it, reason)
+        return LimitSolveResult(mfield, energies, residuals[1:], list(state[3]), it, reason)
 
     x = box[cells]
-    energy, grad = objective(x)
-    # the start has no update to measure: an infinite residual, not reported
-    return monotone_descent(trial, (x, grad), energy, np.inf, finish,
-                            tol=tol, max_iter=max_iter, step=step, grow=1.5, cap=8.0 * step,
-                            floor=1e-8 * step, rtol=1e-14, exhausted="step_exhausted")
+    state, energy, _ = evaluate(x, _orbit_chart(x[:n_om], s0, kind)[1], ())
+    # the start has no step to measure: an infinite residual, not reported, so one step always runs
+    return monotone_descent(trial, state, energy, np.inf, finish, tol=tol, max_iter=max_iter,
+                            step=TANGENT_STEP, grow=2.0, cap=TANGENT_STEP,
+                            floor=1e-8 * TANGENT_STEP, rtol=1e-14, exhausted="step_exhausted")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nllc import cli, kernel
+from nllc import cli, kernel, limit
 from nllc import field as fld
 from nllc.errors import ConfigError
 
@@ -172,9 +172,32 @@ def test_limit_solve_report(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["limit-solve", ini, "--out", str(out)]) == 0
     kv = read_kv(out / "limit_report.txt")
-    assert float(kv["energy_descent"]) > 0
-    assert float(kv["energy_central"]) > 0
-    assert (out / "limit.nllc1").exists()
+    assert list(kv) == ["energy", "iterations", "cg_iterations", "reason", "isotropic_lambda"]
+    # one energy, the central quadrature that gamma.csv's E_limit uses, of the written field
+    cfg = cli.load_config(ini, "limit-solve")
+    ladder, dom = cli._setup(cfg)
+    mfield = limit.ManifoldField(dom, ladder[0][2].manifold.s0, "s1",
+                                 fld.read_nllc1(out / "limit.nllc1").values)
+    assert float(kv["energy"]) == limit.limit_energy(mfield, kernel.elastic_tensor(cfg.spec)) > 0
+    assert int(kv["cg_iterations"]) >= 0
+    # the CG count is deterministic: the report is byte-identical across runs
+    again = tmp_path / "again"
+    assert cli.main(["limit-solve", ini, "--out", str(again)]) == 0
+    assert (again / "limit_report.txt").read_bytes() == (out / "limit_report.txt").read_bytes()
+
+
+def test_gamma_check_constant_map_gaps_vanish_on_every_eps(tmp_path):
+    # each eps's recovery map lies on that eps's own vacuum orbit, where the
+    # constant map has zero energy: F_eps read 3.97e-4 at eps 0.5 on the orbit of eps 0.6
+    text = ANNULUS_INI.replace("preset = smooth-angle\nslope = 1.5", "preset = constant")
+    ini = write_ini(tmp_path / "exp.ini", text)
+    out = tmp_path / "out"
+    assert cli.main(["gamma-check", ini, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "gamma.csv")
+    assert [float(r[0]) for r in rows] == [0.6, 0.5]
+    for r in rows:
+        col = {name: float(value) for name, value in zip(header, r)}
+        assert abs(col["F_eps"]) <= 1e-12 and abs(col["gap"]) <= 1e-12
 
 
 @pytest.mark.parametrize("command, table, columns, total, parts", [
