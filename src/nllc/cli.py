@@ -187,7 +187,7 @@ def _sampled_ladder(cfg: ExperimentConfig):
 def _domain(cfg: ExperimentConfig, max_stencil: int):
     radius = cfg.omega_radius
     if radius is None:
-        radius = (cfg.n / 2.0 - max_stencil - 0.6) * cfg.h
+        radius = field_mod.padded_radius(cfg.n, cfg.h, max_stencil)
     if radius <= 0:
         raise ConfigError(
             "[domain] n", f"grid too small for the eps = {cfg.eps_list[0]:g} stencil"

@@ -135,6 +135,12 @@ def ball_domain(n: int, h: float, omega_radius: float, layer_thickness: float = 
     return _centred_domain(n, h, "ball", omega_radius, layer_thickness, "omega_radius")
 
 
+def padded_radius(n: int, h: float, stencil_cells: int) -> float:
+    """(n/2 - S - 0.6) h: the largest centred ball in an n^3 box that keeps S =
+    stencil_cells cells to the box faces."""
+    return (n / 2 - stencil_cells - 0.6) * h
+
+
 def cube_domain(n: int, h: float, omega_half_width: float, layer_thickness: float = np.inf) -> Domain:
     """Cube Omega of the given half width, tagged like ball_domain in the max-norm."""
     return _centred_domain(n, h, "cube", omega_half_width, layer_thickness, "omega_half_width")
@@ -387,7 +393,6 @@ def box_moment_field(sampled: SampledKernel, domain: Domain) -> np.ndarray:
 
 @dataclass
 class EnergyBreakdown:
-    form: str  # "primal", "oscillation", or "finite-thickness"
     interaction: float
     bulk: float
     c_eps: float
@@ -470,7 +475,7 @@ def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
                       v_c[om], quad - cross)
 
 
-def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential, form: str,
+def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
             support=None) -> EnergyBreakdown:
     """The primal form with the interaction over G x G, G the support mask or the box.
 
@@ -492,14 +497,14 @@ def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential, form
     quad = _quadratic_sum(u, box_moment_field(sampled, dom)) - float(
         np.einsum("na,ab,nb->", u[om], sampled.intK_disc, u[om]))
     c = (bulk.c0 * dom.n_omega + 0.5 * quad) * h3 / eps2
-    return EnergyBreakdown(form, interaction, bulk_term, c, interaction + bulk_term + c)
+    return EnergyBreakdown(interaction, bulk_term, c, interaction + bulk_term + c)
 
 
 def energy_primal(field: OrderField, sampled: SampledKernel,
                   bulk: BulkPotential) -> EnergyBreakdown:
     """-(1/2eps^2) double-sum u.K_eps u + (1/eps^2) sum_Omega psi_s + C_eps."""
     require_padding(field.domain, sampled)
-    return _primal(field, sampled, bulk, "primal")
+    return _primal(field, sampled, bulk)
 
 
 def _pairwise_interaction(
@@ -547,7 +552,7 @@ def _oscillation(pair: float, bulk: BulkPotential, u_om: np.ndarray, b: np.ndarr
                  h3: float, eps2: float) -> EnergyBreakdown:
     """The oscillation form from its interaction and the duals b on Omega."""
     bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * h3 / eps2
-    return EnergyBreakdown("oscillation", pair, bulk_term, 0.0, pair + bulk_term)
+    return EnergyBreakdown(pair, bulk_term, 0.0, pair + bulk_term)
 
 
 def local_form(field: OrderField, region: np.ndarray, sampled: SampledKernel,
@@ -653,7 +658,7 @@ def finite_thickness_energy(field: OrderField, sampled: SampledKernel,
     dom = field.domain
     require_padding(dom, sampled)
     check_layer(dom, field.eps, sampled.spec.q, sampled.spec.tau)
-    return _primal(field, sampled, bulk, "finite-thickness", dom.omega_eps_mask)
+    return _primal(field, sampled, bulk, dom.omega_eps_mask)
 
 
 def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float) -> tuple:

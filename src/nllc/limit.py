@@ -13,6 +13,7 @@ diagnostics comparing small-scale energies with the limit energy on balls.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -312,8 +313,11 @@ def harmonic_minimize(
         return evaluate(y, T, cg + (k,))
 
     def finish(state, energies, residuals, it, reason):
+        # the trace is boundary's and Omega's cells are orbit retractions, so the
+        # values need not pass the constructor's whole-box check again
         box[cells] = state[0]
-        mfield = ManifoldField(dom, s0, kind, box.reshape(vals.shape))
+        mfield = copy.copy(boundary)
+        mfield.values = box.reshape(vals.shape)
         return LimitSolveResult(mfield, energies, residuals[1:], list(state[3]), it, reason)
 
     x = box[cells]

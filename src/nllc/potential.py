@@ -7,19 +7,20 @@ prescribed sigma-moment u; it is evaluated through its convex dual, the
 log-partition function lnZ(b), with Lambda = grad psi_s and
 Lambda^{-1} = grad lnZ forming a Legendre pair.
 
-Three paths evaluate lnZ and its derivatives.  The circle model "s1" (sigma =
+Three paths evaluate lnZ and its gradient.  The circle model "s1" (sigma =
 (cos 2theta, sin 2theta) under the uniform measure) has the closed form lnZ(b)
-= log I0(|b|), so log_partition, lambda_inverse, covariance and dual_map use
-modified Bessel functions there, as fitted piecewise polynomials, and the dual
-map is a Halley iteration; its quadrature nodes serve only
-minimal_distribution and test oracles.  The sphere model "s2" carries an
-OctantFold: lnZ is rotation invariant, so each cell is taken to the eigenframe
-of its traceless 3x3 matrix, where the sum over the nodes folds onto the
-nodes of one octant and the dual map is a Newton solve in two unknowns (Ball &
-Majumdar 2010, Mol. Cryst. Liq. Cryst. 525).  Every other model sums over its
-quadrature nodes; that path is also the reference for s1 and s2 (a MicroModel
-with their nodes under another name takes it).  The vacuum orbit of the bulk
-potential is found along one dual ray b = t e from lambda_inverse alone.
+= log I0(|b|), so log_partition, lambda_inverse and dual_map use modified
+Bessel functions there, as fitted piecewise polynomials, and the dual map is a
+Halley iteration.  The sphere model "s2" carries an OctantFold: lnZ is
+rotation invariant, so each cell is taken to the eigenframe of its traceless
+3x3 matrix, where the sum over the nodes folds onto the nodes of one octant
+and the dual map is a Newton solve in two unknowns (Ball & Majumdar 2010, Mol.
+Cryst. Liq. Cryst. 525).  Every other model sums over its quadrature nodes;
+that path is also the reference for s1 and s2 (a MicroModel with their nodes
+under another name takes it).  The Hessian of lnZ, covariance, is that node
+sum on every model (one dual per bulk potential, and the samples of
+hessian_diagnostics).  The vacuum orbit of the bulk potential is found
+along one dual ray b = t e from lambda_inverse alone.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -39,9 +40,6 @@ DEGENERACY_TOL = 1e-6
 HESSIAN_SAMPLES, HESSIAN_DUAL_RADIUS = 200, 5.304689062957715
 # relative round-off allowed in intK's cubic block form and in its E/T2 tie
 CUBIC_TOL = 1e-12
-# s1: below this |b| the covariance takes the direction b/|b| as b/S1_SMALL; its
-# radial weight A' - A/s = -s^2/8 + ... is at most 1.3e-17 there
-S1_SMALL = 1e-8
 
 
 def sym0_basis() -> np.ndarray:
@@ -112,17 +110,15 @@ class MicroModel:
     sigma_max: float
     # s2: the nodes folded onto one octant, for sums in each cell's eigenframe
     fold: OctantFold | None = dc_field(default=None, repr=False, compare=False)
-    # (n_nodes, m*m) table of sigma_a sigma_b: second moments as one matmul;
-    # None with a fold, whose own table serves every second moment
-    sigma2: np.ndarray | None = dc_field(init=False, repr=False, compare=False)
+    # (n_nodes, m*m) table of sigma_a sigma_b: second moments as one matmul
+    sigma2: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.weights
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
         s = self.sigma
-        object.__setattr__(self, "sigma2", None if self.fold is not None
-                           else (s[:, :, None] * s[:, None, :]).reshape(len(s), -1))
+        object.__setattr__(self, "sigma2", (s[:, :, None] * s[:, None, :]).reshape(len(s), -1))
 
 
 def make_s1_model(n_nodes: int = 256) -> MicroModel:
@@ -370,12 +366,6 @@ def _from_eigenframe(d: np.ndarray, R: np.ndarray) -> np.ndarray:
     return mat.reshape(-1, 9) @ _SYM0_FLAT.T
 
 
-def _frame_rotation(R: np.ndarray) -> np.ndarray:
-    """D_ab = tr(E_a R E_b R^T), shape (n, 5, 5): y = D y' takes eigenframe coordinates to ours."""
-    rotated = R[:, None] @ _SYM0_BASIS @ np.swapaxes(R, 1, 2)[:, None]  # (n, b, 3, 3)
-    return np.swapaxes(rotated.reshape(-1, 5, 9) @ _SYM0_FLAT.T, 1, 2)
-
-
 def _folded_average(fold: OctantFold, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lnZ and the tilted-density averages of fold.moments, (n,) and (n, 8), at
     eigenframe coordinates d of shape (n, 2); max-shifted, in place on one (n, k) array."""
@@ -417,30 +407,8 @@ def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
 
 
 def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m).
-
-    On s1 it is A'(s) e e^T + (A/s) (I - e e^T), with s = |b|, e = b/s and
-    A' = 1 - A/s - A^2; at b = 0 it is I/2.  With an octant fold it is block
-    diagonal in b's eigenframe, the 2x2 covariance of (sigma_0, sigma_1) and
-    the second moments of sigma_2, sigma_3, sigma_4, rotated back by D C D^T
-    (_frame_rotation).
-    """
-    if model.name == "s1":
-        b = np.asarray(b, dtype=float)
-        s = np.linalg.norm(b, axis=-1)
-        a, q = _bessel_ratio(s)
-        e = b / np.maximum(s, S1_SMALL)[..., None]
-        radial = (1.0 - 2.0 * q - a * a)[..., None, None]  # A' - A/s
-        return q[..., None, None] * np.eye(2) + radial * e[..., :, None] * e[..., None, :]
-    if model.fold is not None:
-        d, R = _eigenframe(b)
-        avg = _folded_average(model.fold, d)[1]
-        mean = avg[:, :2]
-        framed = np.zeros((len(d), 5, 5))
-        framed[:, :2, :2] = avg[:, [2, 3, 3, 4]].reshape(-1, 2, 2) - mean[:, :, None] * mean[:, None, :]
-        framed[:, [2, 3, 4], [2, 3, 4]] = avg[:, 5:]
-        D = _frame_rotation(R)
-        return (D @ framed @ np.swapaxes(D, 1, 2)).reshape(np.shape(b) + (5,))
+    """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m),
+    as sums over the model's nodes."""
     f = _tilted_density(model, b)
     return _covariance_of(model, f, f @ model.sigma)
 

@@ -59,7 +59,6 @@ class SolveResult:
     lipschitz: float
     iterations: int
     reason: str
-    method: str
 
     @property
     def converged(self):
@@ -129,7 +128,7 @@ def el_fixed_point(
         trial = trial.reshape(b.shape)
         return lambda_inverse(bulk.model, trial), trial
 
-    return _oscillation_descent(init, sampled, bulk, config, "el_fixed_point", propose,
+    return _oscillation_descent(init, sampled, bulk, config, propose,
                                 step=config.alpha, grow=2.0, cap=config.alpha, floor=ALPHA_MIN,
                                 exhausted="damping_exhausted")
 
@@ -156,7 +155,7 @@ def gradient_descent(
         cand = np.where(norms > safe, cand * (safe / norms), cand)
         return cand, dual_map(bulk.model, cand)
 
-    return _oscillation_descent(init, sampled, bulk, config, "gradient_descent", propose,
+    return _oscillation_descent(init, sampled, bulk, config, propose,
                                 step=config.descent_step, grow=1.1, cap=np.inf, floor=1e-12,
                                 exhausted="step_exhausted")
 
@@ -228,8 +227,7 @@ def best_of(starts, solve):
     return best, log
 
 
-def _oscillation_descent(init, sampled, bulk, config, method, propose, step, grow, cap, floor,
-                         exhausted):
+def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, floor, exhausted):
     """Trials of el_fixed_point and gradient_descent on the oscillation energy.
 
     Only the values on Omega change, so the state is (u, v, b) on Omega: the
@@ -265,7 +263,7 @@ def _oscillation_descent(init, sampled, bulk, config, method, propose, step, gro
         u = init.copy()
         u.values[om] = state[0]
         return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
-                           lipschitz_estimate(u), it, reason, method)
+                           lipschitz_estimate(u), it, reason)
 
     u0 = init.values[om]
     return monotone_descent(trial, *evaluate(u0, dual_map(bulk.model, u0)), finish,

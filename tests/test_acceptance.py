@@ -36,7 +36,7 @@ def test_primal_and_oscillation_energies_agree_on_random_fields():
     for preset, params in (("annulus", ANNULUS_PARAMS), ("gaussian", GAUSS_PARAMS)):
         spec = kernel.kernel_preset(preset, 2, params)
         sampled = kernel.sample_on_lattice(spec, eps, h)
-        dom = fld.ball_domain(n, h, (n / 2 - sampled.radius_cells - 0.6) * h)
+        dom = fld.ball_domain(n, h, fld.padded_radius(n, h, sampled.radius_cells))
         bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
         for seed in range(20):
             f = random_admissible_field(dom, eps, seed)
@@ -171,7 +171,7 @@ def test_fixed_point_and_descent_minimisers_agree_and_stay_physical():
     spec = kernel.kernel_preset("gaussian", 2, GAUSS_PARAMS)
     h, eps, n = 0.025, 0.1, 24
     sk = kernel.sample_on_lattice(spec, eps, h)
-    dom = fld.ball_domain(n, h, (n / 2 - sk.radius_cells - 0.6) * h)
+    dom = fld.ball_domain(n, h, fld.padded_radius(n, h, sk.radius_cells))
     bulk = potential.make_bulk_potential(S1, sk.intK_disc)
     bnd = fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 2, slope=1.5)
     f = fld.make_field(dom, eps, bnd)
@@ -188,7 +188,7 @@ def test_fixed_point_and_descent_minimisers_agree_and_stay_physical():
     for eps_k in (0.2, 0.1, 0.05):
         h_k = eps_k / 4.0
         sk_k = kernel.sample_on_lattice(spec, eps_k, h_k)
-        dom_k = fld.ball_domain(n, h_k, (n / 2 - sk_k.radius_cells - 0.6) * h_k)
+        dom_k = fld.ball_domain(n, h_k, fld.padded_radius(n, h_k, sk_k.radius_cells))
         bulk_k = potential.make_bulk_potential(S1, sk_k.intK_disc)
         bnd_k = fld.boundary_values("smooth-angle", dom_k, bulk_k.manifold.s0, 2, slope=1.5)
         res = solver.el_fixed_point(
@@ -376,7 +376,7 @@ def test_direct_and_transform_convolutions_agree():
     spec = kernel.kernel_preset("annulus", 2, ANNULUS_PARAMS)
     eps, h, n = 0.5, 0.1, 16
     sk = kernel.sample_on_lattice(spec, eps, h)
-    dom = fld.ball_domain(n, h, (n / 2 - sk.radius_cells - 0.6) * h)
+    dom = fld.ball_domain(n, h, fld.padded_radius(n, h, sk.radius_cells))
     rng = np.random.default_rng(12)
     for _ in range(3):
         vals = rng.standard_normal(dom.shape + (2,))

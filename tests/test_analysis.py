@@ -15,7 +15,7 @@ GAUSS = kernel.kernel_preset(
 
 def setup_case(eps=0.2, h=1.0 / 32, n=32):
     sampled = kernel.sample_on_lattice(GAUSS, eps, h)
-    omega_radius = (n / 2 - sampled.radius_cells - 0.6) * h
+    omega_radius = fld.padded_radius(n, h, sampled.radius_cells)
     dom = fld.ball_domain(n, h, omega_radius)
     bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
     return dom, sampled, bulk

@@ -18,7 +18,7 @@ def setup_case(n=20, h=0.1, eps=0.5, preset="annulus", omega_radius=None,
     spec = kernel.kernel_preset(preset, 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
     sampled = kernel.sample_on_lattice(spec, eps, h)
     if omega_radius is None:
-        omega_radius = (n / 2 - sampled.radius_cells - 0.6) * h
+        omega_radius = fld.padded_radius(n, h, sampled.radius_cells)
     dom = make_domain(n, h, omega_radius)
     bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
     return dom, sampled, bulk
@@ -400,6 +400,13 @@ def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
     assert energy.total == pytest.approx(box.total, abs=1e-12 * scale)
 
 
+def frame_rotation(g):
+    """D_ab = tr(E_a g E_b g^T): the action y -> D y of an orthogonal g on the
+    coordinates of traceless symmetric matrices."""
+    E = potential.sym0_basis()
+    return np.einsum("aij,ik,bkl,jl->ab", E, g, E, g)
+
+
 @settings(max_examples=16, deadline=None)
 @given(case=st.sampled_from(sorted(SPLIT_CASES)),
        make_domain=st.sampled_from([fld.ball_domain, fld.cube_domain]),
@@ -415,7 +422,7 @@ def test_lattice_energies_are_frame_indifferent(case, make_domain, perm, signs, 
     dom = make_domain(SPLIT_N, SPLIT_H, 0.3)
     g = np.eye(3)[list(perm)] * np.array(signs)[:, None]
     if sampled.spec.mode == "nematic":
-        rho = potential._frame_rotation(g[None])[0]
+        rho = frame_rotation(g)
     else:
         c, s = np.cos(angle), np.sin(angle)
         rho = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])

@@ -183,6 +183,30 @@ def test_harmonic_minimize_keeps_boundary_bitwise():
     assert np.allclose(res.mfield.values[~dom.omega_mask], before, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, m", [("s1", 2), ("s2", 5)])
+def test_harmonic_minimize_projects_no_cell_beyond_omega(kind, m, monkeypatch):
+    # the trace is the checked datum's, so neither the steps nor the result
+    # retract anything but Omega's cells
+    spec = kernel.kernel_preset("annulus", m, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
+    L = kernel.elastic_tensor(spec)
+    dom = make_domain(n=16)
+    bc = limit.orbit_boundary("vortex", dom, 0.6, kind, winding=1.0)
+    init = bc.values + 0.05 * np.random.default_rng(5).standard_normal(bc.values.shape)
+    shapes, project = [], limit.project_orbit
+
+    def recording(y, s0, kind):
+        shapes.append(np.shape(y))
+        return project(y, s0, kind)
+
+    monkeypatch.setattr(limit, "project_orbit", recording)
+    res = limit.harmonic_minimize(bc, L, tol=1e-6, max_iter=4000, interior_init=init)
+    assert res.converged and shapes
+    assert max(np.prod(shape[:-1]) for shape in shapes) == dom.n_omega
+    outside = ~dom.omega_mask
+    assert np.array_equal(res.mfield.values[outside], bc.values[outside])
+    assert np.max(np.abs(project(res.mfield.values, 0.6, kind) - res.mfield.values)) <= 1e-12
+
+
 def test_s2_frame_equivariance():
     # a global frame rotation about the x3-axis leaves the energy invariant
     spec5 = kernel.kernel_preset("annulus", 5, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})

@@ -37,11 +37,13 @@ def test_log_partition_matches_trapezoid_oracle():
 
 
 def test_lambda_inverse_is_gradient_of_log_partition():
-    # and the covariance is the symmetric Jacobian of lambda_inverse
+    # and the covariance, summed over the nodes, is the symmetric Jacobian of
+    # the closed-form and folded lambda_inverse
     rng = np.random.default_rng(1)
     d = 1e-6
-    for model in (S1, S2):
-        b = rng.uniform(-2, 2, (5, model.m))
+    cases = [(S1, rng.uniform(-2, 2, (5, 2))), (S2, rng.uniform(-2, 2, (5, 5))),
+             (S1, _s1_duals()), (S2, _generic_duals(11))]
+    for model, b in cases:
         u = potential.lambda_inverse(model, b)
         cov = potential.covariance(model, b)
         assert np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=0.0, atol=1e-15)
@@ -338,9 +340,7 @@ def test_s1_closed_form_matches_the_quadrature(shape):
         u = potential.lambda_inverse(S1, bb)
         assert u.shape == bb.shape
         assert np.allclose(u, potential.lambda_inverse(S1_NODES, bb), rtol=0.0, atol=1e-14)
-        cov = potential.covariance(S1, bb)
-        assert cov.shape == bb.shape + (2,)
-        assert np.allclose(cov, potential.covariance(S1_NODES, bb), rtol=0.0, atol=1e-14)
+        assert potential.covariance(S1, bb).shape == bb.shape + (2,)
         # Hess psi_s at u, by each path's own dual map; near |b| = 45 the
         # quadrature dual is up to about 5e-11 relative off, and 1/A' is about 4000
         hess = np.linalg.inv(potential.covariance(S1, potential.dual_map(S1, u)))
@@ -356,7 +356,6 @@ def test_s1_closed_form_at_the_origin():
     zero = np.zeros(2)
     assert potential.log_partition(S1, zero) == 0.0
     assert np.array_equal(potential.lambda_inverse(S1, zero), zero)
-    assert np.array_equal(potential.covariance(S1, zero), 0.5 * np.eye(2))
     assert np.array_equal(potential.dual_map(S1, zero), zero)
     assert np.array_equal(potential.dual_map(S1, np.zeros((3, 1, 2))), np.zeros((3, 1, 2)))
 
@@ -511,9 +510,7 @@ def test_s2_fold_matches_the_node_sums(duals, tol, shape):
         u = potential.lambda_inverse(S2, b)
         assert u.shape == b.shape
         assert np.allclose(u, potential.lambda_inverse(S2_NODES, b), rtol=0.0, atol=tol)
-        cov = potential.covariance(S2, b)
-        assert cov.shape == b.shape + (5,)
-        assert np.allclose(cov, potential.covariance(S2_NODES, b), rtol=0.0, atol=tol)
+        assert potential.covariance(S2, b).shape == b.shape + (5,)
 
 
 def test_s2_dual_map_round_trips_under_both_paths():

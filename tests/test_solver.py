@@ -15,7 +15,7 @@ def setup_case(n=16, h=0.1, eps=0.5, omega_radius=None):
     spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
     sampled = kernel.sample_on_lattice(spec, eps, h)
     if omega_radius is None:
-        omega_radius = (n / 2 - sampled.radius_cells - 0.6) * h
+        omega_radius = fld.padded_radius(n, h, sampled.radius_cells)
     dom = fld.ball_domain(n, h, omega_radius)
     bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
     return dom, sampled, bulk
