@@ -32,7 +32,7 @@ def _preset_keys(table):
 CONFIG_KEYS = {
     "kernel": _preset_keys(kernel_mod.PRESETS),
     "model": ("name",),
-    "domain": ("n", "h", "omega_radius", "layer"),
+    "domain": ("n", "h", "omega_radius"),
     "boundary": _preset_keys(field_mod.BOUNDARY_PRESETS),
     "sweep": ("eps",),
     "solver": ("alpha", "tol", "max_iter", "seed"),
@@ -50,7 +50,6 @@ class ExperimentConfig:
     n: int
     h: float
     omega_radius: float | None
-    layer: float  # physical layer thickness; inf = prescribe everything outside
     boundary: str
     boundary_params: dict
     eps_list: list
@@ -123,9 +122,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
     omega_radius = _get(parser, "domain", "omega_radius", _finite)
     if omega_radius is not None and omega_radius <= 0:
         raise ConfigError("[domain] omega_radius", "need a finite omega_radius > 0")
-    layer = _get(parser, "domain", "layer", float, default=float("inf"))
-    if not layer >= 0:  # NaN fails too; inf prescribes everything outside Omega
-        raise ConfigError("[domain] layer", "need a layer thickness >= 0")
 
     boundary, bparams = _preset(parser, "boundary", field_mod.BOUNDARY_PRESETS, default="constant")
 
@@ -160,7 +156,6 @@ def load_config(path, subcommand: str) -> ExperimentConfig:
         n=n,
         h=h,
         omega_radius=omega_radius,
-        layer=layer,
         boundary=boundary,
         boundary_params=bparams,
         eps_list=eps_list,
@@ -193,7 +188,7 @@ def _domain(cfg: ExperimentConfig, max_stencil: int):
             "[domain] n", f"grid too small for the eps = {cfg.eps_list[0]:g} stencil"
         )
     try:
-        return field_mod.ball_domain(cfg.n, cfg.h, omega_radius=radius, layer_thickness=cfg.layer)
+        return field_mod.ball_domain(cfg.n, cfg.h, omega_radius=radius)
     except ValueError as exc:  # no cell centre lies within the radius
         key = "[domain] n" if cfg.omega_radius is None else "[domain] omega_radius"
         raise ConfigError(key, str(exc)) from exc
@@ -208,7 +203,7 @@ def _setup(cfg: ExperimentConfig):
 
 def _boundary_field(cfg: ExperimentConfig, dom, s0, eps):
     bd = field_mod.boundary_values(cfg.boundary, dom, s0, cfg.model.m, **cfg.boundary_params)
-    return field_mod.make_field(dom, eps, bd)
+    return field_mod.OrderField(dom, eps, bd)
 
 
 def _write_kv(path: Path, rows):
@@ -291,7 +286,7 @@ def _run_minimize(cfg: ExperimentConfig) -> None:
         ("iterations", best.iterations),
         ("reason", best.reason),
         ("margin", best.margin),
-        ("lipschitz", best.lipschitz),
+        ("lipschitz", solver_mod.lipschitz_estimate(best.field)),
     ] + [(f"start_{label}", energy) for label, energy in log]
     _write_kv(cfg.out_dir / "minimize_report.txt", rows)
 
@@ -333,7 +328,7 @@ def _run_eps_sweep(cfg: ExperimentConfig) -> None:
                 primal.c_eps,
                 res.residuals[-1],
                 res.margin,
-                res.lipschitz,
+                solver_mod.lipschitz_estimate(res.field),
                 l2,
             )
         )

@@ -38,6 +38,7 @@ from .potential import (
     psi_b,
     psi_b_at_dual,
     psi_s,
+    psi_s_at_dual,
     q_tensor_coords,
 )
 
@@ -220,11 +221,6 @@ def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:
         director = np.stack([np.cos(half), np.sin(half), np.zeros_like(half)], axis=-1)
         return s0 * q_tensor_coords(director)
     raise ValueError(f"no orbit parametrization for m = {m}")
-
-
-def make_field(domain: Domain, eps: float, boundary: np.ndarray) -> OrderField:
-    """A field equal to the boundary datum everywhere, a copy of it."""
-    return OrderField(domain, eps, np.array(boundary, dtype=float, copy=True))
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +431,16 @@ class OmegaSplit:
     K_eps is even and symmetric, so for every u_Omega the box form has an
     Omega part, the cross term 2 u_Omega.w with w = (K_eps*u_c)|Omega, and
     const = (sum_{off Omega} u_c.S_B u_c - sum_box u_c.(K_eps*u_c)) h^3,
-    the box sums of u_c alone.  Given w, S_B on Omega and const, values on
-    Omega cost one FFT convolution over Omega's bounding window and sums over
-    Omega; no array of the box's size.
+    the box sums of u_c alone.  Omega is padded, so S_B = intK_disc there and
+    the form's sum_Omega u.S_B u cancels psi_b's -(1/2) sum_Omega intK u.u:
+    given w and const, values on Omega cost one FFT convolution over Omega's
+    bounding window and sums over Omega; no array of the box's size.
     """
 
     sampled: SampledKernel
     h: float
     eps: float
     inner: np.ndarray  # Omega's cells in its bounding window
-    s_b: np.ndarray  # S_B on Omega, (n_Omega, m, m)
     w: np.ndarray  # (K_eps*u_c) on Omega
     const: float
 
@@ -454,25 +450,26 @@ class OmegaSplit:
         x[self.inner] = u
         return _kernel_convolve(self.sampled, x, self.h)[self.inner] + self.w
 
-    def energy(self, bulk: BulkPotential, u: np.ndarray, v: np.ndarray,
-               b: np.ndarray) -> EnergyBreakdown:
-        """energy_oscillation of the field with values u on Omega, v = K_eps*u and the
-        duals b = Lambda(u) there."""
-        quad = _quadratic_sum(u, self.s_b) - float(np.einsum("na,na->", u, v + self.w))
-        pair = 0.5 * (quad * self.h**3 + self.const) / self.eps**2
-        return _oscillation(pair, bulk, u, b, self.h**3, self.eps**2)
+    def energy(self, bulk: BulkPotential, u: np.ndarray, v: np.ndarray, b: np.ndarray) -> float:
+        """energy_oscillation's total for the field with values u on Omega, v = K_eps*u
+        and the duals b = Lambda(u) there."""
+        h3 = self.h**3
+        cross = float(np.einsum("na,na->", u, v + self.w)) * h3
+        local = float(np.sum(psi_s_at_dual(bulk.model, u, b) + bulk.c0)) * h3
+        return (0.5 * (self.const - cross) + local) / self.eps**2
 
 
 def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
-    """field's OmegaSplit, from one whole-box convolution of u_c."""
+    """field's OmegaSplit, from one whole-box convolution of u_c; raises
+    ResolutionMismatch unless Omega is padded by the stencil radius."""
     dom = field.domain
+    require_padding(dom, sampled)
     om = dom.omega_mask
     u_c = np.where(om[..., None], 0.0, field.values)
     v_c = convolve(sampled, u_c, dom.h)
     quad, cross = _interaction_sums(OrderField(dom, field.eps, u_c), sampled, v=v_c)
     window = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(om))
-    return OmegaSplit(sampled, dom.h, field.eps, om[window], box_moment_field(sampled, dom)[om],
-                      v_c[om], quad - cross)
+    return OmegaSplit(sampled, dom.h, field.eps, om[window], v_c[om], quad - cross)
 
 
 def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
@@ -545,13 +542,8 @@ def energy_oscillation(
     else:
         pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
     u_om = field.values[dom.omega_mask]
-    return _oscillation(pair, bulk, u_om, dual_map(bulk.model, u_om), dom.cell_volume, eps2)
-
-
-def _oscillation(pair: float, bulk: BulkPotential, u_om: np.ndarray, b: np.ndarray,
-                 h3: float, eps2: float) -> EnergyBreakdown:
-    """The oscillation form from its interaction and the duals b on Omega."""
-    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * h3 / eps2
+    b = dual_map(bulk.model, u_om)
+    bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * dom.cell_volume / eps2
     return EnergyBreakdown(pair, bulk_term, 0.0, pair + bulk_term)
 
 
@@ -563,6 +555,8 @@ def local_form(field: OrderField, region: np.ndarray, sampled: SampledKernel,
     region = np.asarray(region, dtype=bool)
     if region.shape != dom.shape:
         raise ResolutionMismatch("region mask shape differs from the domain box")
+    if method not in ("fast", "pairwise"):
+        raise ValueError(f"unknown oscillation method {method!r}")
     eps2 = field.eps**2
     if method == "pairwise":
         return _pairwise_interaction(field.values, sampled, dom.h, mask=region) / eps2

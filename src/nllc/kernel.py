@@ -302,15 +302,6 @@ class KernelMoments:
     m3grad: float  # int |grad K| |z|^3, nan when its quadrature does not converge
     mq: float  # int g |z|^q
 
-    def finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.intK))
-            and np.isfinite(self.intG)
-            and np.isfinite(self.m2)
-            and np.isfinite(self.m3grad)
-            and np.isfinite(self.mq)
-        )
-
 
 def _grad_norm(spec, z, h=1e-6):
     """Frobenius norm of grad K by central differences."""
@@ -516,22 +507,17 @@ class EllipticityBounds:
     jacobian_discrepancy: bool  # True when the two lower-bound constants differ
 
 
-def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor | None = None,
-                       report: AssumptionReport | None = None) -> EllipticityBounds:
+def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor,
+                       report: AssumptionReport) -> EllipticityBounds:
     """Structural ellipticity bounds for L and the exact range of its Rayleigh quotient.
 
-    k, C and m2 come from the assumption report (check_assumptions(spec) when
-    none is given).  Two annulus lower-bound constants are emitted: the
-    dimensionally consistent one, k*pi*(rho2^5 - rho1^5)/15 (the annulus
-    second-moment with the r^2 Jacobian), and the quoted
-    k*pi*(rho2^3 - rho1^3)/9 which omits it.  rayleigh_min and rayleigh_max
-    are the extreme eigenvalues of tensor.matrix, the bounds of L xi . xi
-    over unit xi.
+    k, C and m2 come from report, spec's check_assumptions.  Two annulus
+    lower-bound constants are emitted: the dimensionally consistent one,
+    k*pi*(rho2^5 - rho1^5)/15 (the annulus second-moment with the r^2
+    Jacobian), and the quoted k*pi*(rho2^3 - rho1^3)/9 which omits it.
+    rayleigh_min and rayleigh_max are the extreme eigenvalues of
+    tensor.matrix, the bounds of L xi . xi over unit xi.
     """
-    if tensor is None:
-        tensor = elastic_tensor(spec)
-    if report is None:
-        report = check_assumptions(spec)
     rho1, rho2 = spec.annulus
     k = max(report.annulus[2], 0.0)
     lower = k * np.pi * (rho2**5 - rho1**5) / 15.0

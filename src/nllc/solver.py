@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MaxIterations, OutsideMomentDomain
 from .field import OrderField, ball_mask, convolve, energy_oscillation, omega_split
-from .field import _neighbour_slices, require_padding
+from .field import _neighbour_slices
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, lambda_inverse
 
@@ -56,7 +56,6 @@ class SolveResult:
     residuals: list
     energies: list
     margin: float
-    lipschitz: float
     iterations: int
     reason: str
 
@@ -242,14 +241,12 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
     next iterate's, and its residual sup |b - v| costs nothing more.  finish
     builds the one whole-box field.
     """
-    dom = init.domain
-    om = dom.omega_mask
-    require_padding(dom, sampled)
+    om = init.domain.omega_mask
     split = omega_split(init, sampled)
 
     def evaluate(u, b):
         v = split.convolve(u)
-        energy = split.energy(bulk, u, v, b).total
+        energy = split.energy(bulk, u, v, b)
         # sup-norm of Lambda(u) - K_eps*u over interior cells
         return (u, v, b), energy, float(np.linalg.norm(b - v, axis=-1).max(initial=0.0))
 
@@ -263,7 +260,7 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
         u = init.copy()
         u.values[om] = state[0]
         return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
-                           lipschitz_estimate(u), it, reason)
+                           it, reason)
 
     u0 = init.values[om]
     return monotone_descent(trial, *evaluate(u0, dual_map(bulk.model, u0)), finish,

@@ -23,7 +23,7 @@ def setup_case(eps=0.2, h=1.0 / 32, n=32):
 
 def smooth_field(dom, sampled, bulk, slope=1.5):
     bnd = fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 2, slope=slope)
-    return fld.make_field(dom, sampled.eps, bnd)
+    return fld.OrderField(dom, sampled.eps, bnd)
 
 
 def rough_field(dom, sampled, bulk, seed=0, rough=0.25):
@@ -102,7 +102,7 @@ def test_h1_check_smooth_and_rough_ratios_finite():
         assert lhs >= 0 and rhs >= 0
         assert np.isfinite(ratio)
     # constant field: 0/0 reported as 0 by convention
-    const = fld.make_field(dom, sampled.eps, fld.boundary_values("constant", dom, 0.5, 2))
+    const = fld.OrderField(dom, sampled.eps, fld.boundary_values("constant", dom, 0.5, 2))
     _, _, r0 = analysis.mollify_h1_check(const, moll, np.zeros(3), 0.3, sampled)
     assert r0 == 0.0
 
@@ -218,7 +218,7 @@ def test_decay_lemma_constant_field_zero_ratios():
     dom, sampled, bulk = setup_case()
     e = potential.representative_direction(S1)
     bnd = fld.boundary_values("constant", dom, bulk.manifold.s0, 2)
-    f = fld.make_field(dom, sampled.eps, bnd)
+    f = fld.OrderField(dom, sampled.eps, bnd)
     rows = analysis.decay_lemma_check(
         f, np.zeros(3), 0.34, sampled, bulk,
         thetas=(0.5, 0.4), eta=np.inf, eps_star=0.6,

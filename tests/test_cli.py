@@ -381,8 +381,9 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ("[probe]", "[probes]", ["[probes]"]),
     ("[probe]", "[extra]\n\n[probe]", ["[extra]"]),
     ("seed = 0", "seed = 0\nstep = 1\n\n[extra]\nx = 1", ["[solver] step", "[extra]"]),
+    ("h = 0.1", "h = 0.1\nlayer = 0.15", ["[domain] layer"]),
 ], ids=["misspelt-key", "dropped-key", "kernel-key", "misspelt-section", "empty-section",
-        "two-unknowns"])
+        "two-unknowns", "domain-layer"])
 def test_unknown_config_key_exit_2(tmp_path, capsys, old, new, names):
     # a misspelt or dropped key used to be ignored: tolerance = 0 solved at tol 1e-8
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))
@@ -419,9 +420,8 @@ def test_boundary_key_of_another_preset_exit_2(tmp_path, capsys, old, new, name)
     assert "not a parameter of the" in err and name in err
 
 
-# the config keys that do not hold one float, and [domain] layer, which may be inf
-# (prescribe everything outside Omega)
-NOT_FLOAT = {"preset", "name", "n", "layer", "eps", "max_iter", "seed", "dir"}
+# the config keys that do not hold one float
+NOT_FLOAT = {"preset", "name", "n", "eps", "max_iter", "seed", "dir"}
 
 
 def test_non_finite_float_values_are_config_errors(tmp_path):

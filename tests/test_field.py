@@ -86,6 +86,15 @@ def test_local_form_pairwise_matches_fast():
     assert fast == pytest.approx(slow, rel=1e-11)
 
 
+def test_unknown_method_raises_in_both_oscillation_forms():
+    dom, sampled, bulk = setup_case(n=14, omega_radius=0.14)
+    f = random_field(dom, 0.5, bulk.manifold.s0, seed=4)
+    with pytest.raises(ValueError, match="pairwse"):
+        fld.energy_oscillation(f, sampled, bulk, method="pairwse")
+    with pytest.raises(ValueError, match="pairwse"):
+        fld.local_form(f, np.ones(dom.shape, dtype=bool), sampled, method="pairwse")
+
+
 def test_local_energy_full_box_is_total_oscillation():
     dom, sampled, bulk = setup_case()
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=5)
@@ -330,13 +339,14 @@ def test_boundary_presets_shapes_and_norms():
         fld.boundary_values("nope", dom, s0, 2)
 
 
-def test_make_field_copies_the_datum():
+def test_boundary_values_returns_a_fresh_array():
+    # a field holds the datum's array itself, so each call must return its own
     dom = fld.ball_domain(10, 0.1, 0.3)
+    f = fld.OrderField(dom, 0.3, fld.boundary_values("constant", dom, 0.5, 2))
+    f.values[dom.omega_mask] = 0.0
     bnd = fld.boundary_values("constant", dom, 0.5, 2)
-    f = fld.make_field(dom, 0.3, bnd)
-    assert np.array_equal(f.values, bnd)
-    f.values[dom.omega_mask] = 0.0  # a solve writes only the field's own values
-    assert np.array_equal(bnd, fld.boundary_values("constant", dom, 0.5, 2))
+    assert bnd.dtype == float and not np.shares_memory(bnd, f.values)
+    assert np.allclose(np.linalg.norm(bnd, axis=-1), 0.5, atol=1e-12)
 
 
 # Window split against the whole box.  h = 0.1 and eps = 0.3 give a stencil
@@ -396,8 +406,18 @@ def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
     box = fld.energy_oscillation(f, sampled, bulk)
     primal = fld.energy_primal(f, sampled, bulk)
     scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
-    assert energy.interaction == pytest.approx(box.interaction, abs=1e-12 * scale)
-    assert energy.total == pytest.approx(box.total, abs=1e-12 * scale)
+    assert energy == pytest.approx(box.total, abs=1e-12 * scale)
+
+
+def test_omega_split_needs_a_padded_omega():
+    # S_B = intK_disc on Omega, which the split's energy relies on, needs every
+    # stencil inside the box
+    model, sampled, _ = split_case("s1")
+    dom = fld.ball_domain(SPLIT_N, SPLIT_H, 0.5)
+    assert dom.padding_cells() == sampled.radius_cells - 1
+    f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(0)))
+    with pytest.raises(ResolutionMismatch):
+        fld.omega_split(f, sampled)
 
 
 def frame_rotation(g):

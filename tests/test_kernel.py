@@ -221,7 +221,7 @@ def test_elastic_contract_matches_dense_eigen_oracle():
     flat = tensor.L.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
     flat = 0.5 * (flat + flat.T)
     w = np.linalg.eigvalsh(flat)
-    bounds = kernel.ellipticity_bounds(NEMATIC, tensor)
+    bounds = kernel.ellipticity_bounds(NEMATIC, tensor, kernel.check_assumptions(NEMATIC))
     assert bounds.rayleigh_min == pytest.approx(w[0], rel=1e-12)
     assert bounds.rayleigh_max == pytest.approx(w[-1], rel=1e-12)
     rng = np.random.default_rng(3)
@@ -235,7 +235,7 @@ def test_elastic_contract_matches_dense_eigen_oracle():
 
 def test_ellipticity_bounds_and_flag():
     tensor = kernel.elastic_tensor(ANNULUS)
-    bounds = kernel.ellipticity_bounds(ANNULUS, tensor)
+    bounds = kernel.ellipticity_bounds(ANNULUS, tensor, kernel.check_assumptions(ANNULUS))
     # the scalar annulus sits exactly at the lower bound, so allow round-off
     tol = 1e-12 * bounds.upper
     assert 0 < bounds.lower <= bounds.rayleigh_min + tol

@@ -23,7 +23,7 @@ def setup_case(n=16, h=0.1, eps=0.5, omega_radius=None):
 
 def boundary_field(dom, eps, s0, slope=1.5):
     bnd = fld.boundary_values("smooth-angle", dom, s0, 2, slope=slope)
-    return fld.make_field(dom, eps, bnd)
+    return fld.OrderField(dom, eps, bnd)
 
 
 def test_energy_gradient_matches_finite_differences():
@@ -185,7 +185,7 @@ def test_zero_kernel_relaxes_to_zero():
     dom = fld.ball_domain(18, 0.1, 0.35)
     bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
     bnd = fld.boundary_values("constant", dom, 0.4, 2)
-    f = fld.make_field(dom, 0.5, bnd)
+    f = fld.OrderField(dom, 0.5, bnd)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-10))
     assert np.allclose(res.field.values[dom.omega_mask], 0.0, atol=1e-9)
 
@@ -194,7 +194,7 @@ def test_constant_vacuum_datum_is_a_fixed_point():
     dom, sampled, bulk = setup_case()
     s0 = bulk.manifold.s0
     bnd = fld.boundary_values("constant", dom, s0, 2)
-    f = fld.make_field(dom, 0.5, bnd)
+    f = fld.OrderField(dom, 0.5, bnd)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
     assert res.iterations <= 2
     assert np.allclose(res.field.values, bnd, atol=1e-8)
@@ -345,7 +345,7 @@ def test_probe_skips_competitors_outside_the_moment_set():
     sampled = kernel.sample_on_lattice(spec, 0.3, 0.1)
     bulk = potential.make_bulk_potential(model, sampled.intK_disc)
     dom = fld.ball_domain(16, 0.1, 0.25)
-    f = fld.make_field(dom, 0.3, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5))
+    f = fld.OrderField(dom, 0.3, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5))
     probe = solver.omega_minimality_probe(f, np.zeros(3), 0.2, sampled, bulk, n_trials=6,
                                           amplitude=1.0)
     assert np.isfinite(probe)
@@ -377,3 +377,17 @@ def test_solves_convolve_the_whole_box_once(monkeypatch, solve):
         scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
         assert energy == pytest.approx(fld.energy_oscillation(field, sampled, bulk).total,
                                        abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("solve", [solver.el_fixed_point, solver.gradient_descent])
+def test_solves_compute_no_lipschitz_estimate(monkeypatch, solve):
+    # the difference quotient is a report column, read by its writers only
+    dom, sampled, bulk = setup_case()
+    f = boundary_field(dom, 0.5, bulk.manifold.s0)
+
+    def forbidden(field):
+        raise AssertionError("a solve computed lipschitz_estimate")
+
+    monkeypatch.setattr(solver, "lipschitz_estimate", forbidden)
+    res = solver.result_of(solve, f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
+    assert res.iterations >= 1 and res.margin > 0
