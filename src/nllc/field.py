@@ -21,7 +21,10 @@ The whole-box convolve and energies stay the reference it is tested against.
 
 Every convolution is a numpy FFT over the box axes of a components-first
 array, zero-extended per axis to the 5-smooth length fast_len(n + min(S, n - 1)):
-just long enough that no source wraps into the box.
+just long enough that no source wraps into the box.  A scalar-mode kernel is
+f1 Id, so it keeps one scalar spectrum, of f1, that multiplies every component,
+and its moment fields K_eps * 1_G hold one number per cell; a nematic kernel
+keeps the (m, m) spectrum and matrix moment fields.
 """
 
 import struct
@@ -316,9 +319,14 @@ def _stencil_fft(stencil: np.ndarray, n) -> np.ndarray:
 
 
 def _kernel_fft(sampled: SampledKernel, n):
+    """The kernel's spectrum for a box n, cached: in scalar mode K = f1 Id, so one
+    scalar spectrum (P0, P1, P2 // 2 + 1) of f1; else the (m, m, ...) matrix one."""
     key = ("kfft", n)
     if key not in sampled._cache:
-        sampled._cache[key] = _stencil_fft(sampled.values, n)
+        values = sampled.values
+        if sampled.spec.mode == "scalar":
+            values = values[..., 0, 0]
+        sampled._cache[key] = _stencil_fft(values, n)
     return sampled._cache[key]
 
 
@@ -335,8 +343,11 @@ def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
 def _kernel_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndarray:
     """convolve's FFT path, without its checks; u's box may be any window."""
     kf = _kernel_fft(sampled, u.shape[:3])
-    return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells,
-                                          lambda uf: np.einsum("ab...,b...->a...", kf, uf)) * h**3)
+
+    def times(uf):
+        return kf * uf if kf.ndim == 3 else np.einsum("ab...,b...->a...", kf, uf)
+
+    return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells, times) * h**3)
 
 
 def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
@@ -357,7 +368,8 @@ def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method:
 
 
 def convolve_mask(sampled: SampledKernel, mask: np.ndarray, h: float) -> np.ndarray:
-    """(K_eps * 1_G)(x) h^3 as an (Nx,Ny,Nz,m,m) matrix field."""
+    """(K_eps * 1_G)(x) h^3: the (Nx,Ny,Nz) field of f1 * 1_G in scalar mode, where
+    K = f1 Id, and an (Nx,Ny,Nz,m,m) matrix field otherwise."""
     kf = _kernel_fft(sampled, mask.shape)
     out = np.ascontiguousarray(_components_last(
         _fft_convolve(mask.astype(float), sampled.radius_cells, lambda mf: kf * mf)))
@@ -374,7 +386,8 @@ def convolve_stencil(stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def box_moment_field(sampled: SampledKernel, domain: Domain) -> np.ndarray:
-    """S_B(x) = sum_{y in box} K_eps(x-y) h^3; equals the stencil moment deep inside."""
+    """S_B(x) = sum_{y in box} K_eps(x-y) h^3, shaped as convolve_mask's field (a
+    scalar per cell in scalar mode); equals the stencil moment deep inside."""
     key = ("sbox", domain.shape)
     if key not in sampled._cache:
         sampled._cache[key] = convolve_mask(
@@ -396,12 +409,15 @@ class EnergyBreakdown:
 
 
 def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:
-    """sum over cells of u(x) . S(x) u(x), optionally restricted to a mask."""
+    """sum over cells of u(x) . S(x) u(x), optionally restricted to a mask; a scalar
+    field S, shaped like u without its component axis, gives sum S |u|^2."""
     m = u.shape[-1]
     if mask is None:  # views of the whole box, no boolean-index copies
-        S, u = S.reshape(-1, m, m), u.reshape(-1, m)
+        S, u = S.reshape((-1,) + S.shape[3:]), u.reshape(-1, m)
     else:
         S, u = S[mask], u[mask]
+    if S.ndim == 1:  # np.sum sums pairwise: the box sum is far larger than the energies
+        return float(np.sum(S * np.einsum("na,na->n", u, u)))
     return float(np.einsum("nab,na,nb->", S, u, u))
 
 

@@ -154,8 +154,9 @@ def _limit_operator(dom: Domain, M: np.ndarray):
     at their base cell c and M[(i,a),(j,b)] = L[i,j,a,b].  So K gathers, for
     each base cell and each pair of its live axes (i, j), the block
     L[i,j] / h^2 between the two ends of link i and the two of link j; the
-    entries are summed by position and padded to the longest row.  The energy
-    is cell_volume * x.Kx and its Euclidean gradient is 2Kx.
+    blocks are summed by row cell and neighbour offset, and the nonzero entries
+    padded to the longest row.  The energy is cell_volume * x.Kx and its
+    Euclidean gradient is 2Kx.
     """
     omega = dom.omega_mask
     m = M.shape[0] // 3
@@ -165,34 +166,41 @@ def _limit_operator(dom: Domain, M: np.ndarray):
         link = omega[lo] | omega[hi]
         ahead[i, flat[lo][link]] = flat[hi][link]
     live = ahead >= 0
-    ends = np.concatenate([ahead[live], np.nonzero(live.any(axis=0))[0]])
-    cells = np.concatenate([flat[omega], np.setdiff1d(ends, flat[omega])])
+    rest = live.any(axis=0)  # the cells off Omega that a live link touches
+    rest[ahead[live]] = True
+    rest[flat[omega]] = False
+    cells = np.concatenate([flat[omega], np.flatnonzero(rest)])
     pos = np.zeros(omega.size, dtype=int)
     pos[cells] = np.arange(cells.size)
-    step = np.array([1.0, -1.0]) / dom.h
-    rows, cols, vals = [], [], []
+    # link i's ends, base + e_i (ahead) and base, weighted +1/h and -1/h in D, meet
+    # link j's a fixed flat-index shift apart: collect the blocks by that shift
+    _, ny, nz = omega.shape
+    stride = (ny * nz, nz, 1)
+    terms = {}
     for i, j in itertools.product(range(3), repeat=2):
+        block = M[i * m:(i + 1) * m, j * m:(j + 1) * m] / dom.h**2
+        if not block.any():
+            continue
         base = np.nonzero(live[i] & live[j])[0]
-        block = M[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        a, b = np.nonzero(block)
-        # the two ends (ahead, base) of links i and j, weighted +1/h and -1/h in D
-        ends_i, ends_j = (pos[np.stack([ahead[k, base], base])][..., None] * m for k in (i, j))
-        shape = (2, 2, base.size, a.size)
-        rows.append(np.broadcast_to(ends_i[:, None] + a, shape))
-        cols.append(np.broadcast_to(ends_j[None, :] + b, shape))
-        weight = step[:, None, None, None] * block[a, b] * step[None, :, None, None]
-        vals.append(np.broadcast_to(weight, shape))
-    rows, cols, vals = (np.concatenate([p.reshape(-1) for p in parts]) for parts in (rows, cols, vals))
+        for ahead_i, ahead_j in itertools.product((0, 1), repeat=2):
+            rows = pos[ahead[i, base] if ahead_i else base]
+            terms.setdefault(ahead_j * stride[j] - ahead_i * stride[i], []).append(
+                (rows, block if ahead_i == ahead_j else -block))
+    shifts = np.array(sorted(terms), dtype=int)
+    acc = np.zeros((shifts.size, cells.size, m, m))  # acc[k, p]: cells[p]'s block at shifts[k]
+    for k, shift in enumerate(shifts):
+        for rows, block in terms[shift]:
+            acc[k, rows] += block  # a base meets each pair of ends once: the rows are distinct
+    entries = acc.transpose(1, 2, 0, 3).reshape(-1)  # by row (p, a), then shift k and b
+    idx = np.flatnonzero(entries)
+    row, k, b = idx // (shifts.size * m), idx // m % shifts.size, idx % m
+    col = pos[cells[row // m] + shifts[k]] * m + b
     n = m * cells.size
-    key, where = np.unique(rows * n + cols, return_inverse=True)
-    summed = np.bincount(where, weights=vals, minlength=key.size)
-    row, col = np.divmod(key[summed != 0.0], n)
-    summed = summed[summed != 0.0]
     width = np.bincount(row, minlength=n)
     slot = np.arange(row.size) - (np.cumsum(width) - width)[row]
     ell_cols = np.zeros((n, width.max(initial=0)), dtype=int)
     ell_vals = np.zeros(ell_cols.shape)
-    ell_cols[row, slot], ell_vals[row, slot] = col, summed
+    ell_cols[row, slot], ell_vals[row, slot] = col, entries[idx]
     return cells, PaddedRows(ell_cols, ell_vals)
 
 

@@ -420,6 +420,45 @@ def test_omega_split_needs_a_padded_omega():
         fld.omega_split(f, sampled)
 
 
+def test_scalar_kernel_convolves_with_one_scalar_spectrum():
+    # a scalar-mode kernel is f1 Id: its one scalar spectrum and scalar S_B give the
+    # numbers of the matrix path, run here by the same values in nematic mode
+    # (f2 = f3 = 0), on a ball of 280 cells in a 28^3 box at h = 0.02, eps = 0.1
+    params = {"strength": 8.0, "width": 0.75, "cut": 2.5}
+    eps, h = 0.1, 0.02
+    scalar = kernel.sample_on_lattice(kernel.kernel_preset("gaussian", 5, params), eps, h)
+    matrix = kernel.sample_on_lattice(
+        kernel.kernel_preset("gaussian-nematic", 5, dict(params, f2=0.0, f3=0.0)), eps, h)
+    assert np.abs(scalar.values - matrix.values).max() == 0.0
+    model = potential.make_s2_model()
+    bulk = potential.make_bulk_potential(model, scalar.intK_disc)
+    dom = fld.ball_domain(28, h, 0.08)
+    om = dom.omega_mask
+    f = fld.OrderField(dom, eps, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5,
+                                                    slope=1.5))
+
+    v = fld.convolve(scalar, f.values, h)
+    ref = fld.convolve(matrix, f.values, h)
+    assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+    S = fld.convolve_mask(scalar, om, h)
+    S_ref = fld.convolve_mask(matrix, om, h)
+    assert S.shape == dom.shape and S_ref.shape == dom.shape + (5, 5)
+    assert np.abs(S[..., None, None] * np.eye(5) - S_ref).max() <= 1e-12 * np.abs(S_ref).max()
+    for energy in (fld.energy_primal, fld.energy_oscillation):
+        assert energy(f, scalar, bulk).total == pytest.approx(energy(f, matrix, bulk).total,
+                                                              rel=1e-12)
+    u = f.values[om]
+    b = potential.dual_map(model, u)
+    split, split_ref = fld.omega_split(f, scalar), fld.omega_split(f, matrix)
+    assert split.energy(bulk, u, split.convolve(u), b) == pytest.approx(
+        split_ref.energy(bulk, u, split_ref.convolve(u), b), rel=1e-12)
+
+    # the scalar kernel keeps no component axes: one number per frequency and per cell
+    assert scalar._cache[("kfft", dom.shape)].ndim == 3
+    assert matrix._cache[("kfft", dom.shape)].shape[:2] == (5, 5)
+    assert fld.box_moment_field(scalar, dom).shape == dom.shape
+
+
 def frame_rotation(g):
     """D_ab = tr(E_a g E_b g^T): the action y -> D y of an orthogonal g on the
     coordinates of traceless symmetric matrices."""
@@ -498,7 +537,10 @@ def test_fft_lengths_wrap_no_source_into_the_box(tight, case, data, seed):
     mask = rng.random(n) < 0.6
     columns = [fld.convolve(sampled, mask[..., None] * np.eye(m)[b], h, method="direct")
                for b in range(m)]
-    assert np.abs(fld.convolve_mask(sampled, mask, h) - np.stack(columns, axis=-1)).max() <= 1e-13 * scale
+    got = fld.convolve_mask(sampled, mask, h)
+    if sampled.spec.mode == "scalar":  # one number per cell: K = f1 Id
+        got = got[..., None, None] * np.eye(m)
+    assert np.abs(got - np.stack(columns, axis=-1)).max() <= 1e-13 * scale
     stencil = sampled.values[..., 0, 0]
     ref = direct_stencil(stencil, u)
     got = fld.convolve_stencil(stencil, u)

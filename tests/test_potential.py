@@ -91,19 +91,30 @@ def test_psi_s_matches_primal_entropy_minimisation():
             f = np.exp(logf)
             return float(np.sum(model.weights * f * logf))
 
+        def objective_jac(logf):
+            f = np.exp(logf)
+            return model.weights * f * (logf + 1.0)
+
         def moment(logf):
             f = np.exp(logf)
             return model.sigma.T @ (model.weights * f) - u
 
+        def moment_jac(logf):
+            return model.sigma.T * (model.weights * np.exp(logf))
+
         def mass(logf):
             return float(np.sum(model.weights * np.exp(logf)) - 1.0)
+
+        def mass_jac(logf):
+            return model.weights * np.exp(logf)
 
         res = scipy_minimize(
             objective,
             np.zeros(n),
+            jac=objective_jac,
             constraints=[
-                {"type": "eq", "fun": moment},
-                {"type": "eq", "fun": mass},
+                {"type": "eq", "fun": moment, "jac": moment_jac},
+                {"type": "eq", "fun": mass, "jac": mass_jac},
             ],
             method="SLSQP",
             options={"maxiter": 500, "ftol": 1e-12},
