@@ -8,23 +8,29 @@ evaluation or solving.
 
 Energies follow the midpoint rule: a double lattice sum weighted h^6 for the
 interaction and h^3 for the bulk term.  Every interaction is one non-local
-form over G x G, which _interaction_sums expands into convolutions.  The
-primal and oscillation forms are related by an exact algebraic identity
-through the constant C_eps, so the code reproduces it at round-off on any box.
-
-A solve changes only the values on Omega.  OmegaSplit writes u = u_Omega + u_c
-with u_c the fixed values off Omega and takes, once, what u_c contributes:
-w = (K_eps*u_c)|Omega and the constant box sums of u_c.  The oscillation
-energy of any values on Omega then costs one FFT convolution over Omega's
-bounding window, where the stencil is cut to the window, and sums over Omega.
-The whole-box convolve and energies stay the reference it is tested against.
+form over G x G, which _interaction_sums expands into moment fields and a
+box sum.  The primal and oscillation forms are related by an exact algebraic
+identity through the constant C_eps, so the code reproduces it at round-off on
+any box.
 
 Every convolution is a numpy FFT over the box axes of a components-first
 array, zero-extended per axis to the 5-smooth length fast_len(n + min(S, n - 1)):
 just long enough that no source wraps into the box.  A scalar-mode kernel is
 f1 Id, so it keeps one scalar spectrum, of f1, that multiplies every component,
 and its moment fields K_eps * 1_G hold one number per cell; a nematic kernel
-keeps the (m, m) spectrum and matrix moment fields.
+keeps the (m, m) spectrum and matrix moment fields.  A whole-box sum
+sum_box u.(K_eps*u) needs no inverse transform: _box_pass takes it by
+Parseval from u's forward spectra, one component at a time for a scalar
+spectrum, so no array of the padded box holds more than one component.
+
+A solve changes only the values on Omega.  OmegaSplit writes u = u_Omega + u_c
+with u_c the fixed values off Omega and takes, once, what u_c contributes:
+one _box_pass of u_c less its mean gives the constant box sums of u_c, and
+w = (K_eps*u_c)|Omega by an inverse pruned to Omega's bounding window.  The
+oscillation energy of any values on Omega then costs one FFT convolution over
+that window, where the stencil is cut to the window, and sums over Omega.  The
+whole-box convolve and the pairwise sums stay the reference it is tested
+against.
 """
 
 import struct
@@ -239,6 +245,8 @@ def _check_kernel_grid(sampled: SampledKernel, domain: Domain):
 
 def require_padding(domain: Domain, sampled: SampledKernel):
     _check_kernel_grid(sampled, domain)
+    if not domain.omega_mask.any():
+        raise ResolutionMismatch("Omega has no cell: no padding to measure")
     pad = domain.padding_cells()
     if pad < sampled.radius_cells:
         raise ResolutionMismatch(
@@ -340,14 +348,53 @@ def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
     return out[..., : n[0], : n[1], : n[2]]
 
 
+def _times_kernel(kf: np.ndarray, uf: np.ndarray) -> np.ndarray:
+    """A kernel spectrum applied to components-first spectra: a scalar spectrum
+    multiplies every component, an (m, m) one is a matrix product per frequency."""
+    return kf * uf if kf.ndim == 3 else np.einsum("ab...,b...->a...", kf, uf)
+
+
 def _kernel_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndarray:
     """convolve's FFT path, without its checks; u's box may be any window."""
     kf = _kernel_fft(sampled, u.shape[:3])
+    return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells,
+                                          lambda uf: _times_kernel(kf, uf)) * h**3)
 
-    def times(uf):
-        return kf * uf if kf.ndim == 3 else np.einsum("ab...,b...->a...", kf, uf)
 
-    return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells, times) * h**3)
+def _window_inverse(xf: np.ndarray, p, window) -> np.ndarray:
+    """irfftn(xf, s=p) over the box axes at the window's cells only: the inverse runs
+    axis by axis, as irfftn does, and keeps the window's rows before the next axis."""
+    x = np.fft.ifft(xf, p[0], axis=-3)[..., window[0], :, :]
+    x = np.fft.ifft(x, p[1], axis=-2)[..., window[1], :]
+    return np.fft.irfft(x, p[2], axis=-1)[..., window[2]]
+
+
+def _box_pass(sampled: SampledKernel, u: np.ndarray, h: float, window=None) -> tuple:
+    """(sum_box u.(K_eps*u), (K_eps*u)[window]) from u's forward spectra, u (Nx,Ny,Nz,m).
+
+    The sum is Parseval's, (h^3/N) sum_k Re conj(U_k).K(k) U_k with N = P0 P1 P2:
+    the half spectrum holds k2 <= P2 // 2, so the k2 = 0 plane counts once, as does
+    the Nyquist plane when P2 is even, and every other plane twice, for its mirror.
+    The window, three slices of the box, gets convolve's values by _window_inverse;
+    without one the second item is None.  A scalar spectrum runs one component at a
+    time, an (m, m) one on all components at once.
+    """
+    n, m = u.shape[:3], u.shape[-1]
+    p = _padded_shape(n, sampled.radius_cells)
+    kf = _kernel_fft(sampled, n)
+    dot, parts = 0.0, []
+    for c in ([slice(a, a + 1) for a in range(m)] if kf.ndim == 3 else [slice(None)]):
+        xf = np.fft.rfftn(_components_first(u[..., c]), s=p, axes=_BOX_AXES)
+        kx = _times_kernel(kf, xf)
+        t = xf.real * kx.real
+        t += xf.imag * kx.imag  # Re conj(U_k).K(k) U_k, summed pairwise by np.sum
+        dot += 2.0 * np.sum(t) - np.sum(t[..., 0])
+        if p[2] % 2 == 0:
+            dot -= np.sum(t[..., -1])
+        if window is not None:
+            parts.append(_window_inverse(kx, p, window))
+    v = _components_last(np.concatenate(parts) * h**3) if parts else None
+    return float(dot * h**3 / np.prod(p)), v
 
 
 def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
@@ -421,23 +468,22 @@ def _quadratic_sum(u: np.ndarray, S: np.ndarray, mask=None) -> float:
     return float(np.einsum("nab,na,nb->", S, u, u))
 
 
-def _interaction_sums(field: OrderField, sampled: SampledKernel, region=None, v=None) -> tuple:
+def _interaction_sums(field: OrderField, sampled: SampledKernel, region=None) -> tuple:
     """(sum_G u.S_G u, sum_G u.(K_eps * u 1_G)) h^3, S_G = K_eps * 1_G.
 
     The non-local form over G x G is (quad - cross) / (2 eps^2).  G is the
-    whole box when region is None: S_G is then the cached box moment field
-    and v = K_eps*u comes from the caller.  Otherwise G is the cell mask
-    region and both convolutions are taken here.
+    whole box when region is None, and S_G the cached box moment field;
+    otherwise G is the cell mask region, and S_G its convolve_mask.  The
+    cross sum is the box sum of u 1_G.(K_eps * u 1_G), a Parseval sum of the
+    forward spectra of u 1_G: no inverse transform.
     """
     u, dom = field.values, field.domain
     h3 = dom.cell_volume
     if region is None:
-        return (_quadratic_sum(u, box_moment_field(sampled, dom)) * h3,
-                float(np.sum(u * v)) * h3)
-    S_G = convolve_mask(sampled, region, dom.h)
-    vG = convolve(sampled, np.where(region[..., None], u, 0.0), dom.h)
-    return (_quadratic_sum(u, S_G, region) * h3,
-            float(np.einsum("na,na->", u[region], vG[region])) * h3)
+        S_G, u_G = box_moment_field(sampled, dom), u
+    else:
+        S_G, u_G = convolve_mask(sampled, region, dom.h), np.where(region[..., None], u, 0.0)
+    return _quadratic_sum(u, S_G, region) * h3, _box_pass(sampled, u_G, dom.h)[0] * h3
 
 
 @dataclass
@@ -447,10 +493,13 @@ class OmegaSplit:
     K_eps is even and symmetric, so for every u_Omega the box form has an
     Omega part, the cross term 2 u_Omega.w with w = (K_eps*u_c)|Omega, and
     const = (sum_{off Omega} u_c.S_B u_c - sum_box u_c.(K_eps*u_c)) h^3,
-    the box sums of u_c alone.  Omega is padded, so S_B = intK_disc there and
-    the form's sum_Omega u.S_B u cancels psi_b's -(1/2) sum_Omega intK u.u:
-    given w and const, values on Omega cost one FFT convolution over Omega's
-    bounding window and sums over Omega; no array of the box's size.
+    the box sums of u_c alone.  Both are taken from the forward spectra of
+    u_c less its box mean (the form is blind to a constant): const as a
+    Parseval sum and w by an inverse pruned to Omega's bounding window.
+    Omega is padded, so S_B = intK_disc there and the form's
+    sum_Omega u.S_B u cancels psi_b's -(1/2) sum_Omega intK u.u: given w and
+    const, values on Omega cost one FFT convolution over Omega's bounding
+    window and sums over Omega; no array of the box's size.
     """
 
     sampled: SampledKernel
@@ -476,16 +525,25 @@ class OmegaSplit:
 
 
 def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
-    """field's OmegaSplit, from one whole-box convolution of u_c; raises
-    ResolutionMismatch unless Omega is padded by the stencil radius."""
+    """field's OmegaSplit, from one _box_pass of r = u_c - c, c the box mean of u_c:
+    const takes its Parseval sum, and w = (K_eps*r)|Omega + S_B c the inverse pruned
+    to Omega's bounding window.  Raises ResolutionMismatch unless Omega has cells
+    and is padded by the stencil radius."""
     dom = field.domain
     require_padding(dom, sampled)
     om = dom.omega_mask
-    u_c = np.where(om[..., None], 0.0, field.values)
-    v_c = convolve(sampled, u_c, dom.h)
-    quad, cross = _interaction_sums(OrderField(dom, field.eps, u_c), sampled, v=v_c)
     window = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(om))
-    return OmegaSplit(sampled, dom.h, field.eps, om[window], v_c[om], quad - cross)
+    # const, a form of u_c, is blind to a constant c: the sums of r = u_c - c are
+    # oscillation-sized where those of u_c cancel to round-off; K_eps*c = S_B c
+    r = np.where(om[..., None], 0.0, field.values)
+    c = np.einsum("xyza->a", r) / om.size  # einsum sums these axes faster than mean does
+    r -= c
+    dot, v = _box_pass(sampled, r, dom.h, window)
+    S_B = box_moment_field(sampled, dom)
+    S_om = S_B[om]
+    w = v[om[window]] + (S_om[:, None] * c if S_om.ndim == 1 else S_om @ c)
+    return OmegaSplit(sampled, dom.h, field.eps, om[window], w,
+                      (_quadratic_sum(r, S_B) - dot) * dom.cell_volume)
 
 
 def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
@@ -500,12 +558,8 @@ def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
     u, om = field.values, dom.omega_mask
     eps2 = field.eps**2
     h3 = dom.cell_volume
-    if support is None:
-        dot = float(np.sum(u * convolve(sampled, u, dom.h)))
-    else:
-        v = convolve(sampled, np.where(support[..., None], u, 0.0), dom.h)
-        dot = float(np.einsum("na,na->", u[support], v[support]))
-    interaction = -0.5 / eps2 * dot * h3
+    u_G = u if support is None else np.where(support[..., None], u, 0.0)
+    interaction = -0.5 / eps2 * _box_pass(sampled, u_G, dom.h)[0] * h3
     bulk_term = float(np.sum(psi_s(bulk.model, u[om]))) * h3 / eps2
     quad = _quadratic_sum(u, box_moment_field(sampled, dom)) - float(
         np.einsum("na,ab,nb->", u[om], sampled.intK_disc, u[om]))
@@ -553,7 +607,7 @@ def energy_oscillation(
         raise ValueError(f"unknown oscillation method {method!r}")
     dom, eps2 = field.domain, field.eps**2
     if method == "fast":
-        quad, cross = _interaction_sums(field, sampled, v=convolve(sampled, field.values, dom.h))
+        quad, cross = _interaction_sums(field, sampled)
         pair = 0.5 * (quad - cross) / eps2
     else:
         pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2

@@ -232,8 +232,9 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
     Only the values on Omega change, so the state is (u, v, b) on Omega: the
     values, v = K_eps*u and the duals b = Lambda(u) there.  The start's
     OmegaSplit holds what the fixed values off Omega contribute; it costs the
-    solve's one whole-box convolution, and the start's duals its one
-    dual_map call.  propose(u, v, b, step, rejected) returns a trial's pair
+    solve's one pass of forward transforms over the box (a Parseval sum and
+    an inverse pruned to Omega's bounding window), and the start's duals its
+    one dual_map call.  propose(u, v, b, step, rejected) returns a trial's pair
     (u, b), and evaluating it costs one FFT convolution over Omega's bounding
     window and sums over Omega, with no array of the box's size.  A trial
     whose proposal leaves the moment set (OutsideMomentDomain) has infinite

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nllc import field as fld
-from nllc import kernel, potential
+from nllc import kernel, potential, solver
 from nllc.errors import DumpFormatError, LayerTooThin, ResolutionMismatch
 
 S1 = potential.make_s1_model()
@@ -418,6 +419,75 @@ def test_omega_split_needs_a_padded_omega():
     f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(0)))
     with pytest.raises(ResolutionMismatch):
         fld.omega_split(f, sampled)
+
+
+@pytest.mark.parametrize("run", [
+    lambda f, sampled, bulk: fld.energy_primal(f, sampled, bulk),
+    lambda f, sampled, bulk: fld.energy_oscillation(f, sampled, bulk),
+    lambda f, sampled, bulk: solver.el_fixed_point(f, sampled, bulk),
+], ids=["energy_primal", "energy_oscillation", "el_fixed_point"])
+def test_an_empty_omega_is_a_resolution_mismatch(run):
+    # a box with no Omega cell has no padding to measure
+    model, sampled, bulk = split_case("s1")
+    dom = fld.ball_domain(SPLIT_N, SPLIT_H, 0.3)
+    dom.region[dom.omega_mask] = fld.LAYER
+    f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(0)))
+    with pytest.raises(ResolutionMismatch, match="no cell"):
+        run(f, sampled, bulk)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_box_sums_match_direct_sums_on_an_odd_padded_length(case):
+    # n = 20 and S = 5 transform on fast_len(25) = 25 per axis: the half spectrum
+    # has no Nyquist plane, so every plane but k2 = 0 counts twice
+    model, sampled, bulk = split_case(case)
+    n, S = 20, sampled.radius_cells
+    assert S == 5 and fld._padded_shape((n,) * 3, S) == (25,) * 3
+    dom = fld.ball_domain(n, SPLIT_H, fld.padded_radius(n, SPLIT_H, S))
+    om, h3, eps2 = dom.omega_mask, dom.cell_volume, SPLIT_EPS**2
+    f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(7)))
+    u = f.values
+
+    dot = float(np.sum(u * fld.convolve(sampled, u, dom.h, method="direct"))) * h3
+    assert fld.energy_primal(f, sampled, bulk).interaction == pytest.approx(
+        -0.5 * dot / eps2, rel=1e-12)
+    assert fld.energy_oscillation(f, sampled, bulk).interaction == pytest.approx(
+        fld.energy_oscillation(f, sampled, bulk, method="pairwise").interaction, rel=1e-12)
+    region = fld.ball_mask(dom, (0.1, 0.0, -0.2), 0.6)
+    assert fld.local_form(f, region, sampled) == pytest.approx(
+        fld.local_form(f, region, sampled, method="pairwise"), rel=1e-12)
+
+    split = fld.omega_split(f, sampled)
+    w = fld.convolve(sampled, np.where(om[..., None], 0.0, u), dom.h, method="direct")[om]
+    assert np.abs(split.w - w).max() <= 1e-12 * np.abs(w).max()
+    u_om = u[om]
+    energy = split.energy(bulk, u_om, split.convolve(u_om), potential.dual_map(model, u_om))
+    assert energy == pytest.approx(
+        fld.energy_oscillation(f, sampled, bulk, method="pairwise").total, rel=1e-12)
+
+
+def test_box_passes_keep_the_padded_box_out_of_memory():
+    # on an m = 5 scalar-kernel grid the whole-box sums stream one component's
+    # spectrum at a time: peaks in units of one padded complex spectrum
+    params = {"strength": 8.0, "width": 0.75, "cut": 2.5}
+    sampled = kernel.sample_on_lattice(kernel.kernel_preset("gaussian", 5, params),
+                                       SPLIT_EPS, SPLIT_H)
+    model = potential.make_s2_model()
+    bulk = potential.make_bulk_potential(model, sampled.intK_disc)
+    dom = fld.ball_domain(SPLIT_N, SPLIT_H, fld.padded_radius(SPLIT_N, SPLIT_H, 5))
+    f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(3)))
+    p = fld._padded_shape(dom.shape, sampled.radius_cells)
+    unit = p[0] * p[1] * (p[2] // 2 + 1) * 16
+    for run, bound in ((lambda: fld.omega_split(f, sampled), 10),
+                       (lambda: fld.energy_primal(f, sampled, bulk), 8)):
+        run()  # the kernel spectrum and S_B are cached
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * unit
 
 
 def test_scalar_kernel_convolves_with_one_scalar_spectrum():

@@ -354,24 +354,27 @@ def test_probe_skips_competitors_outside_the_moment_set():
 @pytest.mark.parametrize("solve", [solver.el_fixed_point, solver.gradient_descent])
 def test_solves_convolve_the_whole_box_once(monkeypatch, solve):
     # trials convolve over Omega's window only; the start's split holds the
-    # values off Omega, and the recorded energies are the whole-box ones
+    # values off Omega from one pass of forward spectra over the box, and the
+    # recorded energies are the whole-box ones
     dom, sampled, bulk = setup_case()
     f = boundary_field(dom, 0.5, bulk.manifold.s0)
     rng = np.random.default_rng(4)
     f.values[dom.omega_mask] *= 1.0 - 0.2 * rng.random((dom.n_omega, 1))
     calls = []
-    original = fld.convolve
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].shape)
-        return original(*args, **kwargs)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append((name, args[1].shape))
+            return original(*args, **kwargs)
+        return call
 
     for mod in (fld, solver):
-        monkeypatch.setattr(mod, "convolve", counted)
+        monkeypatch.setattr(mod, "convolve", counted("convolve", fld.convolve))
+    monkeypatch.setattr(fld, "_box_pass", counted("_box_pass", fld._box_pass))
     res = solver.result_of(solve, f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
     monkeypatch.undo()
     assert res.iterations >= 5
-    assert calls == [f.values.shape]
+    assert calls == [("_box_pass", f.values.shape)]
     for field, energy in ((f, res.energies[0]), (res.field, res.energies[-1])):
         primal = fld.energy_primal(field, sampled, bulk)
         scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
