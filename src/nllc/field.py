@@ -15,7 +15,9 @@ any box.
 
 Every convolution is a numpy FFT over the box axes of a components-first
 array, zero-extended per axis to the 5-smooth length fast_len(n + min(S, n - 1)):
-just long enough that no source wraps into the box.  A scalar-mode kernel is
+just long enough that no source wraps into the box.  Its inverse,
+_window_inverse, runs axis by axis as irfftn does and keeps only the rows of
+the box, or of a window in it, before the next axis.  A scalar-mode kernel is
 f1 Id, so it keeps one scalar spectrum, of f1, that multiplies every component,
 and its moment fields K_eps * 1_G hold one number per cell; a nematic kernel
 keeps the (m, m) spectrum and matrix moment fields.  A whole-box sum
@@ -47,7 +49,6 @@ from .potential import (
     psi_b,
     psi_b_at_dual,
     psi_s,
-    psi_s_at_dual,
     q_tensor_coords,
 )
 
@@ -338,14 +339,22 @@ def _kernel_fft(sampled: SampledKernel, n):
     return sampled._cache[key]
 
 
+def _window_inverse(xf: np.ndarray, p, window) -> np.ndarray:
+    """irfftn(xf, s=p) over the box axes at the window's cells only: the inverse runs
+    axis by axis, as irfftn does, and keeps the window's rows before the next axis."""
+    x = np.fft.ifft(xf, p[0], axis=-3)[..., window[0], :, :]
+    x = np.fft.ifft(x, p[1], axis=-2)[..., window[1], :]
+    return np.fft.irfft(x, p[2], axis=-1)[..., window[2]]
+
+
 def _fft_convolve(x: np.ndarray, radius: int, times) -> np.ndarray:
     """Zero-extend x, components first (..., Nx,Ny,Nz), over its box axes to
-    _padded_shape(box, radius), map the spectrum through times and crop the inverse
-    back to x's box."""
+    _padded_shape(box, radius), map the spectrum through times and invert it at x's
+    box only, by _window_inverse with the box as the window."""
     n = x.shape[-3:]
     p = _padded_shape(n, radius)
-    out = np.fft.irfftn(times(np.fft.rfftn(x, s=p, axes=_BOX_AXES)), s=p, axes=_BOX_AXES)
-    return out[..., : n[0], : n[1], : n[2]]
+    return _window_inverse(times(np.fft.rfftn(x, s=p, axes=_BOX_AXES)), p,
+                           tuple(slice(0, k) for k in n))
 
 
 def _times_kernel(kf: np.ndarray, uf: np.ndarray) -> np.ndarray:
@@ -359,14 +368,6 @@ def _kernel_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndar
     kf = _kernel_fft(sampled, u.shape[:3])
     return _components_last(_fft_convolve(_components_first(u), sampled.radius_cells,
                                           lambda uf: _times_kernel(kf, uf)) * h**3)
-
-
-def _window_inverse(xf: np.ndarray, p, window) -> np.ndarray:
-    """irfftn(xf, s=p) over the box axes at the window's cells only: the inverse runs
-    axis by axis, as irfftn does, and keeps the window's rows before the next axis."""
-    x = np.fft.ifft(xf, p[0], axis=-3)[..., window[0], :, :]
-    x = np.fft.ifft(x, p[1], axis=-2)[..., window[1], :]
-    return np.fft.irfft(x, p[2], axis=-1)[..., window[2]]
 
 
 def _box_pass(sampled: SampledKernel, u: np.ndarray, h: float, window=None) -> tuple:
@@ -515,12 +516,13 @@ class OmegaSplit:
         x[self.inner] = u
         return _kernel_convolve(self.sampled, x, self.h)[self.inner] + self.w
 
-    def energy(self, bulk: BulkPotential, u: np.ndarray, v: np.ndarray, b: np.ndarray) -> float:
-        """energy_oscillation's total for the field with values u on Omega, v = K_eps*u
-        and the duals b = Lambda(u) there."""
+    def energy(self, bulk: BulkPotential, u: np.ndarray, v: np.ndarray, b: np.ndarray,
+               lnz: np.ndarray) -> float:
+        """energy_oscillation's total for the field with values u on Omega, v = K_eps*u,
+        the duals b = Lambda(u) there and lnz = lnZ(b): psi_s(u) = b.u - lnZ(b)."""
         h3 = self.h**3
         cross = float(np.einsum("na,na->", u, v + self.w)) * h3
-        local = float(np.sum(psi_s_at_dual(bulk.model, u, b) + bulk.c0)) * h3
+        local = float(np.sum(np.einsum("...a,...a->...", b, u) - lnz + bulk.c0)) * h3
         return (0.5 * (self.const - cross) + local) / self.eps**2
 
 

@@ -15,10 +15,11 @@ Halley iteration.  The sphere model "s2" carries an OctantFold: lnZ is
 rotation invariant, so each cell is taken to the eigenframe of its traceless
 3x3 matrix, where the sum over the nodes folds onto the nodes of one octant
 and the dual map is a Newton solve in two unknowns (Ball & Majumdar 2010, Mol.
-Cryst. Liq. Cryst. 525).  Every other model sums over its quadrature nodes;
-that path is also the reference for s1 and s2 (a MicroModel with their nodes
-under another name takes it).  The Hessian of lnZ, covariance, is that node
-sum on every model (one dual per bulk potential, and the samples of
+Cryst. Liq. Cryst. 525); mean_field gives u = Lambda^{-1}(b) and lnZ(b) from
+one eigenframe and one folded sum.  Every other model sums over its quadrature
+nodes; that path is also the reference for s1 and s2 (a MicroModel with their
+nodes under another name takes it).  The Hessian of lnZ, covariance, is that
+node sum on every model (one dual per bulk potential, and the samples of
 hessian_diagnostics).  The vacuum orbit of the bulk potential is found
 along one dual ray b = t e from lambda_inverse alone.
 """
@@ -395,15 +396,29 @@ def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
 def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda.  A(|b|) b/|b| on s1.
 
-    With an octant fold, u shares b's eigenframe: the folded mean there, rotated back.
+    With an octant fold it is mean_field's first item.
     """
     if model.name == "s1":
         b = np.asarray(b, dtype=float)
         return _bessel_ratio(np.linalg.norm(b, axis=-1))[1][..., None] * b
     if model.fold is not None:
-        d, R = _eigenframe(b)
-        return _from_eigenframe(_folded_average(model.fold, d)[1][:, :2], R).reshape(np.shape(b))
+        return mean_field(model, b)[0]
     return _tilted_density(model, b) @ model.sigma
+
+
+def mean_field(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_inverse(b), log_partition(b)), shapes (..., m) and (...).
+
+    With an octant fold one eigenframe and one folded sum give both: lnZ is
+    rotation invariant, and u shares b's eigenframe, the folded mean there
+    rotated back.  Any other model, s1 included, runs the two maps.
+    """
+    if model.fold is not None:
+        b = np.asarray(b, dtype=float)
+        d, R = _eigenframe(b)
+        lnz, avg = _folded_average(model.fold, d)
+        return _from_eigenframe(avg[:, :2], R).reshape(b.shape), lnz.reshape(b.shape[:-1])
+    return lambda_inverse(model, b), log_partition(model, b)
 
 
 def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:

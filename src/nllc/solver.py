@@ -9,8 +9,9 @@ agreement of their minima cross-checks the two rules.  The fixed point
 iterates on the duals b = Lambda(u), where it reads b = K_eps*Lambda^{-1}(b):
 each trial maps its duals to values through the explicit Lambda^{-1}, whose
 image is the moment set, so no Euler-Lagrange trial leaves it or runs a dual
-Newton solve.  A descent trial runs one, and is rejected through
-OutsideMomentDomain when it leaves the set.
+Newton solve; the same mean-field pass gives the lnZ(b) that its energy
+charges, psi_s(u) = b.u - lnZ(b).  A descent trial runs a dual solve, and is
+rejected through OutsideMomentDomain when it leaves the set.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .errors import MaxIterations, OutsideMomentDomain
 from .field import OrderField, ball_mask, convolve, energy_oscillation, omega_split
 from .field import _neighbour_slices
 from .kernel import SampledKernel
-from .potential import BulkPotential, dual_map, lambda_inverse
+from .potential import BulkPotential, dual_map, log_partition, mean_field
 
 # number of past iterate and residual differences the Anderson proposal mixes
 ANDERSON_DEPTH = 5
@@ -100,14 +101,15 @@ def el_fixed_point(
     ANDERSON_DEPTH + 1 accepted iterates the proposal solves the small
     least-squares problem min |f - dF gamma| on the residual differences dF
     and extrapolates to b + alpha f - (dB + alpha dF) gamma, where dB are the
-    dual differences; the trial values are u = Lambda^{-1}(b), which lie in
-    the moment set.  config.alpha is both the mixing weight and the damping of
-    the plain step b + alpha f = (1-alpha) b + alpha v, which is the first
-    trial and the trial after a rejection (or a non-finite gamma).  A trial
-    that raises the oscillation energy (or makes it NaN) is rejected: the
-    history is dropped and the step halved; each accepted trial doubles it
-    again, up to config.alpha.  Running out of damping or iterations raises
-    MaxIterations with the best result attached.
+    dual differences; the trial values u = Lambda^{-1}(b), which lie in the
+    moment set, and lnZ(b) come from one mean_field call.  config.alpha is
+    both the mixing weight and the damping of the plain step b + alpha f =
+    (1-alpha) b + alpha v, which is the first trial and the trial after a
+    rejection (or a non-finite gamma).  A trial that raises the oscillation
+    energy (or makes it NaN) is rejected: the history is dropped and the step
+    halved; each accepted trial doubles it again, up to config.alpha.  Running
+    out of damping or iterations raises MaxIterations with the best result
+    attached.
     """
     bs, fs = [], []  # flattened accepted duals on Omega and their residuals
 
@@ -125,7 +127,8 @@ def el_fixed_point(
             if np.all(np.isfinite(gamma)):
                 trial -= (dB + alpha * dF) @ gamma
         trial = trial.reshape(b.shape)
-        return lambda_inverse(bulk.model, trial), trial
+        u, lnz = mean_field(bulk.model, trial)
+        return u, trial, lnz
 
     return _oscillation_descent(init, sampled, bulk, config, propose,
                                 step=config.alpha, grow=2.0, cap=config.alpha, floor=ALPHA_MIN,
@@ -152,7 +155,8 @@ def gradient_descent(
         cand = u_om - step * ((b - v_om) / init.eps**2)
         norms = np.linalg.norm(cand, axis=-1, keepdims=True)
         cand = np.where(norms > safe, cand * (safe / norms), cand)
-        return cand, dual_map(bulk.model, cand)
+        b = dual_map(bulk.model, cand)
+        return cand, b, log_partition(bulk.model, b)
 
     return _oscillation_descent(init, sampled, bulk, config, propose,
                                 step=config.descent_step, grow=1.1, cap=np.inf, floor=1e-12,
@@ -229,31 +233,32 @@ def best_of(starts, solve):
 def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, floor, exhausted):
     """Trials of el_fixed_point and gradient_descent on the oscillation energy.
 
-    Only the values on Omega change, so the state is (u, v, b) on Omega: the
-    values, v = K_eps*u and the duals b = Lambda(u) there.  The start's
-    OmegaSplit holds what the fixed values off Omega contribute; it costs the
-    solve's one pass of forward transforms over the box (a Parseval sum and
-    an inverse pruned to Omega's bounding window), and the start's duals its
-    one dual_map call.  propose(u, v, b, step, rejected) returns a trial's pair
-    (u, b), and evaluating it costs one FFT convolution over Omega's bounding
-    window and sums over Omega, with no array of the box's size.  A trial
-    whose proposal leaves the moment set (OutsideMomentDomain) has infinite
-    energy, so monotone_descent rejects it.  An accepted trial's state is the
-    next iterate's, and its residual sup |b - v| costs nothing more.  finish
-    builds the one whole-box field.
+    Only the values on Omega change, so the state is (u, v, b, lnZ(b)) on
+    Omega: the values, v = K_eps*u, the duals b = Lambda(u) there and their
+    lnZ.  The start's OmegaSplit holds what the fixed values off Omega
+    contribute; it costs the solve's one pass of forward transforms over the
+    box (a Parseval sum and an inverse pruned to Omega's bounding window), and
+    the start's duals its one dual_map call and one log_partition call.
+    propose(u, v, b, step, rejected) returns a trial's (u, b, lnZ(b)), and
+    evaluating it costs one FFT convolution over Omega's bounding window and
+    sums over Omega, with no array of the box's size.  A trial whose proposal
+    leaves the moment set (OutsideMomentDomain) has infinite energy, so
+    monotone_descent rejects it.  An accepted trial's state is the next
+    iterate's, and its residual sup |b - v| costs nothing more.  finish builds
+    the one whole-box field.
     """
     om = init.domain.omega_mask
     split = omega_split(init, sampled)
 
-    def evaluate(u, b):
+    def evaluate(u, b, lnz):
         v = split.convolve(u)
-        energy = split.energy(bulk, u, v, b)
+        energy = split.energy(bulk, u, v, b, lnz)
         # sup-norm of Lambda(u) - K_eps*u over interior cells
-        return (u, v, b), energy, float(np.linalg.norm(b - v, axis=-1).max(initial=0.0))
+        return (u, v, b, lnz), energy, float(np.linalg.norm(b - v, axis=-1).max(initial=0.0))
 
     def trial(state, step, rejected):
         try:
-            return evaluate(*propose(*state, step, rejected))
+            return evaluate(*propose(*state[:3], step, rejected))
         except OutsideMomentDomain:
             return None, np.inf, np.inf
 
@@ -264,7 +269,8 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
                            it, reason)
 
     u0 = init.values[om]
-    return monotone_descent(trial, *evaluate(u0, dual_map(bulk.model, u0)), finish,
+    b0 = dual_map(bulk.model, u0)
+    return monotone_descent(trial, *evaluate(u0, b0, log_partition(bulk.model, b0)), finish,
                             tol=config.tol, max_iter=config.max_iter, step=step, grow=grow,
                             cap=cap, floor=floor, rtol=1e-12, exhausted=exhausted)
 

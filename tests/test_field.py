@@ -403,7 +403,8 @@ def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
     v_box = fld.convolve(sampled, f.values, dom.h)[om]
     assert np.abs(v - v_box).max() <= 1e-12 * np.abs(v_box).max()
 
-    energy = split.energy(bulk, u, v, potential.dual_map(model, u))
+    b = potential.dual_map(model, u)
+    energy = split.energy(bulk, u, v, b, potential.log_partition(model, b))
     box = fld.energy_oscillation(f, sampled, bulk)
     primal = fld.energy_primal(f, sampled, bulk)
     scale = max(abs(primal.interaction), abs(primal.c_eps), 1.0)
@@ -461,9 +462,29 @@ def test_box_sums_match_direct_sums_on_an_odd_padded_length(case):
     w = fld.convolve(sampled, np.where(om[..., None], 0.0, u), dom.h, method="direct")[om]
     assert np.abs(split.w - w).max() <= 1e-12 * np.abs(w).max()
     u_om = u[om]
-    energy = split.energy(bulk, u_om, split.convolve(u_om), potential.dual_map(model, u_om))
+    b = potential.dual_map(model, u_om)
+    energy = split.energy(bulk, u_om, split.convolve(u_om), b, potential.log_partition(model, b))
     assert energy == pytest.approx(
         fld.energy_oscillation(f, sampled, bulk, method="pairwise").total, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+@pytest.mark.parametrize("n", [(20, 18, 13), (18, 13, 20)])
+def test_fft_convolve_inverts_at_the_box_only(case, n):
+    # the inverse pruned to the box runs irfftn's transforms in irfftn's axis
+    # order, so it gives irfftn's values on the box to the last bit; S = 5 pads
+    # the boxes to (25, 24, 18) and (24, 18, 25), odd and even lengths on each
+    # axis, the last one included
+    _, sampled, _ = split_case(case)
+    S, axes = sampled.radius_cells, (-3, -2, -1)
+    p = fld._padded_shape(n, S)
+    assert sorted(p) == [18, 24, 25] and p[2] in (18, 25)
+    kf = fld._kernel_fft(sampled, n)
+    rng = np.random.default_rng(5)
+    for x, times in ((rng.standard_normal((sampled.m,) + n), lambda xf: fld._times_kernel(kf, xf)),
+                     ((rng.random(n) < 0.5).astype(float), lambda xf: kf * xf)):
+        ref = np.fft.irfftn(times(np.fft.rfftn(x, s=p, axes=axes)), s=p, axes=axes)
+        assert np.array_equal(fld._fft_convolve(x, S, times), ref[..., :n[0], :n[1], :n[2]])
 
 
 def test_box_passes_keep_the_padded_box_out_of_memory():
@@ -519,9 +540,10 @@ def test_scalar_kernel_convolves_with_one_scalar_spectrum():
                                                               rel=1e-12)
     u = f.values[om]
     b = potential.dual_map(model, u)
+    lnz = potential.log_partition(model, b)
     split, split_ref = fld.omega_split(f, scalar), fld.omega_split(f, matrix)
-    assert split.energy(bulk, u, split.convolve(u), b) == pytest.approx(
-        split_ref.energy(bulk, u, split_ref.convolve(u), b), rel=1e-12)
+    assert split.energy(bulk, u, split.convolve(u), b, lnz) == pytest.approx(
+        split_ref.energy(bulk, u, split_ref.convolve(u), b, lnz), rel=1e-12)
 
     # the scalar kernel keeps no component axes: one number per frequency and per cell
     assert scalar._cache[("kfft", dom.shape)].ndim == 3

@@ -533,6 +533,30 @@ def test_s2_dual_map_round_trips_under_both_paths():
             assert np.max(np.abs(potential.lambda_inverse(reader, back) - u)) < 1e-10
 
 
+def _mean_field_cases():
+    # s1: 0, one |b| in each of the nine Bessel intervals and one past 32; s2: a
+    # uniaxial, a biaxial and a NaN cell; the s2 nodes without their fold
+    s = np.array([0.0, 0.5, 1.5, 2.5, 3.5, 5.0, 7.0, 12.0, 24.0, 40.0])
+    s1 = s[:, None] * np.stack([np.cos(3.0 * s), np.sin(3.0 * s)], axis=-1)
+    s2 = np.stack([3.0 * potential.representative_direction(S2), _generic_duals(4, n=1)[0],
+                   np.full(5, np.nan), 6.0 * potential.q_tensor_coords(np.ones(3) / np.sqrt(3.0))])
+    return [(S1, s1), (S2, s2), (S2_NODES, s2)]
+
+
+@pytest.mark.parametrize("model, b", _mean_field_cases(), ids=["s1", "s2", "s2-nodes"])
+def test_mean_field_is_the_two_single_output_maps(model, b):
+    for bb in (b, b.reshape(2, -1, model.m), *b):
+        u, lnz = potential.mean_field(model, bb)
+        assert u.shape == bb.shape and np.shape(lnz) == bb.shape[:-1]
+        np.testing.assert_array_equal(u, potential.lambda_inverse(model, bb))
+        np.testing.assert_array_equal(lnz, potential.log_partition(model, bb))
+    if model is S2:
+        # the NaN cell gives NaN and leaves the other cells finite
+        u, lnz = potential.mean_field(S2, b)
+        assert np.isnan(u[2]).all() and np.isfinite(np.delete(u, 2, axis=0)).all()
+        assert np.isnan(lnz[2]) and np.isfinite(np.delete(lnz, 2)).all()
+
+
 @pytest.mark.parametrize("n_theta, n_phi", [(23, 48), (24, 46)])
 def test_s2_model_rejects_a_rule_the_fold_cannot_take(n_theta, n_phi):
     # odd n_theta puts nodes on z = 0, n_phi = 2 mod 4 puts nodes on x = 0

@@ -79,33 +79,59 @@ def test_descent_rejects_trials_beyond_the_dual_cap():
 
 
 def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
-    # one convolution and one mean-field map per trial, and one convolution and
-    # the solve's only dual solve for the start: an accepted trial's state is
-    # kept, not recomputed, and a trial's values come from its duals.  A seeded
-    # start of random directions and lengths below s0 on a finer grid takes 15
-    # trials, above the 10 the test needs
+    # one convolution and one mean-field map per trial, and one convolution, the
+    # solve's only dual solve and its only log_partition for the start: an
+    # accepted trial's state is kept, not recomputed, and a trial's values and
+    # lnZ come from its duals.  log_partition is counted outside potential, as
+    # mean_field runs it there on s1.  A seeded start of random directions and
+    # lengths below s0 on a finer grid takes 15 trials, above the 10 the test
+    # needs
     dom, sampled, bulk = setup_case(n=20, h=0.08, eps=0.4)
     f = boundary_field(dom, 0.4, bulk.manifold.s0)
     om = dom.omega_mask
     rng = np.random.default_rng(2)
     v = rng.standard_normal((int(om.sum()), 2))
     f.values[om] = v * (bulk.manifold.s0 * rng.random(len(v)) / np.linalg.norm(v, axis=1))[:, None]
-    calls = {"convolve": 0, "dual_map": 0, "lambda_inverse": 0}
+    calls = {"convolve": 0, "dual_map": 0, "log_partition": 0, "mean_field": 0}
     for name, original in (("convolve", fld.convolve), ("dual_map", potential.dual_map),
-                           ("lambda_inverse", potential.lambda_inverse)):
+                           ("log_partition", potential.log_partition),
+                           ("mean_field", potential.mean_field)):
 
         def counted(*args, _name=name, _fn=original, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (fld, potential, solver):
+        for mod in (fld, solver) if name == "log_partition" else (fld, potential, solver):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
     assert res.converged and res.iterations >= 10
     assert calls["convolve"] <= res.iterations + 1
     assert calls["dual_map"] == 1
-    assert calls["lambda_inverse"] == res.iterations
+    assert calls["log_partition"] == 1
+    assert calls["mean_field"] == res.iterations
+
+
+def test_s2_el_fixed_point_takes_one_eigenframe_per_trial(monkeypatch):
+    # the start's dual_map and lnZ take one eigenframe each, and each trial one
+    # for both its values and its lnZ: iterations + 2 on the 280-cell s2 case
+    params = {"strength": 8.0, "width": 0.75, "cut": 2.5}
+    sampled = kernel.sample_on_lattice(kernel.kernel_preset("gaussian", 5, params), 0.1, 0.02)
+    bulk = potential.make_bulk_potential(potential.make_s2_model(), sampled.intK_disc)
+    dom = fld.ball_domain(28, 0.02, 0.08)
+    f = fld.OrderField(dom, 0.1, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5,
+                                                    slope=1.5))
+    calls = {"n": 0}
+    original = potential._eigenframe
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "_eigenframe", counted)
+    res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-8))
+    assert res.converged and res.iterations >= 5
+    assert calls["n"] == res.iterations + 2
 
 
 def test_el_fixed_point_is_anderson_accelerated():
@@ -129,12 +155,13 @@ def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
     ref = solver.el_fixed_point(f.copy(), sampled, bulk, cfg)
     assert ref.iterations == len(ref.energies) - 1
     calls = {"n": 0}
-    original = solver.lambda_inverse
+    original = solver.mean_field
 
     def failing(*args, **kwargs):
         calls["n"] += 1
-        u = original(*args, **kwargs)
-        return np.full_like(u, np.nan) if calls["n"] == 2 else u  # first damped trial, then this
+        u, lnz = original(*args, **kwargs)
+        # the first damped trial, then this one
+        return (np.full_like(u, np.nan) if calls["n"] == 2 else u), lnz
 
     steps = []
     descent = solver.monotone_descent
@@ -146,7 +173,7 @@ def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
 
         return descent(logged, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "lambda_inverse", failing)
+    monkeypatch.setattr(solver, "mean_field", failing)
     monkeypatch.setattr(solver, "monotone_descent", recording)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
     assert res.converged
