@@ -264,6 +264,8 @@ def campanato_profile(
     """
     dom = field.domain
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
+    if radii.size == 0:
+        raise ValueError("empty radii ladder")
     require_resolvable(radii[-1], dom.h, "smallest radius")
     osc = np.zeros(radii.size)
     en = np.zeros(radii.size)

@@ -41,12 +41,6 @@ class OutsideMomentDomain(NllcError):
     tag = "outside_moment_domain"
 
 
-class LayerTooThin(NllcError):
-    """Boundary-layer mask violates the thickness required by the kernel tail."""
-
-    tag = "layer_too_thin"
-
-
 class MaxIterations(NllcError):
     """An iterative solve stopped short of tolerance; carries its partial result."""
 

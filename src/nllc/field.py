@@ -1,10 +1,11 @@
 """Lattice domains, order fields, boundary data, and the discrete energies.
 
 The computational box is a uniform cubic lattice of cell centres.  Each cell
-carries a region tag: interior (the minimisation domain Omega), layer (the
-finite-thickness boundary collar Omega_eps \\ Omega), or exterior.  Boundary
-data occupies the layer and exterior cells and is never modified by energy
-evaluation or solving.
+carries a region tag: interior (the minimisation domain Omega) or layer (every
+other cell: the data layer Omega_eps \\ Omega fills the box).  Boundary data
+occupies the layer cells and is never modified by energy evaluation or
+solving.  A finite layer is data cut to zero beyond it; h_eps_profile bounds
+what that cut does on Omega, given the mask of cut cells.
 
 Energies follow the midpoint rule: a double lattice sum weighted h^6 for the
 interaction and h^3 for the bulk term.  Every interaction is one non-local
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DumpFormatError, LayerTooThin, ResolutionMismatch
+from .errors import DumpFormatError, ResolutionMismatch
 from .kernel import KernelSpec, SampledKernel, preset_params, radial_tail
 from .potential import (
     BulkPotential,
@@ -52,7 +53,7 @@ from .potential import (
     q_tensor_coords,
 )
 
-INTERIOR, LAYER, EXTERIOR = 0, 1, 2
+INTERIOR, LAYER, EXTERIOR = 0, 1, 2  # builders tag INTERIOR and LAYER; a dump may hold all three
 # cells across the smallest length (radius, eps) the lattice resolves
 RESOLVABLE_CELLS = 4
 
@@ -91,18 +92,6 @@ class Domain:
         return self.region == INTERIOR
 
     @property
-    def layer_mask(self):
-        return self.region == LAYER
-
-    @property
-    def exterior_mask(self):
-        return self.region == EXTERIOR
-
-    @property
-    def omega_eps_mask(self):
-        return self.region != EXTERIOR
-
-    @property
     def n_omega(self):
         return int(self.omega_mask.sum())
 
@@ -122,28 +111,18 @@ class Domain:
             return np.linalg.norm(x, axis=-1)
         return np.max(np.abs(x), axis=-1)
 
-    def layer_thickness(self) -> float:
-        """Smallest distance from Omega to the exterior region (inf if no exterior)."""
-        if not self.exterior_mask.any():
-            return np.inf
-        d = self.centre_distance()
-        return float(d[self.exterior_mask].min() - d[self.omega_mask].max())
 
-
-def _centred_domain(n, h, geometry, size, layer_thickness, size_name) -> Domain:
-    dom = Domain(h, np.full((n, n, n), EXTERIOR, dtype=np.uint8), geometry, size)
-    d = dom.centre_distance()
-    dom.region[d <= size + layer_thickness] = LAYER
-    dom.region[d <= size] = INTERIOR
+def _centred_domain(n, h, geometry, size, size_name) -> Domain:
+    dom = Domain(h, np.full((n, n, n), LAYER, dtype=np.uint8), geometry, size)
+    dom.region[dom.centre_distance() <= size] = INTERIOR
     if not dom.omega_mask.any():
         raise ValueError(f"{size_name} too small: no interior cells")
     return dom
 
 
-def ball_domain(n: int, h: float, omega_radius: float, layer_thickness: float = np.inf) -> Domain:
-    """Ball Omega of the given radius centred in an n^3 box; the collar out to
-    omega_radius + layer_thickness is tagged as layer, the rest exterior."""
-    return _centred_domain(n, h, "ball", omega_radius, layer_thickness, "omega_radius")
+def ball_domain(n: int, h: float, omega_radius: float) -> Domain:
+    """Ball Omega of the given radius centred in an n^3 box; every other cell is layer."""
+    return _centred_domain(n, h, "ball", omega_radius, "omega_radius")
 
 
 def padded_radius(n: int, h: float, stencil_cells: int) -> float:
@@ -152,9 +131,9 @@ def padded_radius(n: int, h: float, stencil_cells: int) -> float:
     return (n / 2 - stencil_cells - 0.6) * h
 
 
-def cube_domain(n: int, h: float, omega_half_width: float, layer_thickness: float = np.inf) -> Domain:
+def cube_domain(n: int, h: float, omega_half_width: float) -> Domain:
     """Cube Omega of the given half width, tagged like ball_domain in the max-norm."""
-    return _centred_domain(n, h, "cube", omega_half_width, layer_thickness, "omega_half_width")
+    return _centred_domain(n, h, "cube", omega_half_width, "omega_half_width")
 
 
 def require_resolvable(length: float, h: float, what: str) -> None:
@@ -548,32 +527,25 @@ def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
                       (_quadratic_sum(r, S_B) - dot) * dom.cell_volume)
 
 
-def _primal(field: OrderField, sampled: SampledKernel, bulk: BulkPotential,
-            support=None) -> EnergyBreakdown:
-    """The primal form with the interaction over G x G, G the support mask or the box.
+def energy_primal(field: OrderField, sampled: SampledKernel,
+                  bulk: BulkPotential) -> EnergyBreakdown:
+    """-(1/2eps^2) double-sum u.K_eps u + (1/eps^2) sum_Omega psi_s + C_eps.
 
     C_eps = (c0|Omega| + (1/2)(sum_box u.S_B u - sum_Omega u.intK_disc u)) h^3/eps^2,
     S_B the box moment field, makes the whole-box form equal the oscillation
     form exactly.
     """
     dom = field.domain
+    require_padding(dom, sampled)
     u, om = field.values, dom.omega_mask
     eps2 = field.eps**2
     h3 = dom.cell_volume
-    u_G = u if support is None else np.where(support[..., None], u, 0.0)
-    interaction = -0.5 / eps2 * _box_pass(sampled, u_G, dom.h)[0] * h3
+    interaction = -0.5 / eps2 * _box_pass(sampled, u, dom.h)[0] * h3
     bulk_term = float(np.sum(psi_s(bulk.model, u[om]))) * h3 / eps2
     quad = _quadratic_sum(u, box_moment_field(sampled, dom)) - float(
         np.einsum("na,ab,nb->", u[om], sampled.intK_disc, u[om]))
     c = (bulk.c0 * dom.n_omega + 0.5 * quad) * h3 / eps2
     return EnergyBreakdown(interaction, bulk_term, c, interaction + bulk_term + c)
-
-
-def energy_primal(field: OrderField, sampled: SampledKernel,
-                  bulk: BulkPotential) -> EnergyBreakdown:
-    """-(1/2eps^2) double-sum u.K_eps u + (1/eps^2) sum_Omega psi_s + C_eps."""
-    require_padding(field.domain, sampled)
-    return _primal(field, sampled, bulk)
 
 
 def _pairwise_interaction(
@@ -706,40 +678,24 @@ def scaling_check(
 
 
 # ---------------------------------------------------------------------------
-# finite thickness
+# tail bound of a cut layer
 
 
-def check_layer(domain: Domain, eps: float, q: float, tau: float):
-    need = tau * eps ** (1.0 - 2.0 / q)
-    have = domain.layer_thickness()
-    if have < need:
-        raise LayerTooThin(
-            f"layer thickness {have:g} < required tau*eps^(1-2/q) = {need:g}"
-        )
-
-
-def finite_thickness_energy(field: OrderField, sampled: SampledKernel,
-                            bulk: BulkPotential) -> EnergyBreakdown:
-    """Primal energy with the interaction restricted to Omega_eps x Omega_eps."""
-    dom = field.domain
-    require_padding(dom, sampled)
-    check_layer(dom, field.eps, sampled.spec.q, sampled.spec.tau)
-    return _primal(field, sampled, bulk, dom.omega_eps_mask)
-
-
-def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float) -> tuple:
-    """Per-cell tail bound ||H_eps(x)|| on Omega and its supremum.
+def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float, exterior: np.ndarray) -> tuple:
+    """Per-cell tail bound ||H_eps(x)|| on Omega and its supremum, for the data
+    cut to zero on the cells of the boolean mask exterior.
 
     H_eps(x) = eps^-2 * integral of ||K|| over the complement of the rescaled
     layer neighbourhood; bounded here through the radial tail beyond
-    dist(x, exterior)/eps, which is exact for radially dominated kernels.
+    dist(x, exterior)/eps, the distance measured in centre_distance's norm,
+    which is exact for radially dominated kernels.
     """
     om = domain.omega_mask
-    if not domain.exterior_mask.any():
+    if not exterior.any():
         dist = np.full(om.sum(), np.inf)
     else:
         d = domain.centre_distance()
-        dist = d[domain.exterior_mask].min() - d[om]
+        dist = d[exterior].min() - d[om]
     vals = radial_tail(spec, np.maximum(dist, 0.0) / eps) / eps**2
     field = np.zeros(domain.shape)
     field[om] = vals

@@ -135,8 +135,7 @@ class KernelSpec:
     f1: object
     f2: object = None
     f3: object = None
-    q: float = 2.0  # tail-moment exponent used for the boundary-layer assumption
-    tau: float = 1.0  # boundary-layer thickness constant
+    q: float = 2.0  # tail-moment exponent: sets mq, and where an unbounded kernel's stencil is cut
     annulus: tuple = (0.5, 1.0)  # candidate (rho1, rho2) for the lower-bound assumption
 
     def __post_init__(self):
@@ -146,8 +145,6 @@ class KernelSpec:
             raise ValueError("nematic mode requires m = 5")
         if not 2 <= self.q < np.inf:  # NaN fails too
             raise ValueError(f"tail exponent q must be finite and >= 2, not {self.q!r}")
-        if not 0 < self.tau < np.inf:
-            raise ValueError(f"layer constant tau must be finite and > 0, not {self.tau!r}")
 
     @property
     def profiles(self):
@@ -247,12 +244,6 @@ def _converged_integrals(spec, integrand, r_max, rtol):
     return values, ok
 
 
-def _converged_integral(spec, integrand, r_max, rtol):
-    """_converged_integrals for one integrand: (value, converged flag)."""
-    (value,), (ok,) = _converged_integrals(spec, lambda r: [integrand(r)], r_max, rtol)
-    return value, ok
-
-
 def _integration_radius(spec: KernelSpec) -> float:
     """Radius out to which kernel integrals are taken by quadrature: the support
     radius, or an unbounded kernel's last breakpoint, beyond which _closed_tail
@@ -336,13 +327,13 @@ def compute_moments(spec: KernelSpec) -> KernelMoments:
     mq = rest[0] if rest else m2
 
     def g3(r):
-        return 4.0 * np.pi * r**5 * _grad_norm(spec, _ray(r))
+        return [4.0 * np.pi * r**5 * _grad_norm(spec, _ray(r))]
 
     # scalar tail: |grad K| = sqrt(m) |f1'(r)|, times r^3 and the r^2 Jacobian
     r_int = _integration_radius(spec)
     tail = 4.0 * np.pi * np.sqrt(spec.m) * _closed_tail(spec, 5, r_int, gradient=True)
     # the gradient is a central difference, good to about 1e-6
-    m3grad_val, ok = _converged_integral(spec, g3, r_int, 1e-6)
+    (m3grad_val,), (ok,) = _converged_integrals(spec, g3, r_int, 1e-6)
     m3grad = float((m3grad_val if ok else np.nan) + tail)
     return KernelMoments(kappa * np.eye(spec.m), intG, m2, m3grad, mq)
 
@@ -358,7 +349,6 @@ class AssumptionReport:
     lambda_max_constant: float  # measured C with lambda_max <= C g
     moments: KernelMoments | None
     q: float
-    tau: float
     notes: str = ""
 
     def all_pass(self):
@@ -376,7 +366,6 @@ class AssumptionReport:
             lines.append(f"m3grad = {self.moments.m3grad!r}")
             lines.append(f"mq = {self.moments.mq!r}")
         lines.append(f"q = {self.q!r}")
-        lines.append(f"tau = {self.tau!r}")
         if self.notes:
             lines.append(f"notes = {self.notes}")
         return "\n".join(lines) + "\n"
@@ -435,7 +424,7 @@ def check_assumptions(spec: KernelSpec) -> AssumptionReport:
         passed["K5_domination"] = bool(np.isfinite(Cmax) and np.all(gpos[sig]))
 
     return AssumptionReport(
-        passed, (rho1, rho2, k_measured), Cmax, moments, spec.q, spec.tau, notes
+        passed, (rho1, rho2, k_measured), Cmax, moments, spec.q, notes
     )
 
 
@@ -641,14 +630,14 @@ def sample_on_lattice(spec: KernelSpec, eps: float, h: float,
 
 
 # every preset of kernel_preset and the parameters it reads, with their defaults
-_LAYER = {"q": KernelSpec.q, "tau": KernelSpec.tau}  # the boundary-layer constants
+_TAIL = {"q": KernelSpec.q}  # the tail-moment exponent
 _GAUSSIAN = {"strength": 4.0, "width": 1.0, "cut": 6.0}
 PRESETS = {
     "zero": {},
-    "annulus": {"k": 1.0, "rho1": 0.5, "rho2": 1.0, **_LAYER},
-    "gaussian": {**_GAUSSIAN, **_LAYER},
-    "gaussian-nematic": {**_GAUSSIAN, "f2": 0.0, "f3": 0.0, **_LAYER},
-    "inverse6": {"amplitude": 1.0, "r_on": 0.5, "r_full": 1.0, **_LAYER, "q": 2.5},
+    "annulus": {"k": 1.0, "rho1": 0.5, "rho2": 1.0, **_TAIL},
+    "gaussian": {**_GAUSSIAN, **_TAIL},
+    "gaussian-nematic": {**_GAUSSIAN, "f2": 0.0, "f3": 0.0, **_TAIL},
+    "inverse6": {"amplitude": 1.0, "r_on": 0.5, "r_full": 1.0, **_TAIL, "q": 2.5},
 }
 
 
@@ -674,16 +663,16 @@ def kernel_preset(name: str, m: int, params: dict | None = None) -> KernelSpec:
     if name == "zero":
         # no positivity annulus to resolve; tag the full unit ball
         return KernelSpec("scalar", m, ZERO_PROFILE, annulus=(0.0, 1.0))
-    layer = {"q": p["q"], "tau": p["tau"]}
+    q = p["q"]
     if name == "annulus":
         r1, r2 = p["rho1"], p["rho2"]
-        return KernelSpec("scalar", m, AnnulusProfile(p["k"], r1, r2), annulus=(r1, r2), **layer)
+        return KernelSpec("scalar", m, AnnulusProfile(p["k"], r1, r2), annulus=(r1, r2), q=q)
     if name == "inverse6":
         r_on, r_full = p["r_on"], p["r_full"]
         if not r_on < r_full < np.inf:  # the cutoff divides by r_full - r_on
             raise ValueError(f"inverse6 needs r_on < r_full < inf, not {r_on!r}, {r_full!r}")
         profile = InverseSixthProfile(p["amplitude"], r_on, r_full)
-        return KernelSpec("scalar", m, profile, annulus=(r_full, 2.0 * r_full), **layer)
+        return KernelSpec("scalar", m, profile, annulus=(r_full, 2.0 * r_full), q=q)
     width, cut = p["width"], p["cut"]
     for key in ("width", "cut"):
         if not 0 < p[key] < np.inf:
@@ -694,7 +683,7 @@ def kernel_preset(name: str, m: int, params: dict | None = None) -> KernelSpec:
     # is strictly positive inside the cutoff
     ann = (0.1 * width, 0.9 * cut * width)
     if name == "gaussian":
-        return KernelSpec("scalar", m, f1, annulus=ann, **layer)
+        return KernelSpec("scalar", m, f1, annulus=ann, q=q)
     f2 = GaussianProfile(p["f2"] * amp, width, cut) if p["f2"] else None
     f3 = GaussianProfile(p["f3"] * amp, width, cut) if p["f3"] else None
-    return KernelSpec("nematic", m, f1, f2, f3, annulus=ann, **layer)
+    return KernelSpec("nematic", m, f1, f2, f3, annulus=ann, q=q)

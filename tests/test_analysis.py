@@ -184,6 +184,14 @@ def test_campanato_radius_guard():
         analysis.campanato_profile(f, np.zeros(3), [0.3, 2.0 * dom.h])
 
 
+def test_campanato_empty_ladder_is_a_value_error():
+    # it raised a raw IndexError reading the smallest radius; singular_set's message
+    dom, sampled, bulk = setup_case()
+    f = smooth_field(dom, sampled, bulk)
+    with pytest.raises(ValueError, match="empty radii ladder"):
+        analysis.campanato_profile(f, np.zeros(3), [])
+
+
 def test_holder_seminorm_exact_on_linear_field():
     dom, _, _ = setup_case()
     vals = np.zeros(dom.shape + (2,))

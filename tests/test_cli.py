@@ -382,8 +382,9 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, old, new, field):
     ("[probe]", "[extra]\n\n[probe]", ["[extra]"]),
     ("seed = 0", "seed = 0\nstep = 1\n\n[extra]\nx = 1", ["[solver] step", "[extra]"]),
     ("h = 0.1", "h = 0.1\nlayer = 0.15", ["[domain] layer"]),
+    ("rho2 = 1.0", "rho2 = 1.0\ntau = 0.3", ["[kernel] tau"]),
 ], ids=["misspelt-key", "dropped-key", "kernel-key", "misspelt-section", "empty-section",
-        "two-unknowns", "domain-layer"])
+        "two-unknowns", "domain-layer", "kernel-tau"])
 def test_unknown_config_key_exit_2(tmp_path, capsys, old, new, names):
     # a misspelt or dropped key used to be ignored: tolerance = 0 solved at tol 1e-8
     ini = write_ini(tmp_path / "bad.ini", ANNULUS_INI.replace(old, new))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nllc import field as fld
 from nllc import kernel, potential, solver
-from nllc.errors import DumpFormatError, LayerTooThin, ResolutionMismatch
+from nllc.errors import DumpFormatError, ResolutionMismatch
 
 S1 = potential.make_s1_model()
 
@@ -239,66 +239,15 @@ def test_nllc_dump_with_an_impossible_header_is_a_format_error(tmp_path, header)
         fld.read_nllc1(p)
 
 
-@DOMAINS
-def test_finite_thickness_exact_when_no_exterior(make_domain):
-    # with layer_thickness = inf there is no exterior and the restricted
-    # interaction equals the full one
-    dom, sampled, bulk = setup_case(make_domain=make_domain)
-    f = random_field(dom, 0.5, bulk.manifold.s0, seed=11)
-    full = fld.energy_primal(f, sampled, bulk)
-    thin = fld.finite_thickness_energy(f, sampled, bulk)
-    assert thin.total == pytest.approx(full.total, rel=1e-12)
-
-
-def test_finite_thickness_layer_guard():
-    spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
-    eps, h, n = 0.5, 0.1, 20
-    sampled = kernel.sample_on_lattice(spec, eps, h)
-    bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
-    dom = fld.ball_domain(n, h, 0.35, layer_thickness=0.01)
-    f = random_field(dom, eps, bulk.manifold.s0, seed=12)
-    with pytest.raises(LayerTooThin):
-        fld.finite_thickness_energy(f, sampled, bulk)
-
-
-def test_finite_thickness_differs_by_exterior_pairs_exactly():
-    # E - E_tilde is exactly the interaction of pairs touching the exterior
-    spec = kernel.kernel_preset(
-        "annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0, "tau": 0.3}
-    )
-    eps, h, n = 0.5, 0.1, 24
-    sampled = kernel.sample_on_lattice(spec, eps, h)
-    bulk = potential.make_bulk_potential(S1, sampled.intK_disc)
-    dom = fld.ball_domain(n, h, 0.3, layer_thickness=0.45)
-    f = random_field(dom, eps, bulk.manifold.s0, seed=13)
-    full = fld.energy_primal(f, sampled, bulk)
-    thin = fld.finite_thickness_energy(f, sampled, bulk)
-    oe = dom.omega_eps_mask
-    u_oe = np.where(oe[..., None], f.values, 0.0)
-    v_full = fld.convolve(sampled, f.values, dom.h)
-    v_oe = fld.convolve(sampled, u_oe, dom.h)
-    i_full = -0.5 / eps**2 * float(np.sum(f.values * v_full)) * dom.cell_volume
-    i_oe = -0.5 / eps**2 * float(np.einsum("na,na->", f.values[oe], v_oe[oe])) * dom.cell_volume
-    omitted = i_full - i_oe
-    scale = max(abs(full.total), abs(omitted), 1.0)
-    assert thin.total - full.total == pytest.approx(-omitted, abs=1e-11 * scale)
-    # and the restricted energy is bounded below by the full one minus the
-    # omitted interaction
-    assert thin.total >= full.total - abs(omitted) - 1e-11 * scale
-
-
 def test_h_eps_profile_decreasing_in_thickness():
     spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
-    sups = []
-    for lt in (0.1, 0.2, 0.3):
-        dom = fld.ball_domain(24, 0.1, 0.3, layer_thickness=lt)
-        _, sup = fld.h_eps_profile(dom, spec, 0.5)
-        sups.append(sup)
+    dom = fld.ball_domain(24, 0.1, 0.3)
+    d = dom.centre_distance()
+    # the data cut to zero beyond a layer of thickness lt around Omega
+    sups = [fld.h_eps_profile(dom, spec, 0.5, d > 0.3 + lt)[1] for lt in (0.1, 0.2, 0.3)]
     assert sups[0] >= sups[1] >= sups[2]
-    # compact support: a thick enough layer kills the tail entirely
-    dom = fld.ball_domain(24, 0.1, 0.3, layer_thickness=np.inf)
-    _, sup = fld.h_eps_profile(dom, spec, 0.5)
-    assert sup == 0.0
+    # no cut cell: the layer is infinite and there is no tail
+    assert fld.h_eps_profile(dom, spec, 0.5, np.zeros(dom.shape, dtype=bool))[1] == 0.0
 
 
 def test_cube_domain_regions_padding_and_layer():
@@ -306,22 +255,16 @@ def test_cube_domain_regions_padding_and_layer():
     n, h, half = 20, 0.1, 0.351
     c = np.abs((np.arange(n) - (n - 1) / 2.0) * h)
     dist = np.maximum.reduce(np.meshgrid(c, c, c, indexing="ij"))
-    sups = []
-    for lt in (0.095, 0.195, 0.295):
-        dom = fld.cube_domain(n, h, half, layer_thickness=lt)
-        assert dom.geometry == "cube"
-        assert np.array_equal(dom.omega_mask, dist <= half)
-        assert np.array_equal(dom.layer_mask, (dist > half) & (dist <= half + lt))
-        assert np.array_equal(dom.exterior_mask, dist > half + lt)
-        # interior cells sit at |x|_inf <= 0.35, i.e. indices 6..13 per axis
-        assert dom.padding_cells() == 6
-        assert lt <= dom.layer_thickness() <= lt + h
-        _, sup = fld.h_eps_profile(dom, spec, 0.5)
-        sups.append(sup)
-    assert sups[0] > sups[1] > sups[2] > 0.0
     dom = fld.cube_domain(n, h, half)
-    assert dom.layer_thickness() == np.inf
-    assert fld.h_eps_profile(dom, spec, 0.5)[1] == 0.0
+    assert dom.geometry == "cube"
+    assert np.array_equal(dom.omega_mask, dist <= half)
+    assert np.array_equal(dom.region == fld.LAYER, dist > half)
+    # interior cells sit at |x|_inf <= 0.35, i.e. indices 6..13 per axis
+    assert dom.padding_cells() == 6
+    d = dom.centre_distance()
+    sups = [fld.h_eps_profile(dom, spec, 0.5, d > half + lt)[1] for lt in (0.095, 0.195, 0.295)]
+    assert sups[0] > sups[1] > sups[2] > 0.0
+    assert fld.h_eps_profile(dom, spec, 0.5, np.zeros(dom.shape, dtype=bool))[1] == 0.0
 
 
 def test_boundary_presets_shapes_and_norms():

@@ -83,15 +83,18 @@ def test_kernel_preset_defaults_come_from_its_table():
 
 @pytest.mark.parametrize("name, params", [
     ("annulus", {"q": np.nan}), ("annulus", {"q": np.inf}), ("annulus", {"q": 1.5}),
-    ("annulus", {"tau": np.nan}), ("annulus", {"tau": 0.0}), ("annulus", {"tau": -1.0}),
-    ("gaussian", {"width": 0.0}), ("gaussian", {"width": -0.3}),
-    ("gaussian-nematic", {"width": np.inf}),
-    ("gaussian", {"cut": 0.0}), ("gaussian", {"cut": -2.5}), ("gaussian-nematic", {"cut": np.nan}),
-    ("inverse6", {"r_on": 1.2, "r_full": 1.0}), ("inverse6", {"r_on": 1.0, "r_full": 1.0}),
-    ("inverse6", {"r_full": np.inf}),
+    # numbered on from 6, so that each case keeps the name it has had in the suite
+    *(pytest.param(name, params, id=f"{name}-params{i}") for i, (name, params) in enumerate([
+        ("gaussian", {"width": 0.0}), ("gaussian", {"width": -0.3}),
+        ("gaussian-nematic", {"width": np.inf}),
+        ("gaussian", {"cut": 0.0}), ("gaussian", {"cut": -2.5}),
+        ("gaussian-nematic", {"cut": np.nan}),
+        ("inverse6", {"r_on": 1.2, "r_full": 1.0}), ("inverse6", {"r_on": 1.0, "r_full": 1.0}),
+        ("inverse6", {"r_full": np.inf}),
+    ], start=6)),
 ])
 def test_kernel_values_that_leave_the_construction_undefined_raise(name, params):
-    # a NaN q passed q < 2, tau was unchecked and width 0 raised ZeroDivisionError;
+    # a NaN q passed q < 2 and width 0 raised ZeroDivisionError;
     # a Gaussian cut of 0 passed kernel-report and then asked a solve for h below a
     # negative bound; inverse6 with r_on > r_full is 0 at every r, yet its
     # closed-form tail gave intK = 0.0654 Id, and r_on = r_full made it a step
@@ -187,9 +190,9 @@ def test_elastic_tensor_raises_without_a_closed_form_tail():
 
 def test_h_eps_profile_raises_without_a_closed_form_tail():
     # the H_eps tail table beyond its last node comes from the same tail rule
-    dom = fld.ball_domain(12, 0.1, 0.25, layer_thickness=0.2)
+    dom = fld.ball_domain(12, 0.1, 0.25)
     with pytest.raises(QuadratureUnderresolved, match="tail_radial_moment"):
-        fld.h_eps_profile(dom, FAT_TAIL, 0.5)
+        fld.h_eps_profile(dom, FAT_TAIL, 0.5, dom.centre_distance() > 0.25 + 0.2)
 
 
 def test_elastic_tensor_annulus_closed_form():
@@ -360,13 +363,13 @@ def test_spectrum_trace_and_gradient_norm_depend_on_the_radius_only(d, r, f2, f3
 
 def test_unconverged_grad_moment_fails_k6(monkeypatch):
     # an m3grad quadrature that never stabilises must not report K6 as passed
-    real = kernel._converged_integral
+    real = kernel._converged_integrals
 
     def m3grad_unconverged(spec, integrand, r_max, rtol):
-        value, ok = real(spec, integrand, r_max, rtol)
-        return value, ok and integrand.__name__ != "g3"
+        values, ok = real(spec, integrand, r_max, rtol)
+        return values, [flag and integrand.__name__ != "g3" for flag in ok]
 
-    monkeypatch.setattr(kernel, "_converged_integral", m3grad_unconverged)
+    monkeypatch.setattr(kernel, "_converged_integrals", m3grad_unconverged)
     assert np.isnan(kernel.compute_moments(ANNULUS).m3grad)
     report = kernel.check_assumptions(ANNULUS)
     assert not report.passed["K6_grad_moment"]
