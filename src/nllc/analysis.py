@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionNotMet, ResolutionMismatch
 from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
-from .field import _neighbour_slices, require_resolvable, require_same_grid
+from .field import _neighbour_slices, radii_ladder, require_resolvable, require_same_grid
 from .kernel import MIN_CELLS_ACROSS, SampledKernel, stencil_offsets
 from .limit import ManifoldField, SingularSetReport, _central_gradient
 from .potential import BulkPotential
@@ -263,10 +263,7 @@ def campanato_profile(
     exponent alpha are recorded too.
     """
     dom = field.domain
-    radii = np.sort(np.asarray(radii, dtype=float))[::-1]
-    if radii.size == 0:
-        raise ValueError("empty radii ladder")
-    require_resolvable(radii[-1], dom.h, "smallest radius")
+    radii = radii_ladder(radii, dom.h)
     osc = np.zeros(radii.size)
     en = np.zeros(radii.size)
     for k, rho in enumerate(radii):

@@ -143,6 +143,15 @@ def require_resolvable(length: float, h: float, what: str) -> None:
                                  f"{RESOLVABLE_CELLS}h = {RESOLVABLE_CELLS * h:g}")
 
 
+def radii_ladder(radii, h: float) -> np.ndarray:
+    """radii sorted descending; ValueError when empty, and require_resolvable on the smallest."""
+    radii = np.sort(np.asarray(radii, dtype=float))[::-1]
+    if radii.size == 0:
+        raise ValueError("empty radii ladder")
+    require_resolvable(radii[-1], h, "smallest radius")
+    return radii
+
+
 def require_same_grid(fields, domain: Domain) -> None:
     """Raise ResolutionMismatch unless every field lies on domain's grid."""
     for f in fields:
@@ -216,15 +225,18 @@ def _orbit_field(phi: np.ndarray, s0: float, m: int) -> np.ndarray:
 # convolution
 
 
-def _check_kernel_grid(sampled: SampledKernel, domain: Domain):
-    if not np.isclose(sampled.h, domain.h, rtol=1e-12, atol=0.0):
-        raise ResolutionMismatch(
-            f"kernel stencil spacing {sampled.h:g} != domain spacing {domain.h:g}"
-        )
+def _check_kernel_grid(sampled: SampledKernel, field: OrderField):
+    """Raise ResolutionMismatch unless the kernel was sampled at field's spacing and eps."""
+    h = field.domain.h
+    if not np.isclose(sampled.h, h, rtol=1e-12, atol=0.0):
+        raise ResolutionMismatch(f"kernel stencil spacing {sampled.h:g} != domain spacing {h:g}")
+    if not np.isclose(sampled.eps, field.eps, rtol=1e-12, atol=0.0):
+        raise ResolutionMismatch(f"kernel eps {sampled.eps:g} != field eps {field.eps:g}")
 
 
-def require_padding(domain: Domain, sampled: SampledKernel):
-    _check_kernel_grid(sampled, domain)
+def require_padding(field: OrderField, sampled: SampledKernel):
+    _check_kernel_grid(sampled, field)
+    domain = field.domain
     if not domain.omega_mask.any():
         raise ResolutionMismatch("Omega has no cell: no padding to measure")
     pad = domain.padding_cells()
@@ -511,7 +523,7 @@ def omega_split(field: OrderField, sampled: SampledKernel) -> OmegaSplit:
     to Omega's bounding window.  Raises ResolutionMismatch unless Omega has cells
     and is padded by the stencil radius."""
     dom = field.domain
-    require_padding(dom, sampled)
+    require_padding(field, sampled)
     om = dom.omega_mask
     window = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(om))
     # const, a form of u_c, is blind to a constant c: the sums of r = u_c - c are
@@ -536,7 +548,7 @@ def energy_primal(field: OrderField, sampled: SampledKernel,
     form exactly.
     """
     dom = field.domain
-    require_padding(dom, sampled)
+    require_padding(field, sampled)
     u, om = field.values, dom.omega_mask
     eps2 = field.eps**2
     h3 = dom.cell_volume
@@ -573,32 +585,31 @@ def energy_oscillation(
 ) -> EnergyBreakdown:
     """(1/4eps^2) double-sum K_eps (u(x)-u(y))^tensor2 + (1/eps^2) sum_Omega psi_b.
 
-    method "fast" expands the square through two convolutions; "pairwise"
-    evaluates the defining double sum shift by shift.
+    The interaction is local_form's over the whole box.
     """
-    require_padding(field.domain, sampled)
-    if method not in ("fast", "pairwise"):
-        raise ValueError(f"unknown oscillation method {method!r}")
+    require_padding(field, sampled)
+    pair = local_form(field, None, sampled, method)
     dom, eps2 = field.domain, field.eps**2
-    if method == "fast":
-        quad, cross = _interaction_sums(field, sampled)
-        pair = 0.5 * (quad - cross) / eps2
-    else:
-        pair = _pairwise_interaction(field.values, sampled, dom.h) / eps2
     u_om = field.values[dom.omega_mask]
     b = dual_map(bulk.model, u_om)
     bulk_term = float(np.sum(psi_b_at_dual(bulk, u_om, b))) * dom.cell_volume / eps2
     return EnergyBreakdown(pair, bulk_term, 0.0, pair + bulk_term)
 
 
-def local_form(field: OrderField, region: np.ndarray, sampled: SampledKernel,
+def local_form(field: OrderField, region: np.ndarray | None, sampled: SampledKernel,
                method: str = "fast") -> float:
-    """Interaction part of F_eps(u, G): (1/4eps^2) double sum over G x G."""
+    """Interaction part of F_eps(u, G): (1/4eps^2) double sum over G x G, G the cell
+    mask region, or the whole box when region is None.
+
+    method "fast" expands the square through two convolutions; "pairwise"
+    evaluates the defining double sum shift by shift.
+    """
     dom = field.domain
-    _check_kernel_grid(sampled, dom)
-    region = np.asarray(region, dtype=bool)
-    if region.shape != dom.shape:
-        raise ResolutionMismatch("region mask shape differs from the domain box")
+    _check_kernel_grid(sampled, field)
+    if region is not None:
+        region = np.asarray(region, dtype=bool)
+        if region.shape != dom.shape:
+            raise ResolutionMismatch("region mask shape differs from the domain box")
     if method not in ("fast", "pairwise"):
         raise ValueError(f"unknown oscillation method {method!r}")
     eps2 = field.eps**2

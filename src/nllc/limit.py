@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ResolutionMismatch
 from .field import Domain, OrderField, ball_mask, boundary_values, convolve_stencil, local_energy
-from .field import _neighbour_slices, require_resolvable, require_same_grid
+from .field import _neighbour_slices, radii_ladder, require_resolvable, require_same_grid
 from .kernel import ElasticTensor, SampledKernel, stencil_offsets
 from .potential import _SYM0_BASIS, BulkPotential, coords_to_matrix, q_tensor_coords
 from .solver import monotone_descent
@@ -363,10 +363,7 @@ def singular_set(
     are flagged.  Radii below the resolvable scale 4h are rejected.
     """
     dom = mfield.domain
-    radii = np.sort(np.asarray(radii, dtype=float))[::-1]
-    if radii.size == 0:
-        raise ValueError("empty radii ladder")
-    require_resolvable(radii[-1], dom.h, "smallest radius")
+    radii = radii_ladder(radii, dom.h)
     omega = dom.omega_mask
     g = _central_gradient(mfield.values, dom.h, omega)
     dens = np.sum(g * g, axis=(-2, -1)) * dom.cell_volume  # per-cell energy

@@ -7,21 +7,22 @@ prescribed sigma-moment u; it is evaluated through its convex dual, the
 log-partition function lnZ(b), with Lambda = grad psi_s and
 Lambda^{-1} = grad lnZ forming a Legendre pair.
 
-Three paths evaluate lnZ and its gradient.  The circle model "s1" (sigma =
-(cos 2theta, sin 2theta) under the uniform measure) has the closed form lnZ(b)
-= log I0(|b|), so log_partition, lambda_inverse and dual_map use modified
-Bessel functions there, as fitted piecewise polynomials, and the dual map is a
-Halley iteration.  The sphere model "s2" carries an OctantFold: lnZ is
-rotation invariant, so each cell is taken to the eigenframe of its traceless
-3x3 matrix, where the sum over the nodes folds onto the nodes of one octant
-and the dual map is a Newton solve in two unknowns (Ball & Majumdar 2010, Mol.
-Cryst. Liq. Cryst. 525); mean_field gives u = Lambda^{-1}(b) and lnZ(b) from
-one eigenframe and one folded sum.  Every other model sums over its quadrature
-nodes; that path is also the reference for s1 and s2 (a MicroModel with their
-nodes under another name takes it).  The Hessian of lnZ, covariance, is that
-node sum on every model (one dual per bulk potential, and the samples of
-hessian_diagnostics).  The vacuum orbit of the bulk potential is found
-along one dual ray b = t e from lambda_inverse alone.
+mean_field gives Lambda^{-1}(b) and lnZ(b) together, with one branch per
+model, and lambda_inverse and log_partition are its two items.  The circle
+model "s1" (sigma = (cos 2theta, sin 2theta) under the uniform measure) has the
+closed form lnZ(b) = log I0(|b|), so mean_field takes the Bessel ratio and log
+I0 of one |b|, as fitted piecewise polynomials, and the dual map is a Halley
+iteration.  The sphere model "s2" carries an OctantFold: lnZ is rotation
+invariant, so each cell is taken to the eigenframe of its traceless 3x3
+matrix, where the sum over the nodes folds onto the nodes of one octant and
+the dual map is a Newton solve in two unknowns (Ball & Majumdar 2010, Mol.
+Cryst. Liq. Cryst. 525); mean_field takes one eigenframe and one folded sum.
+Every other model sums over its quadrature nodes, where one max-shifted
+exponential gives the tilted density and lnZ; that path is also the reference
+for s1 and s2 (a MicroModel with their nodes under another name takes it).
+The Hessian of lnZ, covariance, is that node sum on every model (one dual per
+bulk potential, and the samples of hessian_diagnostics).  The vacuum orbit of
+the bulk potential is found along one dual ray b = t e from mean_field alone.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -167,17 +168,14 @@ def make_s2_model(n_theta: int = 24, n_phi: int = 48) -> MicroModel:
 MODELS = {"s1": make_s1_model, "s2": make_s2_model}  # the micro-models by name
 
 
-def _shifted_exp(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(b . sigma_i - amax) per node and its shift amax (keepdims), for b of shape (..., m)."""
+def _tilted_density(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights of the tilted density w_i exp(b . sigma_i) / Z(b), shape (..., n),
+    and lnZ(b), shape (...), from one max-shifted exponential, for b of shape (..., m)."""
     a = np.asarray(b, dtype=float) @ model.sigma.T  # (..., n)
     amax = a.max(axis=-1, keepdims=True)
-    return np.exp(a - amax), amax
-
-
-def _tilted_density(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """Quadrature weights of the tilted density w_i exp(b . sigma_i) / Z(b), shape (..., n)."""
-    e = _shifted_exp(model, b)[0] * model.weights
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(a - amax) * model.weights
+    z = e.sum(axis=-1, keepdims=True)
+    return e / z, (amax + np.log(z))[..., 0]
 
 
 def _covariance_of(model: MicroModel, f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -379,52 +377,41 @@ def _folded_average(fold: OctantFold, d: np.ndarray) -> tuple[np.ndarray, np.nda
     return amax[:, 0] + np.log(z), (e @ fold.moments) / z[:, None]
 
 
-def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """lnZ(b) = ln sum_i w_i exp(b . sigma_i), max-shifted for stability; log I0(|b|) on s1.
-
-    Accepts b of shape (..., m); returns shape (...).  With an octant fold the
-    sum runs over the folded nodes in b's eigenframe.
-    """
-    if model.name == "s1":
-        return _log_i0(np.linalg.norm(b, axis=-1))
-    if model.fold is not None:
-        return _folded_average(model.fold, _eigenframe(b)[0])[0].reshape(np.shape(b)[:-1])
-    e, amax = _shifted_exp(model, b)
-    return amax[..., 0] + np.log(e @ model.weights)
-
-
-def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
-    """u = grad_b lnZ(b); the mean-field map, the inverse of Lambda.  A(|b|) b/|b| on s1.
-
-    With an octant fold it is mean_field's first item.
-    """
-    if model.name == "s1":
-        b = np.asarray(b, dtype=float)
-        return _bessel_ratio(np.linalg.norm(b, axis=-1))[1][..., None] * b
-    if model.fold is not None:
-        return mean_field(model, b)[0]
-    return _tilted_density(model, b) @ model.sigma
-
-
 def mean_field(model: MicroModel, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda_inverse(b), log_partition(b)), shapes (..., m) and (...).
+    """(u, lnZ(b)) with u = grad_b lnZ(b) = Lambda^{-1}(b), shapes (..., m) and (...).
 
-    With an octant fold one eigenframe and one folded sum give both: lnZ is
-    rotation invariant, and u shares b's eigenframe, the folded mean there
-    rotated back.  Any other model, s1 included, runs the two maps.
+    On s1 both come from |b|: u = A(|b|) b/|b| and lnZ = log I0(|b|).  With an
+    octant fold one eigenframe and one folded sum give both: lnZ is rotation
+    invariant, and u shares b's eigenframe, the folded mean there rotated
+    back.  Elsewhere one max-shifted exponential over the nodes gives the
+    tilted density, whose mean is u, and lnZ.
     """
+    b = np.asarray(b, dtype=float)
+    if model.name == "s1":
+        s = np.linalg.norm(b, axis=-1)
+        return _bessel_ratio(s)[1][..., None] * b, _log_i0(s)
     if model.fold is not None:
-        b = np.asarray(b, dtype=float)
         d, R = _eigenframe(b)
         lnz, avg = _folded_average(model.fold, d)
         return _from_eigenframe(avg[:, :2], R).reshape(b.shape), lnz.reshape(b.shape[:-1])
-    return lambda_inverse(model, b), log_partition(model, b)
+    f, lnz = _tilted_density(model, b)
+    return f @ model.sigma, lnz
+
+
+def log_partition(model: MicroModel, b: np.ndarray) -> np.ndarray:
+    """lnZ(b) = ln sum_i w_i exp(b . sigma_i), shape (...): mean_field's second item."""
+    return mean_field(model, b)[1]
+
+
+def lambda_inverse(model: MicroModel, b: np.ndarray) -> np.ndarray:
+    """u = grad_b lnZ(b), the mean-field map, the inverse of Lambda: mean_field's first item."""
+    return mean_field(model, b)[0]
 
 
 def covariance(model: MicroModel, b: np.ndarray) -> np.ndarray:
     """Hessian of lnZ: the sigma-covariance under the tilted density, shape (..., m, m),
     as sums over the model's nodes."""
-    f = _tilted_density(model, b)
+    f = _tilted_density(model, b)[0]
     return _covariance_of(model, f, f @ model.sigma)
 
 
@@ -457,7 +444,7 @@ def dual_map(model: MicroModel, u: np.ndarray) -> np.ndarray:
     live = np.ones(u.shape[:-1], dtype=bool)  # cells not yet within DUAL_TOL (a NaN stays live)
     eye = np.eye(model.m)
     for _ in range(DUAL_MAX_ITER):
-        f = _tilted_density(model, b[live])
+        f = _tilted_density(model, b[live])[0]
         mean = f @ model.sigma
         r = mean - u[live]
         keep = ~(np.linalg.norm(r, axis=-1) <= DUAL_TOL)
@@ -665,9 +652,9 @@ def _radial_ray_minimum(model, e, kappa):
             crit.append(a)
         elif d_a * d_b < 0:
             crit.append(_bracketed_root(slope, a, bnd, d_a, d_b, xtol=1e-12))
-    b = np.multiply.outer(crit, e)
-    t, s = np.array(crit), lambda_inverse(model, b) @ e
-    vals = t * s - log_partition(model, b) - 0.5 * kappa * s * s
+    u, lnz = mean_field(model, np.multiply.outer(crit, e))
+    t, s = np.array(crit), u @ e
+    vals = t * s - lnz - 0.5 * kappa * s * s
     s[0] = vals[0] = 0.0  # Lambda^{-1}(0) and lnZ(0) on the fold are round-off away from 0
     i = int(np.argmin(vals))
     return float(t[i]), float(s[i]), float(vals[i])

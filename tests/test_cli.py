@@ -349,8 +349,9 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("h = 0.1", "h = 0.1\nomega_radius = 0.01", "[domain] omega_radius"),  # no cell centre inside
     ("h = 0.1", "h = 0.1\nomega_radius = nan", "[domain] omega_radius"),
     ("h = 0.1", "h = 0.1\nomega_radius = -0.3", "[domain] omega_radius"),
-    ("h = 0.1", "h = 0.1\nlayer = -1", "[domain] layer"),
-    ("h = 0.1", "h = 0.1\nlayer = nan", "[domain] layer"),
+    ("n = 18", "n = 3", "[domain] n/h: need n >= 4"),
+    ("h = 0.1", "h = 0", "[domain] n/h: need n >= 4"),
+    ("n = 18", "n = 6", "[domain] n: grid too small for the eps = 0.6 stencil"),
     ("rho2 = 1.0", "rho2 = 1.0\nq = 1.5", "[kernel]"),
     # these exited 0 with wrong numbers (tol = inf: 'converged' after 0 iterations),
     # 1 with a raw exception or 3 from inside a solve
@@ -358,7 +359,6 @@ def test_unparseable_value_exit_2(tmp_path, capsys):
     ("slope = 1.5", "slope = nan", "[boundary] slope"),
     ("ball_radius = 0.3", "ball_radius = inf", "[probe] ball_radius"),
     ("rho1 = 0.2", "rho1 = nan", "[kernel] rho1"),
-    ("rho2 = 1.0", "rho2 = 1.0\ntau = nan", "[kernel] tau"),
     ("k = 1.3", "k = nan", "[kernel] k"),
     ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian\nwidth = 0", "[kernel]"),
     ("preset = annulus\nk = 1.3\nrho1 = 0.2\nrho2 = 1.0", "preset = gaussian-nematic", "[kernel]"),

@@ -380,6 +380,24 @@ def test_an_empty_omega_is_a_resolution_mismatch(run):
         run(f, sampled, bulk)
 
 
+@pytest.mark.parametrize("run", [
+    lambda f, sampled, bulk: fld.omega_split(f, sampled),
+    lambda f, sampled, bulk: fld.energy_primal(f, sampled, bulk),
+    lambda f, sampled, bulk: fld.energy_oscillation(f, sampled, bulk),
+    lambda f, sampled, bulk: fld.local_energy(f, fld.ball_mask(f.domain, np.zeros(3), 0.5),
+                                              sampled, bulk),
+    lambda f, sampled, bulk: solver.el_fixed_point(f, sampled, bulk),
+], ids=["omega_split", "energy_primal", "energy_oscillation", "local_energy", "el_fixed_point"])
+def test_a_kernel_of_another_eps_is_a_resolution_mismatch(run):
+    # a kernel sampled at eps 0.5 on a field tagged eps 0.25 divides by the
+    # wrong eps^2: energy_oscillation read 2.9390, 4x the 0.7347 of the field
+    # tagged 0.5, and the EL solve still converged, in 8 iterations
+    dom, sampled, bulk = setup_case(n=18)
+    f = fld.OrderField(dom, 0.25, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 2))
+    with pytest.raises(ResolutionMismatch, match="eps"):
+        run(f, sampled, bulk)
+
+
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_box_sums_match_direct_sums_on_an_odd_padded_length(case):
     # n = 20 and S = 5 transform on fast_len(25) = 25 per axis: the half spectrum

@@ -82,10 +82,10 @@ def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
     # one convolution and one mean-field map per trial, and one convolution, the
     # solve's only dual solve and its only log_partition for the start: an
     # accepted trial's state is kept, not recomputed, and a trial's values and
-    # lnZ come from its duals.  log_partition is counted outside potential, as
-    # mean_field runs it there on s1.  A seeded start of random directions and
-    # lengths below s0 on a finer grid takes 15 trials, above the 10 the test
-    # needs
+    # lnZ come from its duals.  log_partition and mean_field count the calls of
+    # field and solver: inside potential, log_partition runs mean_field.  A
+    # seeded start of random directions and lengths below s0 on a finer grid
+    # takes 15 trials, above the 10 the test needs
     dom, sampled, bulk = setup_case(n=20, h=0.08, eps=0.4)
     f = boundary_field(dom, 0.4, bulk.manifold.s0)
     om = dom.omega_mask
@@ -101,7 +101,8 @@ def test_el_fixed_point_evaluates_each_trial_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (fld, solver) if name == "log_partition" else (fld, potential, solver):
+        in_potential = name not in ("log_partition", "mean_field")
+        for mod in (fld, potential, solver) if in_potential else (fld, solver):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
