@@ -1,9 +1,8 @@
-"""Quantitative probes of the regularity machinery at lattice scale.
+"""Quantitative probes of the regularity results at lattice scale.
 
-Mollifier comparisons against the non-local form, the Poincare-type
-inequality on balls, Campanato mean-oscillation decay with fitted exponents,
-Hoelder seminorms over sampled cell pairs, the one-step energy decay check,
-and uniform-convergence tables against a limit field away from flagged cells.
+Campanato mean-oscillation decay with fitted exponents, Hoelder seminorms
+over sampled cell pairs, the one-step energy decay ratios, and
+uniform-convergence tables against a limit field away from flagged cells.
 All constants here are measured, not derived; the module reports ratios and
 fits and leaves thresholds to the caller.
 """
@@ -15,105 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionNotMet, ResolutionMismatch
-from .field import OrderField, ball_mask, convolve_stencil, local_energy, local_form
+from .field import OrderField, ball_mask, local_energy
 from .field import _neighbour_slices, radii_ladder, require_resolvable, require_same_grid
-from .kernel import MIN_CELLS_ACROSS, SampledKernel, stencil_offsets
-from .limit import ManifoldField, SingularSetReport, _central_gradient
+from .kernel import SampledKernel
+from .limit import ManifoldField, SingularSetReport
 from .potential import BulkPotential
 
 
 # ---------------------------------------------------------------------------
-# mollifier
-
-
-def _bump(t: np.ndarray) -> np.ndarray:
-    """Smooth bump on (-1, 1), zero outside, C^infinity at the edges."""
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
-@dataclass
-class Mollifier:
-    """Radial annulus bump scaled to eps and sampled on the kernel stencil.
-
-    values holds eps^-3 phi(z/eps) after exact lattice normalization
-    (sum * h^3 = 1).  domination is the measured constant C with
-    phi_eps + eps*|grad phi_eps| <= C * g_eps wherever the left side is
-    positive (inf when the kernel vanishes there).
-    """
-
-    eps: float
-    h: float
-    radius_cells: int
-    rho1: float
-    rho2: float
-    values: np.ndarray  # (2S+1,)*3
-    domination: float
-
-    @property
-    def lattice_mass(self) -> float:
-        return float(self.values.sum()) * self.h**3
-
-
-# share of the positivity annulus width cut from each side of the mollifier support
-MOLLIFIER_SHRINK = 0.1
-
-
-def build_mollifier(sampled: SampledKernel) -> Mollifier:
-    """Bump supported in the kernel positivity annulus, lattice-normalized.
-
-    The support is shrunk by MOLLIFIER_SHRINK on each side so the bump
-    vanishes before the annulus edges; the domination constant is measured
-    against the minimum-eigenvalue samples of the kernel stencil.
-    """
-    rho1, rho2 = sampled.spec.annulus
-    eps, h, S = sampled.eps, sampled.h, sampled.radius_cells
-    if h > eps * (rho2 - rho1) / MIN_CELLS_ACROSS:
-        raise ResolutionMismatch(
-            f"h = {h:g} too coarse to resolve the annulus at eps = {eps:g}"
-        )
-    w = rho2 - rho1
-    a, b = rho1 + MOLLIFIER_SHRINK * w, rho2 - MOLLIFIER_SHRINK * w
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-    r = np.linalg.norm(stencil_offsets(S, h), axis=-1) / eps
-    t = (r - mid) / half
-    vals = _bump(t)
-    mass = vals.sum() * h**3
-    vals = vals / mass  # exact unit lattice mass; absorbs the eps^-3 scale
-
-    # radial derivative of the scaled bump by the chain rule, same scale
-    dt = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    dt[inside] = vals[inside] * (-2.0 * ti / (1.0 - ti**2) ** 2)
-    grad = np.abs(dt) / (half * eps)
-
-    g = sampled.g_disc()
-    lhs = vals + eps * grad
-    live = lhs > 1e-14 * lhs.max() if lhs.max() > 0 else np.zeros_like(lhs, dtype=bool)
-    if live.any():
-        with np.errstate(divide="ignore"):
-            ratio = np.where(g[live] > 0, lhs[live] / np.maximum(g[live], 1e-300), np.inf)
-        C = float(ratio.max())
-    else:
-        C = 0.0
-    return Mollifier(eps, h, S, rho1, rho2, vals, C)
-
-
-def mollify(moll: Mollifier, values: np.ndarray, h: float) -> np.ndarray:
-    """Lattice convolution phi_eps * u (componentwise, zero extension)."""
-    if abs(h - moll.h) > 1e-12:
-        raise ResolutionMismatch("mollifier sampled on a different grid spacing")
-    return convolve_stencil(moll.values, values) * h**3
-
-
-# ---------------------------------------------------------------------------
-# inequality probes
+# helpers
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -126,33 +35,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     if lhs <= 1e-20:
         return 0.0
     return lhs / rhs if rhs > 0 else np.inf
-
-
-def mollify_h1_check(
-    field: OrderField,
-    moll: Mollifier,
-    center,
-    radius: float,
-    sampled: SampledKernel,
-) -> tuple:
-    """Dirichlet energy of the mollified field on the half ball against the form.
-
-    lhs = int_{B_{r/2}} |grad(phi_eps * u)|^2, rhs the non-local double sum
-    (1/eps^2) over B_r x B_r.  The outer ball plus the mollifier reach must
-    fit in the box.
-    """
-    dom = field.domain
-    reach = radius + field.eps * moll.rho2
-    half_box = (np.array(dom.shape) / 2.0) * dom.h
-    if np.any(np.abs(np.asarray(center, dtype=float)) + reach > half_box):
-        raise ResolutionMismatch("outer ball plus mollifier reach leaves the box")
-    v = mollify(moll, field.values, dom.h)
-    inner = ball_mask(dom, center, 0.5 * radius)
-    g = _central_gradient(v, dom.h, inner)
-    lhs = float(np.sum(g * g)) * dom.cell_volume
-    outer = ball_mask(dom, center, radius)
-    rhs = 4.0 * local_form(field, outer, sampled)
-    return lhs, rhs, _ratio(lhs, rhs)
 
 
 def _dilate(mask: np.ndarray, k: int) -> np.ndarray:
@@ -168,61 +50,9 @@ def _dilate(mask: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def mollify_l2_check(
-    field: OrderField,
-    moll: Mollifier,
-    inner: np.ndarray,
-    outer: np.ndarray,
-    sampled: SampledKernel,
-) -> tuple:
-    """int_A |u - phi_eps*u|^2 against the non-local form over A' x A'.
-
-    inner and outer are boolean masks with the mollifier reach separating
-    them: inner dilated by the stencil radius must stay within outer.
-    """
-    dom = field.domain
-    inner = np.asarray(inner, dtype=bool)
-    outer = np.asarray(outer, dtype=bool)
-    grown = _dilate(inner, moll.radius_cells)
-    if np.any(grown & ~outer):
-        raise ResolutionMismatch("inner set dilated by the mollifier reach leaves the outer set")
-    v = mollify(moll, field.values, dom.h)
-    diff = field.values[inner] - v[inner]
-    lhs = float(np.sum(diff * diff)) * dom.cell_volume
-    rhs = 4.0 * local_form(field, outer, sampled)
-    return lhs, rhs, _ratio(lhs, rhs)
-
-
 def _mean_oscillation(u: np.ndarray) -> float:
     """Mean square distance of the values u (one per row) from their mean."""
     return float(np.mean(np.sum((u - u.mean(axis=0)) ** 2, axis=-1)))
-
-
-def poincare_check(
-    field: OrderField,
-    center,
-    rho: float,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    eps1: float = 0.5,
-) -> tuple:
-    """Mean-square oscillation on the half ball against the scaled local energy.
-
-    Returns (mean oscillation, rho^-1 F_eps(B_rho), ratio); requires the
-    separation eps <= eps1 * rho.
-    """
-    dom = field.domain
-    if field.eps > eps1 * rho:
-        raise ResolutionMismatch(
-            f"eps = {field.eps:g} too large for rho = {rho:g} (eps1 = {eps1:g})"
-        )
-    half = ball_mask(dom, center, 0.5 * rho) & dom.omega_mask
-    if not half.any():
-        return 0.0, 0.0, 0.0
-    osc = _mean_oscillation(field.values[half])
-    outer = ball_mask(dom, center, rho)
-    scaled = local_energy(field, outer, sampled, bulk) / rho
-    return osc, scaled, _ratio(osc, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +194,8 @@ def uniform_convergence_report(
     """sup |u_eps - u0| over Omega away from the dilated flagged set, per eps.
 
     Returns (eps, sup off the flagged set, sup over all of Omega) rows so the
-    caller can see stagnation on the flagged cells too.
+    caller can see stagnation on the flagged cells too; the off-set sup is nan
+    when the dilated flagged set covers Omega.
     """
     dom = u0.domain
     require_same_grid(fields, dom)
@@ -376,7 +207,7 @@ def uniform_convergence_report(
     rows = []
     for f in fields:
         d = np.linalg.norm(f.values - v0, axis=-1)
-        off = float(d[keep].max()) if keep.any() else 0.0
+        off = float(d[keep].max()) if keep.any() else float("nan")
         full = float(d[dom.omega_mask].max()) if dom.omega_mask.any() else 0.0
         rows.append((f.eps, off, full))
     return rows

@@ -32,8 +32,9 @@ one _box_pass of u_c less its mean gives the constant box sums of u_c, and
 w = (K_eps*u_c)|Omega by an inverse pruned to Omega's bounding window.  The
 oscillation energy of any values on Omega then costs one FFT convolution over
 that window, where the stencil is cut to the window, and sums over Omega.  The
-whole-box convolve and the pairwise sums stay the reference it is tested
-against.
+whole-box convolve is the reference it is tested against, and _direct_convolve
+and _pairwise_interaction, the definitions summed one stencil offset at a time,
+are the references of the FFT paths.
 """
 
 import struct
@@ -46,7 +47,6 @@ from .kernel import KernelSpec, SampledKernel, preset_params, radial_tail
 from .potential import (
     BulkPotential,
     dual_map,
-    make_bulk_potential,
     psi_b,
     psi_b_at_dual,
     psi_s,
@@ -389,21 +389,22 @@ def _box_pass(sampled: SampledKernel, u: np.ndarray, h: float, window=None) -> t
     return float(dot * h**3 / np.prod(p)), v
 
 
-def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float, method: str = "fft"):
+def convolve(sampled: SampledKernel, field_values: np.ndarray, h: float):
     """(K_eps * u)(x) = sum_z K_eps(z) u(x - z) h^3 with zero extension off the box."""
     u = np.asarray(field_values, dtype=float)
     m = sampled.m
     if u.shape[-1] != m:
         raise ResolutionMismatch(f"field has {u.shape[-1]} components, kernel expects {m}")
-    if method == "direct":
-        # the definition, one stencil offset at a time: u(x) meets K(z) at x + z
-        out = np.zeros_like(u)
-        for kern, lo, hi in _stencil_shifts(sampled, u.shape[:3]):
-            out[hi] += u[lo] @ kern.T
-        return out * h**3
-    if method != "fft":
-        raise ValueError(f"unknown convolution method {method!r}")
     return _kernel_convolve(sampled, u, h)
+
+
+def _direct_convolve(sampled: SampledKernel, u: np.ndarray, h: float) -> np.ndarray:
+    """convolve by its definition, one stencil offset at a time: u(x) meets K(z) at
+    x + z.  The reference the FFT paths are tested against."""
+    out = np.zeros_like(u)
+    for kern, lo, hi in _stencil_shifts(sampled, u.shape[:3]):
+        out[hi] += u[lo] @ kern.T
+    return out * h**3
 
 
 def convolve_mask(sampled: SampledKernel, mask: np.ndarray, h: float) -> np.ndarray:
@@ -565,8 +566,8 @@ def _pairwise_interaction(
 ) -> float:
     """(1/4) sum over stencil pairs of K_eps(x-y)(u(x)-u(y)).(u(x)-u(y)) h^6.
 
-    Direct shift-based evaluation of the definition; with a mask, both cells
-    of every counted pair must lie in the mask.
+    Direct shift-based evaluation of the definition, the reference local_form is
+    tested against; with a mask, both cells of every counted pair must lie in the mask.
     """
     acc = 0.0
     for kern, lo, hi in _stencil_shifts(sampled, values.shape[:3]):
@@ -577,18 +578,14 @@ def _pairwise_interaction(
     return 0.25 * acc * h**6
 
 
-def energy_oscillation(
-    field: OrderField,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    method: str = "fast",
-) -> EnergyBreakdown:
+def energy_oscillation(field: OrderField, sampled: SampledKernel,
+                       bulk: BulkPotential) -> EnergyBreakdown:
     """(1/4eps^2) double-sum K_eps (u(x)-u(y))^tensor2 + (1/eps^2) sum_Omega psi_b.
 
     The interaction is local_form's over the whole box.
     """
     require_padding(field, sampled)
-    pair = local_form(field, None, sampled, method)
+    pair = local_form(field, None, sampled)
     dom, eps2 = field.domain, field.eps**2
     u_om = field.values[dom.omega_mask]
     b = dual_map(bulk.model, u_om)
@@ -596,27 +593,19 @@ def energy_oscillation(
     return EnergyBreakdown(pair, bulk_term, 0.0, pair + bulk_term)
 
 
-def local_form(field: OrderField, region: np.ndarray | None, sampled: SampledKernel,
-               method: str = "fast") -> float:
+def local_form(field: OrderField, region: np.ndarray | None, sampled: SampledKernel) -> float:
     """Interaction part of F_eps(u, G): (1/4eps^2) double sum over G x G, G the cell
     mask region, or the whole box when region is None.
 
-    method "fast" expands the square through two convolutions; "pairwise"
-    evaluates the defining double sum shift by shift.
+    The square expands through _interaction_sums' convolutions.
     """
-    dom = field.domain
     _check_kernel_grid(sampled, field)
     if region is not None:
         region = np.asarray(region, dtype=bool)
-        if region.shape != dom.shape:
+        if region.shape != field.domain.shape:
             raise ResolutionMismatch("region mask shape differs from the domain box")
-    if method not in ("fast", "pairwise"):
-        raise ValueError(f"unknown oscillation method {method!r}")
-    eps2 = field.eps**2
-    if method == "pairwise":
-        return _pairwise_interaction(field.values, sampled, dom.h, mask=region) / eps2
     quad, cross = _interaction_sums(field, sampled, region)
-    return 0.5 * (quad - cross) / eps2
+    return 0.5 * (quad - cross) / field.eps**2
 
 
 def local_energy(field: OrderField, region: np.ndarray, sampled: SampledKernel,
@@ -632,60 +621,6 @@ def local_energy(field: OrderField, region: np.ndarray, sampled: SampledKernel,
     eps2 = field.eps**2
     bulk_term = float(np.sum(psi_b(bulk, field.values[gm]))) * h3 / eps2 if gm.any() else 0.0
     return pair + bulk_term
-
-
-# ---------------------------------------------------------------------------
-# scaling
-
-
-def scaling_check(
-    field: OrderField,
-    center,
-    rho: float,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-) -> tuple:
-    """Compare rho^-1 F_eps(u, B_rho(center)) with F_{eps/rho}(u_rho, B_1(0)).
-
-    The rescaled problem lives on an index-aligned lattice of spacing h/rho,
-    so u_rho and its region tags are the original lattice's, shifted by
-    center; a center that is not a lattice vector raises ResolutionMismatch.
-    """
-    dom = field.domain
-    c = np.asarray(center, dtype=float)
-    shift = c / dom.h
-    if np.any(np.abs(shift - np.rint(shift)) >= 1e-12):
-        raise ResolutionMismatch(f"center {tuple(c)} is not a lattice vector of spacing {dom.h:g}")
-    lhs = local_energy(field, ball_mask(dom, c, rho), sampled, bulk) / rho
-
-    # rescaled lattice: same index grid, spacing h/rho; values and region tags
-    # pulled back by an index lookup, clamped to the box
-    x_src = dom.cell_centers() + c
-    # every cell of the unit ball on the rescaled grid must resample from
-    # inside the original box
-    ball_src = x_src[np.linalg.norm(dom.cell_centers(), axis=-1) <= rho]
-    half = (np.array(dom.shape) - 1) / 2.0 * dom.h
-    if ball_src.size and np.any(np.abs(ball_src) > half + 1e-9 * dom.h):
-        raise ResolutionMismatch("rescaled ball resamples from outside the box")
-    n = np.array(dom.shape)
-    idx = np.clip(np.rint(x_src / dom.h + (n - 1) / 2.0).astype(int), 0, n - 1)
-    src = (idx[..., 0], idx[..., 1], idx[..., 2])
-    # Omega of the rescaled problem is the pre-image of the original Omega
-    region = dom.region[src]
-    sdom = Domain(dom.h / rho, region, dom.geometry, dom.omega_radius / rho)
-    skernel = SampledKernel(
-        sampled.spec,
-        sampled.eps / rho,
-        sampled.h / rho,
-        sampled.radius_cells,
-        sampled.values * rho**3,
-        sampled.r_trunc / rho,
-        sampled.trunc_error,
-    )
-    sbulk = make_bulk_potential(bulk.model, skernel.intK_disc)
-    sfield = OrderField(sdom, field.eps / rho, field.values[src])
-    rhs = local_energy(sfield, ball_mask(sdom, np.zeros(3), 1.0), skernel, sbulk)
-    return lhs, rhs, rhs - lhs
 
 
 # ---------------------------------------------------------------------------

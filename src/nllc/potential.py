@@ -539,13 +539,6 @@ def psi_s_at_dual(model: MicroModel, u: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.einsum("...a,...a->...", b, u) - log_partition(model, b)
 
 
-def minimal_distribution(model: MicroModel, u: np.ndarray) -> np.ndarray:
-    """Density (w.r.t. the probability measure) of the entropy minimiser with moment u."""
-    b = dual_map(model, u)
-    a = model.sigma @ b
-    return np.exp(a - log_partition(model, b))
-
-
 @dataclass(frozen=True)
 class VacuumManifold:
     """Descriptor of the zero set of the bulk potential."""

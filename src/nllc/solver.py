@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterations, OutsideMomentDomain
-from .field import OrderField, ball_mask, convolve, energy_oscillation, omega_split
+from .field import OrderField, convolve, omega_split
 from .field import _neighbour_slices
 from .kernel import SampledKernel
 from .potential import BulkPotential, dual_map, log_partition, mean_field
@@ -312,71 +312,3 @@ def minimize_multistart(
         f.values[om] = r * rng.random((int(om.sum()), 1))
         starts.append((f"random{k}", f))
     return best_of(starts, lambda f0: el_fixed_point(f0, sampled, bulk, config))
-
-
-def omega_minimality_probe(
-    field: OrderField,
-    center,
-    rho: float,
-    sampled: SampledKernel,
-    bulk: BulkPotential,
-    n_trials: int = 50,
-    seed: int = 0,
-    amplitude: float = 0.05,
-) -> float:
-    """Worst energy decrease over structured competitors supported in a ball.
-
-    Competitors agree with the field off B_rho(center) and replace it inside
-    by a local constant, a neighbour-smoothed version, or seeded random
-    perturbations clipped radially to 0.98 sigma_max; one that still leaves
-    the moment set counts as no decrease.  Positive return = an improving
-    competitor found.
-    """
-    dom = field.domain
-    mask = ball_mask(dom, center, rho) & dom.omega_mask
-    if not mask.any():
-        return 0.0
-    e0 = energy_oscillation(field, sampled, bulk).total
-    model = bulk.model
-    safe = 0.98 * model.sigma_max
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-
-    def energy_of(vals):
-        # radial clipping keeps an s1 value in the moment set but not every m = 5
-        # one; a competitor outside it has infinite energy and decreases nothing
-        try:
-            return energy_oscillation(OrderField(dom, field.eps, vals), sampled, bulk).total
-        except OutsideMomentDomain:
-            return np.inf
-
-    # local constant replacement
-    mean = field.values[mask].mean(axis=0)
-    nm = np.linalg.norm(mean)
-    if nm > safe:
-        mean *= safe / nm
-    vals = field.values.copy()
-    vals[mask] = mean
-    worst = max(worst, e0 - energy_of(vals))
-
-    # neighbour-smoothed replacement
-    sm = field.values.copy()
-    for _ in range(2):
-        acc = np.zeros_like(sm)
-        for lo, hi in _neighbour_slices():  # e0 checked the padding: no mask cell on a face
-            acc[lo] += sm[hi]
-            acc[hi] += sm[lo]
-        sm = np.where(mask[..., None], acc / 6.0, sm)
-    worst = max(worst, e0 - energy_of(sm))
-
-    # random physical perturbations
-    for _ in range(max(0, n_trials - 2)):
-        scale = amplitude * rng.random()
-        vals = field.values.copy()
-        pert = rng.standard_normal((int(mask.sum()), field.m))
-        cand = vals[mask] + scale * pert
-        norms = np.linalg.norm(cand, axis=-1, keepdims=True)
-        cand = np.where(norms > safe, cand * (safe / norms), cand)
-        vals[mask] = cand
-        worst = max(worst, e0 - energy_of(vals))
-    return float(worst)

@@ -365,6 +365,6 @@ def test_direct_and_transform_convolutions_agree():
     rng = np.random.default_rng(12)
     for _ in range(3):
         vals = rng.standard_normal(dom.shape + (2,))
-        a = fld.convolve(sk, vals, h, method="direct")
-        b = fld.convolve(sk, vals, h, method="fft")
+        a = fld._direct_convolve(sk, vals, h)
+        b = fld.convolve(sk, vals, h)
         assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, float(np.max(np.abs(a))))

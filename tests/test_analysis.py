@@ -37,51 +37,6 @@ def rough_field(dom, sampled, bulk, seed=0, rough=0.25):
     return f
 
 
-def test_mollifier_mass_even_and_dominated():
-    _, sampled, _ = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    assert moll.lattice_mass == pytest.approx(1.0, abs=1e-13)
-    assert np.all(moll.values >= 0)
-    for axis in range(3):
-        assert np.allclose(moll.values, np.flip(moll.values, axis=axis), atol=0)
-    assert np.isfinite(moll.domination)
-    assert moll.domination > 0
-
-
-def test_mollifier_domination_stable_under_refinement():
-    eps = 0.2
-    c = []
-    for h in (1.0 / 32, 1.0 / 64):
-        sampled = kernel.sample_on_lattice(GAUSS, eps, h)
-        c.append(analysis.build_mollifier(sampled).domination)
-    assert abs(c[1] - c[0]) <= 0.1 * max(c)
-
-
-def test_mollify_preserves_constants():
-    dom, sampled, bulk = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    const = np.broadcast_to([0.3, -0.2], dom.shape + (2,)).copy()
-    out = analysis.mollify(moll, const, dom.h)
-    # exact away from the zero-extension boundary ring
-    S = moll.radius_cells
-    core = (slice(S, -S),) * 3
-    assert np.allclose(out[core], const[core], atol=1e-12)
-
-
-def test_mollify_matches_direct_convolution_up_to_the_box_faces():
-    # a field nonzero up to the faces: cells within S of a face see the zero
-    # extension, which the direct oracle applies by construction
-    dom, sampled, _ = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    u = np.random.default_rng(3).standard_normal(dom.shape + (2,))
-    out = analysis.mollify(moll, u, dom.h)
-    ref = np.stack(
-        [scipy.ndimage.convolve(u[..., a], moll.values, mode="constant") for a in range(2)],
-        axis=-1,
-    ) * dom.h**3
-    assert np.max(np.abs(out - ref)) <= 1e-13
-
-
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_dilate_matches_scipy_binary_dilation(k):
     # scipy's iterations=0 means "repeat until nothing changes", so the
@@ -92,62 +47,6 @@ def test_dilate_matches_scipy_binary_dilation(k):
         mask[0, 2, 3] = mask[-1, -1, 1] = mask[4, 0, -1] = True  # on box faces and an edge
         ref = scipy.ndimage.binary_dilation(mask, iterations=k) if k else mask
         assert np.array_equal(analysis._dilate(mask, k), ref)
-
-
-def test_h1_check_smooth_and_rough_ratios_finite():
-    dom, sampled, bulk = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    for f in (smooth_field(dom, sampled, bulk), rough_field(dom, sampled, bulk)):
-        lhs, rhs, ratio = analysis.mollify_h1_check(f, moll, np.zeros(3), 0.3, sampled)
-        assert lhs >= 0 and rhs >= 0
-        assert np.isfinite(ratio)
-    # constant field: 0/0 reported as 0 by convention
-    const = fld.OrderField(dom, sampled.eps, fld.boundary_values("constant", dom, 0.5, 2))
-    _, _, r0 = analysis.mollify_h1_check(const, moll, np.zeros(3), 0.3, sampled)
-    assert r0 == 0.0
-
-
-def test_h1_check_slope_doubling_scales_both_sides():
-    dom, sampled, bulk = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    f1 = smooth_field(dom, sampled, bulk, slope=1.0)
-    f2 = smooth_field(dom, sampled, bulk, slope=2.0)
-    l1, r1, _ = analysis.mollify_h1_check(f1, moll, np.zeros(3), 0.3, sampled)
-    l2, r2, _ = analysis.mollify_h1_check(f2, moll, np.zeros(3), 0.3, sampled)
-    # both quadratic forms scale roughly by 4 on the near-linear angle field
-    assert 3.0 < l2 / l1 < 5.0
-    assert 3.0 < r2 / r1 < 5.0
-
-
-def test_h1_check_reach_guard():
-    dom, sampled, bulk = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    f = smooth_field(dom, sampled, bulk)
-    with pytest.raises(ResolutionMismatch):
-        analysis.mollify_h1_check(f, moll, np.zeros(3), 0.45, sampled)
-
-
-def test_l2_check_ratio_and_separation_guard():
-    dom, sampled, bulk = setup_case()
-    moll = analysis.build_mollifier(sampled)
-    f = rough_field(dom, sampled, bulk, seed=1)
-    inner = fld.ball_mask(dom, np.zeros(3), 0.2)
-    outer = fld.ball_mask(dom, np.zeros(3), 0.34)
-    lhs, rhs, ratio = analysis.mollify_l2_check(f, moll, inner, outer, sampled)
-    assert lhs >= 0 and np.isfinite(ratio)
-    with pytest.raises(ResolutionMismatch):
-        analysis.mollify_l2_check(f, moll, inner, inner, sampled)
-
-
-def test_poincare_ratio_finite_and_scale_guard():
-    dom, sampled, bulk = setup_case()
-    f = rough_field(dom, sampled, bulk, seed=2)
-    osc, scaled, ratio = analysis.poincare_check(
-        f, np.zeros(3), 0.34, sampled, bulk, eps1=0.6
-    )
-    assert osc >= 0 and scaled >= 0 and np.isfinite(ratio)
-    with pytest.raises(ResolutionMismatch):
-        analysis.poincare_check(f, np.zeros(3), 0.1, sampled, bulk)
 
 
 def test_campanato_linear_field_exponent_one():
@@ -265,3 +164,19 @@ def test_uniform_convergence_report_and_flagged_exclusion():
     rows = analysis.uniform_convergence_report([bad], u0, singular=report)
     assert rows[0][1] == 0.0
     assert rows[0][2] == pytest.approx(0.2, rel=1e-12)
+
+
+def test_uniform_convergence_report_is_nan_when_the_flagged_set_covers_omega():
+    # no cell is left off the dilated flagged set: the off-set sup is undefined,
+    # not an exact 0.0
+    h = 0.1
+    dom = fld.ball_domain(12, h, 0.35)
+    u0 = limit.orbit_boundary("vortex", dom, 0.5, "s1")
+    f = fld.OrderField(dom, 0.3, 0.8 * u0.values)
+    report = analysis.SingularSetReport(
+        np.array([4.0 * h]), np.zeros((1,) + dom.shape), dom.omega_mask.copy(), 1.0
+    )
+    (eps, off, full), = analysis.uniform_convergence_report([f], u0, singular=report)
+    assert eps == 0.3
+    assert np.isnan(off)
+    assert full == pytest.approx(0.1, rel=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 from functools import lru_cache
@@ -54,17 +55,17 @@ def test_primal_oscillation_identity(make_domain):
 def test_oscillation_pairwise_matches_fast():
     dom, sampled, bulk = setup_case(n=14, omega_radius=0.14)
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=2)
-    fast = fld.energy_oscillation(f, sampled, bulk, method="fast")
-    slow = fld.energy_oscillation(f, sampled, bulk, method="pairwise")
-    assert fast.interaction == pytest.approx(slow.interaction, rel=1e-11)
+    fast = fld.energy_oscillation(f, sampled, bulk)
+    slow = fld._pairwise_interaction(f.values, sampled, dom.h) / f.eps**2
+    assert fast.interaction == pytest.approx(slow, rel=1e-11)
 
 
 def test_convolve_fft_matches_direct():
     dom, sampled, _ = setup_case(n=14, omega_radius=0.14)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(dom.shape + (2,))
-    a = fld.convolve(sampled, u, dom.h, method="fft")
-    b = fld.convolve(sampled, u, dom.h, method="direct")
+    a = fld.convolve(sampled, u, dom.h)
+    b = fld._direct_convolve(sampled, u, dom.h)
     assert np.allclose(a, b, atol=1e-12 * max(1.0, np.abs(a).max()))
 
 
@@ -73,8 +74,8 @@ def test_convolve_fft_matches_direct_on_a_box_smaller_than_the_stencil():
     _, sampled, _ = setup_case(n=14, omega_radius=0.14)
     S = sampled.radius_cells
     u = np.random.default_rng(13).standard_normal((2, S, 2 * S + 3, 2))
-    a = fld.convolve(sampled, u, sampled.h, method="fft")
-    b = fld.convolve(sampled, u, sampled.h, method="direct")
+    a = fld.convolve(sampled, u, sampled.h)
+    b = fld._direct_convolve(sampled, u, sampled.h)
     assert np.allclose(a, b, atol=1e-12 * np.abs(b).max())
 
 
@@ -82,18 +83,9 @@ def test_local_form_pairwise_matches_fast():
     dom, sampled, bulk = setup_case(n=14, omega_radius=0.14)
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=4)
     region = fld.ball_mask(dom, (0.05, 0.0, 0.0), 0.35)
-    fast = fld.local_form(f, region, sampled, method="fast")
-    slow = fld.local_form(f, region, sampled, method="pairwise")
+    fast = fld.local_form(f, region, sampled)
+    slow = fld._pairwise_interaction(f.values, sampled, dom.h, mask=region) / f.eps**2
     assert fast == pytest.approx(slow, rel=1e-11)
-
-
-def test_unknown_method_raises_in_both_oscillation_forms():
-    dom, sampled, bulk = setup_case(n=14, omega_radius=0.14)
-    f = random_field(dom, 0.5, bulk.manifold.s0, seed=4)
-    with pytest.raises(ValueError, match="pairwse"):
-        fld.energy_oscillation(f, sampled, bulk, method="pairwse")
-    with pytest.raises(ValueError, match="pairwse"):
-        fld.local_form(f, np.ones(dom.shape, dtype=bool), sampled, method="pairwse")
 
 
 def test_local_energy_full_box_is_total_oscillation():
@@ -127,25 +119,35 @@ def test_local_energy_needs_no_padding():
     assert np.isfinite(val)
 
 
+def scaling_gap(f, rho, sampled, bulk):
+    """(lhs, rhs, rhs - lhs) of the scaling lemma about the origin: lhs =
+    rho^-1 F_eps(u, B_rho(0)), rhs = F_{eps/rho}(u_rho, B_1(0)).  Centred at the
+    origin, the rescaled problem is the same arrays on spacing h/rho, at eps/rho,
+    under the kernel K rho^3."""
+    dom, origin = f.domain, np.zeros(3)
+    lhs = fld.local_energy(f, fld.ball_mask(dom, origin, rho), sampled, bulk) / rho
+    sdom = fld.Domain(dom.h / rho, dom.region, dom.geometry, dom.omega_radius / rho)
+    # a fresh _cache: replace would share the original's, which holds its spectra
+    skernel = dataclasses.replace(sampled, eps=sampled.eps / rho, h=sampled.h / rho,
+                                  values=sampled.values * rho**3,
+                                  r_trunc=sampled.r_trunc / rho, _cache={})
+    sfield = fld.OrderField(sdom, f.eps / rho, f.values)
+    rhs = fld.local_energy(sfield, fld.ball_mask(sdom, origin, 1.0), skernel, bulk)
+    return lhs, rhs, rhs - lhs
+
+
 def test_scaling_identity_lattice_aligned():
     dom, sampled, bulk = setup_case()
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=8)
-    lhs, rhs, gap = fld.scaling_check(f, np.zeros(3), 0.5, sampled, bulk)
-    # centre on a lattice point: resampling is bitwise, identity near-exact
+    lhs, rhs, gap = scaling_gap(f, 0.5, sampled, bulk)
+    # about the origin the rescaled problem holds the same arrays: identity near-exact
     assert abs(gap) <= 1e-9 * max(abs(lhs), 1.0)
-
-
-def test_scaling_check_refuses_an_off_lattice_center():
-    dom, sampled, bulk = setup_case()
-    f = random_field(dom, 0.5, bulk.manifold.s0, seed=8)
-    with pytest.raises(ResolutionMismatch):
-        fld.scaling_check(f, np.array([0.5 * dom.h, 0.0, 0.0]), 0.5, sampled, bulk)
 
 
 def test_scaling_identity_rho_one_exact():
     dom, sampled, bulk = setup_case()
     f = random_field(dom, 0.5, bulk.manifold.s0, seed=9)
-    lhs, rhs, gap = fld.scaling_check(f, np.zeros(3), 1.0, sampled, bulk)
+    lhs, rhs, gap = scaling_gap(f, 1.0, sampled, bulk)
     assert abs(gap) <= 1e-11 * max(abs(lhs), 1.0)
 
 
@@ -410,23 +412,23 @@ def test_box_sums_match_direct_sums_on_an_odd_padded_length(case):
     f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(7)))
     u = f.values
 
-    dot = float(np.sum(u * fld.convolve(sampled, u, dom.h, method="direct"))) * h3
+    dot = float(np.sum(u * fld._direct_convolve(sampled, u, dom.h))) * h3
     assert fld.energy_primal(f, sampled, bulk).interaction == pytest.approx(
         -0.5 * dot / eps2, rel=1e-12)
-    assert fld.energy_oscillation(f, sampled, bulk).interaction == pytest.approx(
-        fld.energy_oscillation(f, sampled, bulk, method="pairwise").interaction, rel=1e-12)
+    oscillation = fld.energy_oscillation(f, sampled, bulk)
+    pairwise = fld._pairwise_interaction(u, sampled, dom.h) / eps2
+    assert oscillation.interaction == pytest.approx(pairwise, rel=1e-12)
     region = fld.ball_mask(dom, (0.1, 0.0, -0.2), 0.6)
     assert fld.local_form(f, region, sampled) == pytest.approx(
-        fld.local_form(f, region, sampled, method="pairwise"), rel=1e-12)
+        fld._pairwise_interaction(u, sampled, dom.h, mask=region) / eps2, rel=1e-12)
 
     split = fld.omega_split(f, sampled)
-    w = fld.convolve(sampled, np.where(om[..., None], 0.0, u), dom.h, method="direct")[om]
+    w = fld._direct_convolve(sampled, np.where(om[..., None], 0.0, u), dom.h)[om]
     assert np.abs(split.w - w).max() <= 1e-12 * np.abs(w).max()
     u_om = u[om]
     b = potential.dual_map(model, u_om)
     energy = split.energy(bulk, u_om, split.convolve(u_om), b, potential.log_partition(model, b))
-    assert energy == pytest.approx(
-        fld.energy_oscillation(f, sampled, bulk, method="pairwise").total, rel=1e-12)
+    assert energy == pytest.approx(pairwise + oscillation.bulk, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
@@ -585,10 +587,10 @@ def test_fft_lengths_wrap_no_source_into_the_box(tight, case, data, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n + (m,))
     scale = np.abs(sampled.values).sum() * h**3  # bounds |K_eps * u| for |u| <= 1
-    direct = fld.convolve(sampled, u, h, method="direct")
+    direct = fld._direct_convolve(sampled, u, h)
     assert np.abs(fld.convolve(sampled, u, h) - direct).max() <= 1e-13 * scale * np.abs(u).max()
     mask = rng.random(n) < 0.6
-    columns = [fld.convolve(sampled, mask[..., None] * np.eye(m)[b], h, method="direct")
+    columns = [fld._direct_convolve(sampled, mask[..., None] * np.eye(m)[b], h)
                for b in range(m)]
     got = fld.convolve_mask(sampled, mask, h)
     if sampled.spec.mode == "scalar":  # one number per cell: K = f1 Id

@@ -145,7 +145,8 @@ def test_minimal_distribution_reproduces_moment():
         direction = rng.standard_normal(model.m)
         direction /= np.linalg.norm(direction)
         u = 0.5 * model.sigma_max * direction
-        f = potential.minimal_distribution(model, u)
+        b = potential.dual_map(model, u)
+        f = np.exp(model.sigma @ b - potential.log_partition(model, b))
         assert np.all(f > 0)
         assert np.sum(model.weights * f) == pytest.approx(1.0, abs=1e-10)
         back = model.sigma.T @ (model.weights * f)

@@ -335,22 +335,55 @@ def test_multistart_best_is_no_worse_than_boundary_start():
     assert best.energies[-1] <= boundary_energy + 1e-12
 
 
+def worst_competitor_gain(field, rho, sampled, bulk):
+    """Largest energy decrease over competitors that agree with field off
+    B_rho(0): inside it, the local mean, the field smoothed twice over
+    neighbours, and 28 seeded random perturbations of amplitude up to 0.05,
+    each clipped radially to 0.98 sigma_max.  Positive = an improving competitor found."""
+    dom = field.domain
+    mask = fld.ball_mask(dom, np.zeros(3), rho) & dom.omega_mask
+    safe = 0.98 * bulk.model.sigma_max
+
+    def clipped(v):
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+        return np.where(norms > safe, v * (safe / norms), v)
+
+    def replaced(inside):
+        vals = field.values.copy()
+        vals[mask] = inside
+        return vals
+
+    competitors = [replaced(clipped(field.values[mask].mean(axis=0)))]
+    smooth = field.values
+    for _ in range(2):
+        acc = np.zeros_like(smooth)
+        for lo, hi in fld._neighbour_slices():
+            acc[lo] += smooth[hi]
+            acc[hi] += smooth[lo]
+        smooth = np.where(mask[..., None], acc / 6.0, smooth)
+    competitors.append(smooth)
+    rng = np.random.default_rng(0)
+    for _ in range(28):
+        scale = 0.05 * rng.random()
+        pert = rng.standard_normal((int(mask.sum()), field.m))
+        competitors.append(replaced(clipped(field.values[mask] + scale * pert)))
+    e0 = fld.energy_oscillation(field, sampled, bulk).total
+    return max(e0 - fld.energy_oscillation(fld.OrderField(dom, field.eps, v), sampled, bulk).total
+               for v in competitors)
+
+
 def test_probe_accepts_minimiser_and_flags_perturbation():
     dom, sampled, bulk = setup_case()
     f = boundary_field(dom, 0.5, bulk.manifold.s0)
     cfg = solver.SolverConfig(tol=1e-9, max_iter=3000)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
-    probe = solver.omega_minimality_probe(
-        res.field, np.zeros(3), 0.25, sampled, bulk, n_trials=30
-    )
+    probe = worst_competitor_gain(res.field, 0.25, sampled, bulk)
     assert probe <= 1e-6
     # physically flip one interior cell: the probe must find the repair
     bad = res.field.copy()
     idx = tuple(np.argwhere(dom.omega_mask)[0])
     bad.values[idx] = -bad.values[idx]
-    probe_bad = solver.omega_minimality_probe(
-        bad, np.zeros(3), 0.45, sampled, bulk, n_trials=30
-    )
+    probe_bad = worst_competitor_gain(bad, 0.45, sampled, bulk)
     assert probe_bad > 0
 
 
@@ -362,21 +395,6 @@ def test_margin_and_lipschitz_diagnostics():
     lip = solver.lipschitz_estimate(f)
     # chord of the orbit: |u(x)-u(y)| <= s0 * slope * h on adjacent cells
     assert 0 < lip <= bulk.manifold.s0 * 2.0 + 1e-9
-
-
-def test_probe_skips_competitors_outside_the_moment_set():
-    # the radial clip to 0.98 sigma_max keeps an s1 value inside the moment
-    # set but not an m = 5 one, whose set is not a ball: such a competitor has
-    # infinite energy, so it decreases nothing
-    model = potential.make_s2_model()
-    spec = kernel.kernel_preset("gaussian", 5, {"strength": 8.0, "width": 0.75, "cut": 2.5})
-    sampled = kernel.sample_on_lattice(spec, 0.3, 0.1)
-    bulk = potential.make_bulk_potential(model, sampled.intK_disc)
-    dom = fld.ball_domain(16, 0.1, 0.25)
-    f = fld.OrderField(dom, 0.3, fld.boundary_values("smooth-angle", dom, bulk.manifold.s0, 5))
-    probe = solver.omega_minimality_probe(f, np.zeros(3), 0.2, sampled, bulk, n_trials=6,
-                                          amplitude=1.0)
-    assert np.isfinite(probe)
 
 
 @pytest.mark.parametrize("solve", [solver.el_fixed_point, solver.gradient_descent])
