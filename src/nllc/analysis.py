@@ -67,10 +67,6 @@ class DecayProfile:
     mu: float  # fitted oscillation exponent (osc ~ rho^{2 mu})
     alpha: float  # fitted energy exponent (rho^-1 F ~ rho^alpha), nan if unset
 
-    def __post_init__(self):
-        if np.any(np.diff(self.radii) >= 0):
-            raise ValueError("radii must be strictly decreasing")
-
 
 def _loglog_slope(radii, values) -> float:
     keep = values > 0

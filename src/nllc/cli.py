@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, field as field_mod, kernel as kernel_mod, limit as limit_mod
 from . import potential as potential_mod, solver as solver_mod
-from .errors import ConfigError, NllcError
+from .errors import ConfigError, MaxIterations, NllcError
 
 def _preset_keys(table):
     """A preset section's keys: preset, then every parameter of the table's presets."""
@@ -222,10 +222,6 @@ def _write_csv(path: Path, header, rows):
             )
 
 
-def _solve(cfg, init, sk, bulk):
-    return solver_mod.result_of(solver_mod.el_fixed_point, init, sk, bulk, cfg.solver)
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -295,8 +291,7 @@ def _limit_reference(cfg: ExperimentConfig, dom, s0):
     boundary = limit_mod.orbit_boundary(cfg.boundary, dom, s0, cfg.model.name,
                                         **cfg.boundary_params)
     tensor = kernel_mod.elastic_tensor(cfg.spec)
-    return tensor, solver_mod.result_of(limit_mod.harmonic_minimize, boundary, tensor,
-                                        tol=1e-5, max_iter=4000)
+    return tensor, limit_mod.harmonic_minimize(boundary, tensor, tol=1e-5, max_iter=4000)
 
 
 def _run_eps_sweep(cfg: ExperimentConfig) -> None:
@@ -314,7 +309,7 @@ def _run_eps_sweep(cfg: ExperimentConfig) -> None:
     rows = []
     for eps, sk, bulk in ladder:
         init = _boundary_field(cfg, dom, bulk.manifold.s0, eps)
-        res = _solve(cfg, init, sk, bulk)
+        res = solver_mod.el_fixed_point(init, sk, bulk, cfg.solver)
         primal = field_mod.energy_primal(res.field, sk, bulk)
         om = dom.omega_mask
         diff = res.field.values[om] - v0[om]
@@ -394,7 +389,10 @@ def _run_holder_probe(cfg: ExperimentConfig) -> None:
     rows = []
     for eps, sk, bulk in ladder:
         init = _boundary_field(cfg, dom, bulk.manifold.s0, eps)
-        res = _solve(cfg, init, sk, bulk)
+        res = solver_mod.el_fixed_point(init, sk, bulk, cfg.solver)
+        if not res.converged:
+            raise MaxIterations(f"eps = {eps:g}: the minimiser did not converge: {res.reason} "
+                                f"at residual {res.residuals[-1]:g}", result=res)
         prof = analysis.campanato_profile(res.field, np.zeros(3), radii, sk, bulk)
         mu = max(prof.mu, 0.0)
         semi = analysis.holder_seminorm(res.field, np.zeros(3), 0.5 * rho, mu, seed=cfg.solver.seed)

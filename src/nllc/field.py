@@ -144,10 +144,13 @@ def require_resolvable(length: float, h: float, what: str) -> None:
 
 
 def radii_ladder(radii, h: float) -> np.ndarray:
-    """radii sorted descending; ValueError when empty, and require_resolvable on the smallest."""
+    """radii sorted descending; ValueError when empty or a radius repeats, and
+    require_resolvable on the smallest."""
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
     if radii.size == 0:
         raise ValueError("empty radii ladder")
+    if np.any(radii[1:] == radii[:-1]):
+        raise ValueError("repeated radius in the radii ladder")
     require_resolvable(radii[-1], h, "smallest radius")
     return radii
 

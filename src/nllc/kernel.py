@@ -560,8 +560,9 @@ class SampledKernel:
     values: np.ndarray  # (2S+1, 2S+1, 2S+1, m, m); zero outside the truncation ball
     r_trunc: float
     trunc_error: float
-    # scratch space for transform caches keyed by padded shape; not part of identity
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # scratch space for transform caches keyed by padded shape; not part of identity,
+    # and fresh in every instance, dataclasses.replace's included
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self):

@@ -284,8 +284,8 @@ def harmonic_minimize(
     Recorded energies are the objective's values.  Stationarity is the
     sup-norm over Omega's cells of the tangential gradient |T^T 2Kx|, one
     residual per accepted step.  Raises ResolutionMismatch when Omega touches
-    a box face, and MaxIterations (with the best iterate attached) when the
-    budget or the step runs out.
+    a box face; a solve that runs out of budget or step returns its best
+    iterate, with its reason.
     """
     dom = boundary.domain
     if dom.n_omega and dom.padding_cells() < 1:
@@ -320,20 +320,18 @@ def harmonic_minimize(
         y[:n_om], T = _orbit_chart(x[:n_om] + np.einsum("cad,cd->ca", T, alpha), s0, kind)
         return evaluate(y, T, cg + (k,))
 
-    def finish(state, energies, residuals, it, reason):
-        # the trace is boundary's and Omega's cells are orbit retractions, so the
-        # values need not pass the constructor's whole-box check again
-        box[cells] = state[0]
-        mfield = copy.copy(boundary)
-        mfield.values = box.reshape(vals.shape)
-        return LimitSolveResult(mfield, energies, residuals[1:], list(state[3]), it, reason)
-
     x = box[cells]
     state, energy, _ = evaluate(x, _orbit_chart(x[:n_om], s0, kind)[1], ())
     # the start has no step to measure: an infinite residual, not reported, so one step always runs
-    return monotone_descent(trial, state, energy, np.inf, finish, tol=tol, max_iter=max_iter,
-                            step=TANGENT_STEP, grow=2.0, cap=TANGENT_STEP,
-                            floor=1e-8 * TANGENT_STEP, rtol=1e-14, exhausted="step_exhausted")
+    (x, _, _, cg), energies, residuals, it, reason = monotone_descent(
+        trial, state, energy, np.inf, tol=tol, max_iter=max_iter, step=TANGENT_STEP, grow=2.0,
+        cap=TANGENT_STEP, floor=1e-8 * TANGENT_STEP, rtol=1e-14, exhausted="step_exhausted")
+    # the trace is boundary's and Omega's cells are orbit retractions, so the
+    # values need not pass the constructor's whole-box check again
+    box[cells] = x
+    mfield = copy.copy(boundary)
+    mfield.values = box.reshape(vals.shape)
+    return LimitSolveResult(mfield, energies, residuals[1:], list(cg), it, reason)
 
 
 # ---------------------------------------------------------------------------

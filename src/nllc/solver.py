@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterations, OutsideMomentDomain
+from .errors import OutsideMomentDomain
 from .field import OrderField, convolve, omega_split
 from .field import _neighbour_slices
 from .kernel import SampledKernel
@@ -108,8 +108,7 @@ def el_fixed_point(
     rejection (or a non-finite gamma).  A trial that raises the oscillation
     energy (or makes it NaN) is rejected: the history is dropped and the step
     halved; each accepted trial doubles it again, up to config.alpha.  Running
-    out of damping or iterations raises MaxIterations with the best result
-    attached.
+    out of damping or iterations returns the best iterate, with its reason.
     """
     bs, fs = [], []  # flattened accepted duals on Omega and their residuals
 
@@ -163,7 +162,7 @@ def gradient_descent(
                                 exhausted="step_exhausted")
 
 
-def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
+def monotone_descent(trial, state, energy, residual, *, tol, max_iter,
                      step, grow, cap, floor, rtol, exhausted):
     """The package's accept/reject loop, shared by every iterative solve.
 
@@ -173,9 +172,10 @@ def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
     current energy, and the step becomes min(step * grow, cap); a rejection
     halves the step, and below floor the solve ends with reason exhausted.
     It converges once the residual is at most tol, at the start or after any
-    accepted trial, the budget's last included.  finish(state, energies,
-    residuals, iterations, reason) builds the result (lists start with the
-    start's values); every other ending raises MaxIterations carrying it.
+    accepted trial, the budget's last included.  Every ending returns
+    (state, energies, residuals, iterations, reason): the last accepted
+    state, the accepted energies and residuals (the start's first), the
+    trials run, and "converged", "max_iterations" or exhausted.
     """
     energies, residuals = [energy], [residual]
     it, rejected, reason = 0, False, "max_iterations"
@@ -194,21 +194,7 @@ def monotone_descent(trial, state, energy, residual, finish, *, tol, max_iter,
             break
     if residuals[-1] <= tol:
         reason = "converged"
-    result = finish(state, energies, residuals, it, reason)
-    if reason != "converged":
-        raise MaxIterations(
-            f"no convergence in {it} iterations: {reason} at residual {residuals[-1]:g}",
-            result=result,
-        )
-    return result
-
-
-def result_of(solve, *args, **kwargs):
-    """solve(*args, **kwargs), or the partial result of the MaxIterations it raises."""
-    try:
-        return solve(*args, **kwargs)
-    except MaxIterations as exc:
-        return exc.result
+    return state, energies, residuals, it, reason
 
 
 def best_of(starts, solve):
@@ -217,12 +203,12 @@ def best_of(starts, solve):
     A later start replaces the kept one only when its final energy is lower
     by more than BEST_TIE_RTOL max(1, |E|), E the kept energy, so starts that
     reach the same minimiser are not ranked by round-off: the earliest stays.
-    A solve that raises MaxIterations counts with its partial result.
+    An unconverged solve counts with its final energy.
     Returns (best result, list of (label, final energy) for every start).
     """
     best, log = None, []
     for label, start in starts:
-        res = result_of(solve, start)
+        res = solve(start)
         log.append((label, res.energies[-1]))
         if best is None or res.energies[-1] < best.energies[-1] - BEST_TIE_RTOL * max(
                 1.0, abs(best.energies[-1])):
@@ -244,8 +230,8 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
     sums over Omega, with no array of the box's size.  A trial whose proposal
     leaves the moment set (OutsideMomentDomain) has infinite energy, so
     monotone_descent rejects it.  An accepted trial's state is the next
-    iterate's, and its residual sup |b - v| costs nothing more.  finish builds
-    the one whole-box field.
+    iterate's, and its residual sup |b - v| costs nothing more.  Only the
+    result is a whole-box field.
     """
     om = init.domain.omega_mask
     split = omega_split(init, sampled)
@@ -262,17 +248,16 @@ def _oscillation_descent(init, sampled, bulk, config, propose, step, grow, cap, 
         except OutsideMomentDomain:
             return None, np.inf, np.inf
 
-    def finish(state, energies, residuals, it, reason):
-        u = init.copy()
-        u.values[om] = state[0]
-        return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
-                           it, reason)
-
     u0 = init.values[om]
     b0 = dual_map(bulk.model, u0)
-    return monotone_descent(trial, *evaluate(u0, b0, log_partition(bulk.model, b0)), finish,
-                            tol=config.tol, max_iter=config.max_iter, step=step, grow=grow,
-                            cap=cap, floor=floor, rtol=1e-12, exhausted=exhausted)
+    (u_om, *_), energies, residuals, it, reason = monotone_descent(
+        trial, *evaluate(u0, b0, log_partition(bulk.model, b0)), tol=config.tol,
+        max_iter=config.max_iter, step=step, grow=grow, cap=cap, floor=floor, rtol=1e-12,
+        exhausted=exhausted)
+    u = init.copy()
+    u.values[om] = u_om
+    return SolveResult(u, residuals, energies, physicality_margin(u, bulk.model.sigma_max),
+                       it, reason)
 
 
 def energy_gradient(field: OrderField, sampled: SampledKernel, bulk: BulkPotential):

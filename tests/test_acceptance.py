@@ -177,6 +177,7 @@ def test_fixed_point_and_descent_minimisers_agree_and_stay_physical():
     f = fld.OrderField(dom, eps, bnd)
     r_el = solver.el_fixed_point(f.copy(), sk, bulk, solver.SolverConfig(tol=1e-9, max_iter=3000))
     r_gd = solver.gradient_descent(f.copy(), sk, bulk, solver.SolverConfig(tol=1e-6, max_iter=20000))
+    assert r_el.converged and r_gd.converged
     assert r_el.residuals[-1] <= 1e-6
     assert r_gd.residuals[-1] <= 1e-6
     e_el, e_gd = r_el.energies[-1], r_gd.energies[-1]
@@ -195,7 +196,7 @@ def test_fixed_point_and_descent_minimisers_agree_and_stay_physical():
             fld.OrderField(dom_k, eps_k, bnd_k), sk_k, bulk_k,
             solver.SolverConfig(tol=1e-9, max_iter=3000),
         )
-        assert res.margin > 0.0
+        assert res.converged and res.margin > 0.0
         margins.append(res.margin)
     assert min(margins) >= 0.5 * margins[0]
 
@@ -222,11 +223,14 @@ def common_sweep():
             solves[(preset, e)] = solver.el_fixed_point(
                 f, sampled[e], bulks[e], solver.SolverConfig(tol=1e-8, max_iter=500)
             )
+            assert solves[(preset, e)].converged
     s0 = bulks[EPS_LADDER[-1]].manifold.s0
     limits = {}
     for preset, kw in (("smooth-angle", {"slope": 1.5}), ("vortex", {"winding": 1.0})):
         bdry = limit.orbit_boundary(preset, dom, s0, "s1", **kw)
-        limits[preset] = limit.harmonic_minimize(bdry, tensor, tol=1e-7, max_iter=20000).mfield
+        ref = limit.harmonic_minimize(bdry, tensor, tol=1e-7, max_iter=20000)
+        assert ref.converged
+        limits[preset] = ref.mfield
     return {
         "dom": dom,
         "sampled": sampled,
@@ -342,6 +346,7 @@ def test_heavy_tail_layer_error_is_controlled_by_the_tail_bound():
         bnd_thin[cut] = 0.0
         f_thin = fld.OrderField(dom, eps, bnd_thin)
         r_thin = solver.el_fixed_point(f_thin, sk, bulk, solver.SolverConfig(tol=1e-8, max_iter=2000))
+        assert r_full.converged and r_thin.converged
         om = dom.omega_mask
         diff = np.linalg.norm(r_thin.field.values[om] - r_full.field.values[om], axis=-1)
         sup_tails.append(sup_tail)

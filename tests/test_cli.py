@@ -288,6 +288,28 @@ def test_holder_probe_on_the_constant_datum_of_the_readme_grid(tmp_path):
     assert np.all(np.isfinite([[float(v) for v in r[:6]] for r in rows]))
 
 
+@pytest.mark.parametrize("command", ["minimize", "eps-sweep", "holder-probe"])
+def test_unconverged_minimiser_is_reported_on_the_readme_grid(tmp_path, capsys, command):
+    # one iteration leaves every solve short of tol: minimize and eps-sweep
+    # write the reason and the residual, and holder-probe, which shows
+    # neither, exits 3 (it used to write holder.csv and exit 0)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert "max_iter = 3000" in text
+    ini = write_ini(tmp_path / "exp.ini", text.replace("max_iter = 3000", "max_iter = 1"))
+    out = tmp_path / "out"
+    assert cli.main([command, ini, "--out", str(out)]) == (3 if command == "holder-probe" else 0)
+    if command == "minimize":
+        assert read_kv(out / "minimize_report.txt")["reason"] != "'converged'"
+    elif command == "eps-sweep":
+        header, rows = read_csv(out / "sweep.csv")
+        assert all(float(r[header.index("residual")]) > 1e-7 for r in rows)
+    else:
+        err = capsys.readouterr().err
+        assert "max_iterations" in err and "eps = 0.6" in err
+        assert not (out / "holder.csv").exists()
+
+
 def test_minimize_s2_default_boundary_on_the_readme_config(tmp_path):
     # the default (constant) datum is the uniaxial reference state, on the vacuum orbit
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

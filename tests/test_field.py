@@ -119,6 +119,17 @@ def test_local_energy_needs_no_padding():
     assert np.isfinite(val)
 
 
+def test_replaced_kernel_keeps_no_spectrum_of_the_original():
+    # replace used to share the original's _cache: the doubled kernel read the
+    # original's cached spectrum, 0.6950 where 1.3901 was due
+    dom, sampled, bulk = setup_case(n=14)
+    f = random_field(dom, 0.5, bulk.manifold.s0, seed=3)
+    once = fld.local_form(f, None, sampled)
+    assert sampled._cache
+    doubled = dataclasses.replace(sampled, values=2 * sampled.values)
+    assert fld.local_form(f, None, doubled) == pytest.approx(2 * once, rel=1e-12)
+
+
 def scaling_gap(f, rho, sampled, bulk):
     """(lhs, rhs, rhs - lhs) of the scaling lemma about the origin: lhs =
     rho^-1 F_eps(u, B_rho(0)), rhs = F_{eps/rho}(u_rho, B_1(0)).  Centred at the
@@ -127,10 +138,8 @@ def scaling_gap(f, rho, sampled, bulk):
     dom, origin = f.domain, np.zeros(3)
     lhs = fld.local_energy(f, fld.ball_mask(dom, origin, rho), sampled, bulk) / rho
     sdom = fld.Domain(dom.h / rho, dom.region, dom.geometry, dom.omega_radius / rho)
-    # a fresh _cache: replace would share the original's, which holds its spectra
     skernel = dataclasses.replace(sampled, eps=sampled.eps / rho, h=sampled.h / rho,
-                                  values=sampled.values * rho**3,
-                                  r_trunc=sampled.r_trunc / rho, _cache={})
+                                  values=sampled.values * rho**3, r_trunc=sampled.r_trunc / rho)
     sfield = fld.OrderField(sdom, f.eps / rho, f.values)
     rhs = fld.local_energy(sfield, fld.ball_mask(sdom, origin, 1.0), skernel, bulk)
     return lhs, rhs, rhs - lhs

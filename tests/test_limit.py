@@ -153,6 +153,7 @@ def test_harmonic_minimize_s2_vortex():
     e = np.array(res.energies)
     assert np.all(np.diff(e) <= 1e-14 * (1.0 + np.abs(e[:-1])))
     from_datum = limit.harmonic_minimize(v, L5, tol=1e-8, max_iter=4000)
+    assert from_datum.converged
     assert res.energies[-1] == pytest.approx(from_datum.energies[-1], rel=1e-12)
 
 
@@ -180,6 +181,7 @@ def test_harmonic_minimize_keeps_boundary_bitwise():
     bc = limit.orbit_boundary("smooth-angle", dom, 0.6, "s1", slope=1.5)
     before = bc.values[~dom.omega_mask].copy()
     res = limit.harmonic_minimize(bc, LT, tol=1e-6, max_iter=3000)
+    assert res.converged
     assert np.allclose(res.mfield.values[~dom.omega_mask], before, atol=1e-12)
 
 
@@ -205,6 +207,20 @@ def test_harmonic_minimize_projects_no_cell_beyond_omega(kind, m, monkeypatch):
     outside = ~dom.omega_mask
     assert np.array_equal(res.mfield.values[outside], bc.values[outside])
     assert np.max(np.abs(project(res.mfield.values, 0.6, kind) - res.mfield.values)) <= 1e-12
+
+
+def test_harmonic_minimize_out_of_budget_returns_its_last_iterate():
+    # the s1 vortex above from its perturbed start, cut after one step
+    dom = make_domain(n=16)
+    bc = limit.orbit_boundary("vortex", dom, 0.6, "s1", winding=1.0)
+    init = bc.values + 0.05 * np.random.default_rng(5).standard_normal(bc.values.shape)
+    res = limit.harmonic_minimize(bc, LT, tol=1e-6, max_iter=1, interior_init=init)
+    assert res.reason == "max_iterations" and res.iterations == 1 and not res.converged
+    assert len(res.cg_iterations) == len(res.energies) - 1 == len(res.residuals)
+    outside = ~dom.omega_mask
+    assert np.array_equal(res.mfield.values[outside], bc.values[outside])
+    om_vals = res.mfield.values[dom.omega_mask]
+    assert np.max(np.abs(np.linalg.norm(om_vals, axis=-1) - 0.6)) <= 1e-12
 
 
 def test_s2_frame_equivariance():
@@ -248,6 +264,13 @@ def test_singular_set_radius_guard():
     v = limit.orbit_boundary("constant", dom, 0.6, "s1")
     with pytest.raises(ResolutionMismatch):
         limit.singular_set(v, [2.0 * dom.h], threshold=1.0)
+
+
+def test_singular_set_rejects_a_repeated_radius():
+    dom = make_domain(n=16)
+    v = limit.orbit_boundary("constant", dom, 0.6, "s1")
+    with pytest.raises(ValueError, match="repeated radius"):
+        limit.singular_set(v, [0.3, 0.3], threshold=1.0)
 
 
 def test_gamma_limsup_constant_map_gaps_vanish():

@@ -6,7 +6,6 @@ import pytest
 
 from nllc import field as fld
 from nllc import kernel, potential, solver
-from nllc.errors import MaxIterations
 
 S1 = potential.make_s1_model()
 
@@ -74,7 +73,7 @@ def test_descent_rejects_trials_beyond_the_dual_cap():
     r_gd = solver.gradient_descent(
         f.copy(), sampled, bulk, solver.SolverConfig(tol=2e-5, max_iter=4000, descent_step=5.0)
     )
-    assert r_gd.converged
+    assert r_el.converged and r_gd.converged
     assert r_gd.energies[-1] == pytest.approx(r_el.energies[-1], rel=1e-6, abs=1e-8)
 
 
@@ -154,7 +153,7 @@ def test_el_fixed_point_recovers_from_a_rejected_extrapolation(monkeypatch):
     f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=0.5)
     cfg = solver.SolverConfig(tol=1e-9)
     ref = solver.el_fixed_point(f.copy(), sampled, bulk, cfg)
-    assert ref.iterations == len(ref.energies) - 1
+    assert ref.converged and ref.iterations == len(ref.energies) - 1
     calls = {"n": 0}
     original = solver.mean_field
 
@@ -193,6 +192,7 @@ def test_solvers_preserve_boundary_bitwise():
     frozen = f.values[~dom.omega_mask].copy()
     for run, tol in ((solver.el_fixed_point, 1e-7), (solver.gradient_descent, 3e-5)):
         res = run(f.copy(), sampled, bulk, solver.SolverConfig(tol=tol, max_iter=3000))
+        assert res.converged
         assert np.array_equal(res.field.values[~dom.omega_mask], frozen)
 
 
@@ -201,7 +201,7 @@ def test_residual_decreases_and_energy_monotone():
     f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=2.5)
     cfg = solver.SolverConfig(tol=1e-8, max_iter=3000)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
-    assert res.residuals[-1] <= cfg.tol
+    assert res.converged and res.residuals[-1] <= cfg.tol
     e = np.array(res.energies)
     assert np.all(np.diff(e) <= 1e-10 * np.maximum(np.abs(e[:-1]), 1.0))
 
@@ -215,6 +215,7 @@ def test_zero_kernel_relaxes_to_zero():
     bnd = fld.boundary_values("constant", dom, 0.4, 2)
     f = fld.OrderField(dom, 0.5, bnd)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-10))
+    assert res.converged
     assert np.allclose(res.field.values[dom.omega_mask], 0.0, atol=1e-9)
 
 
@@ -224,17 +225,15 @@ def test_constant_vacuum_datum_is_a_fixed_point():
     bnd = fld.boundary_values("constant", dom, s0, 2)
     f = fld.OrderField(dom, 0.5, bnd)
     res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-9))
-    assert res.iterations <= 2
+    assert res.converged and res.iterations <= 2
     assert np.allclose(res.field.values, bnd, atol=1e-8)
 
 
-def test_max_iterations_carries_partial_result():
+def test_max_iterations_returns_partial_result():
     dom, sampled, bulk = setup_case()
     f = boundary_field(dom, 0.5, bulk.manifold.s0, slope=2.5)
-    with pytest.raises(MaxIterations) as err:
-        solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-14, max_iter=3))
-    res = err.value.result
-    assert res.iterations == 3
+    res = solver.el_fixed_point(f, sampled, bulk, solver.SolverConfig(tol=1e-14, max_iter=3))
+    assert res.reason == "max_iterations" and res.iterations == 3
     assert not res.converged
 
 
@@ -245,14 +244,13 @@ def test_solve_converging_on_its_last_allowed_iteration_reports_converged():
                      (solver.gradient_descent, solver.SolverConfig(tol=1e-4, descent_step=5.0))):
         free = run(f.copy(), sampled, bulk, cfg)
         edge = run(f.copy(), sampled, bulk, dataclasses.replace(cfg, max_iter=free.iterations))
-        assert edge.converged and edge.iterations == free.iterations
+        assert free.converged and edge.converged and edge.iterations == free.iterations
         assert np.array_equal(edge.field.values, free.field.values)
 
 
 def toy_descent(script, residual=1.0, **options):
     """monotone_descent from x = 1 on E(x) = x^2, residual |x|, where trial k
-    moves to script[k]; returns the finish arguments and each trial's
-    (step, rejected)."""
+    moves to script[k]; returns its result and each trial's (step, rejected)."""
     calls = []
 
     def trial(x, step, rejected):
@@ -263,7 +261,7 @@ def toy_descent(script, residual=1.0, **options):
     kw = dict(tol=1e-3, max_iter=10, step=1.0, grow=1.0, cap=np.inf, floor=1e-3, rtol=0.0,
               exhausted="toy_exhausted")
     kw.update(options)
-    return solver.monotone_descent(trial, 1.0, 1.0, residual, lambda *r: r, **kw), calls
+    return solver.monotone_descent(trial, 1.0, 1.0, residual, **kw), calls
 
 
 def test_driver_halves_the_step_on_a_rejected_trial():
@@ -277,10 +275,9 @@ def test_driver_grows_the_step_up_to_the_cap():
     assert [step for step, _ in calls] == [1.0, 2.0, 3.0, 3.0]
 
 
-def test_driver_step_below_the_floor_raises_with_the_partial_result():
-    with pytest.raises(MaxIterations) as err:
-        toy_descent([0.5, 2.0, 2.0, 2.0], floor=0.2)
-    assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 4, "toy_exhausted")
+def test_driver_step_below_the_floor_returns_the_partial_result():
+    res, _ = toy_descent([0.5, 2.0, 2.0, 2.0], floor=0.2)
+    assert res == (0.5, [1.0, 0.25], [1.0, 0.5], 4, "toy_exhausted")
 
 
 def test_driver_returns_at_once_when_the_start_is_converged():
@@ -292,9 +289,8 @@ def test_driver_returns_at_once_when_the_start_is_converged():
 def test_driver_checks_convergence_after_the_last_allowed_iteration():
     res, _ = toy_descent([0.5, 0.0], max_iter=2)
     assert res[3:] == (2, "converged")
-    with pytest.raises(MaxIterations) as err:
-        toy_descent([0.5, 0.0], max_iter=1)
-    assert err.value.result == (0.5, [1.0, 0.25], [1.0, 0.5], 1, "max_iterations")
+    res, _ = toy_descent([0.5, 0.0], max_iter=1)
+    assert res == (0.5, [1.0, 0.25], [1.0, 0.5], 1, "max_iterations")
 
 
 def test_driver_accepts_no_trial_against_a_nan_energy():
@@ -305,9 +301,8 @@ def test_driver_accepts_no_trial_against_a_nan_energy():
 
     kw = dict(tol=1e-3, max_iter=50, step=1.0, grow=1.0, cap=np.inf, floor=1e-3, rtol=0.0,
               exhausted="toy_exhausted")
-    with pytest.raises(MaxIterations) as err:
-        solver.monotone_descent(trial, 1.0, np.nan, 1.0, lambda *r: r, **kw)
-    state, energies, residuals, iterations, reason = err.value.result
+    state, energies, residuals, iterations, reason = solver.monotone_descent(
+        trial, 1.0, np.nan, 1.0, **kw)
     assert reason == "toy_exhausted" and iterations == 10
     assert state == 1.0 and residuals == [1.0] and np.isnan(energies).all() and len(energies) == 1
 
@@ -377,6 +372,7 @@ def test_probe_accepts_minimiser_and_flags_perturbation():
     f = boundary_field(dom, 0.5, bulk.manifold.s0)
     cfg = solver.SolverConfig(tol=1e-9, max_iter=3000)
     res = solver.el_fixed_point(f, sampled, bulk, cfg)
+    assert res.converged
     probe = worst_competitor_gain(res.field, 0.25, sampled, bulk)
     assert probe <= 1e-6
     # physically flip one interior cell: the probe must find the repair
@@ -417,7 +413,7 @@ def test_solves_convolve_the_whole_box_once(monkeypatch, solve):
     for mod in (fld, solver):
         monkeypatch.setattr(mod, "convolve", counted("convolve", fld.convolve))
     monkeypatch.setattr(fld, "_box_pass", counted("_box_pass", fld._box_pass))
-    res = solver.result_of(solve, f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
+    res = solve(f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
     monkeypatch.undo()
     assert res.iterations >= 5
     assert calls == [("_box_pass", f.values.shape)]
@@ -438,5 +434,5 @@ def test_solves_compute_no_lipschitz_estimate(monkeypatch, solve):
         raise AssertionError("a solve computed lipschitz_estimate")
 
     monkeypatch.setattr(solver, "lipschitz_estimate", forbidden)
-    res = solver.result_of(solve, f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
+    res = solve(f, sampled, bulk, solver.SolverConfig(tol=1e-9, max_iter=40))
     assert res.iterations >= 1 and res.margin > 0
