@@ -30,7 +30,10 @@ class ResolutionMismatch(NllcError):
 
 
 class DumpFormatError(NllcError, ValueError):
-    """A field dump has the wrong magic or a size its header does not declare."""
+    """A field dump read_nllc1 refuses: a magic other than NLLC2, a geometry code
+    other than 0, an impossible header (h or eps not finite and > 0, Omega's
+    radius negative or not finite), a cell byte other than 0 and 1, or a size
+    its header does not declare."""
 
     tag = "dump_format_error"
 

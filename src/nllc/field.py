@@ -1,11 +1,9 @@
 """Lattice domains, order fields, boundary data, and the discrete energies.
 
-The computational box is a uniform cubic lattice of cell centres.  Each cell
-carries a region tag: interior (the minimisation domain Omega) or layer (every
-other cell: the data layer Omega_eps \\ Omega fills the box).  Boundary data
-occupies the layer cells and is never modified by energy evaluation or
-solving.  A finite layer is data cut to zero beyond it; h_eps_profile bounds
-what that cut does on Omega, given the mask of cut cells.
+The computational box is a uniform cubic lattice of cell centres.  A boolean
+mask marks the minimisation domain Omega; every other cell belongs to the data
+layer Omega_eps \\ Omega, which fills the box.  Boundary data occupies those
+cells and is never modified by energy evaluation or solving.
 
 Energies follow the midpoint rule: a double lattice sum weighted h^6 for the
 interaction and h^3 for the bulk term.  Every interaction is one non-local
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DumpFormatError, ResolutionMismatch
-from .kernel import KernelSpec, SampledKernel, preset_params, radial_tail
+from .kernel import SampledKernel, preset_params
 from .potential import (
     BulkPotential,
     dual_map,
@@ -53,7 +51,6 @@ from .potential import (
     q_tensor_coords,
 )
 
-INTERIOR, LAYER, EXTERIOR = 0, 1, 2  # builders tag INTERIOR and LAYER; a dump may hold all three
 # cells across the smallest length (radius, eps) the lattice resolves
 RESOLVABLE_CELLS = 4
 
@@ -64,16 +61,21 @@ RESOLVABLE_CELLS = 4
 
 @dataclass
 class Domain:
-    """Cubic lattice of cell centres with a region tag per cell."""
+    """Cubic lattice of cell centres, spacing h, with the boolean mask of Omega
+    and Omega's radius; every cell off Omega holds fixed data.  The mask is
+    stored once, as a read-only copy."""
 
     h: float
-    region: np.ndarray  # (Nx, Ny, Nz) uint8
-    geometry: str = "ball"
-    omega_radius: float = 0.0
+    omega_mask: np.ndarray  # (Nx, Ny, Nz) bool
+    omega_radius: float
+
+    def __post_init__(self):
+        self.omega_mask = np.array(self.omega_mask, dtype=bool)
+        self.omega_mask.flags.writeable = False
 
     @property
     def shape(self):
-        return self.region.shape
+        return self.omega_mask.shape
 
     @property
     def cell_volume(self):
@@ -88,10 +90,6 @@ class Domain:
         return np.stack(grids, axis=-1)
 
     @property
-    def omega_mask(self):
-        return self.region == INTERIOR
-
-    @property
     def n_omega(self):
         return int(self.omega_mask.sum())
 
@@ -103,37 +101,20 @@ class Domain:
         )
         return pad
 
-    def centre_distance(self) -> np.ndarray:
-        """Per-cell distance from the box centre in the geometry's norm:
-        Euclidean for a ball, max-norm for a cube."""
-        x = self.cell_centers()
-        if self.geometry == "ball":
-            return np.linalg.norm(x, axis=-1)
-        return np.max(np.abs(x), axis=-1)
-
-
-def _centred_domain(n, h, geometry, size, size_name) -> Domain:
-    dom = Domain(h, np.full((n, n, n), LAYER, dtype=np.uint8), geometry, size)
-    dom.region[dom.centre_distance() <= size] = INTERIOR
-    if not dom.omega_mask.any():
-        raise ValueError(f"{size_name} too small: no interior cells")
-    return dom
-
 
 def ball_domain(n: int, h: float, omega_radius: float) -> Domain:
-    """Ball Omega of the given radius centred in an n^3 box; every other cell is layer."""
-    return _centred_domain(n, h, "ball", omega_radius, "omega_radius")
+    """Ball Omega of the given radius centred in an n^3 box; every other cell holds data."""
+    box = Domain(h, np.zeros((n, n, n), dtype=bool), omega_radius)
+    dom = Domain(h, ball_mask(box, np.zeros(3), omega_radius), omega_radius)
+    if not dom.omega_mask.any():
+        raise ValueError("omega_radius too small: no interior cells")
+    return dom
 
 
 def padded_radius(n: int, h: float, stencil_cells: int) -> float:
     """(n/2 - S - 0.6) h: the largest centred ball in an n^3 box that keeps S =
     stencil_cells cells to the box faces."""
     return (n / 2 - stencil_cells - 0.6) * h
-
-
-def cube_domain(n: int, h: float, omega_half_width: float) -> Domain:
-    """Cube Omega of the given half width, tagged like ball_domain in the max-norm."""
-    return _centred_domain(n, h, "cube", omega_half_width, "omega_half_width")
 
 
 def require_resolvable(length: float, h: float, what: str) -> None:
@@ -627,81 +608,50 @@ def local_energy(field: OrderField, region: np.ndarray, sampled: SampledKernel,
 
 
 # ---------------------------------------------------------------------------
-# tail bound of a cut layer
-
-
-def h_eps_profile(domain: Domain, spec: KernelSpec, eps: float, exterior: np.ndarray) -> tuple:
-    """Per-cell tail bound ||H_eps(x)|| on Omega and its supremum, for the data
-    cut to zero on the cells of the boolean mask exterior.
-
-    H_eps(x) = eps^-2 * integral of ||K|| over the complement of the rescaled
-    layer neighbourhood; bounded here through the radial tail beyond
-    dist(x, exterior)/eps, the distance measured in centre_distance's norm,
-    which is exact for radially dominated kernels.
-    """
-    om = domain.omega_mask
-    if not exterior.any():
-        dist = np.full(om.sum(), np.inf)
-    else:
-        d = domain.centre_distance()
-        dist = d[exterior].min() - d[om]
-    vals = radial_tail(spec, np.maximum(dist, 0.0) / eps) / eps**2
-    field = np.zeros(domain.shape)
-    field[om] = vals
-    return field, float(vals.max())
-
-
-# ---------------------------------------------------------------------------
 # field dumps
 
-# header after the magic: shape, m, [geometry code,] h, eps[, Omega size]
-_HEADERS = {b"NLLC1": struct.Struct("<4I2d"), b"NLLC2": struct.Struct("<5I3d")}
-_GEOMETRIES = ("ball", "cube")
+# after the magic: shape, m, geometry code 0, h, eps, Omega's radius; then one
+# byte per cell, 0 on Omega and 1 off it, and the values as little-endian doubles
+_MAGIC, _HEADER = b"NLLC2", struct.Struct("<5I3d")
 
 
 def write_nllc1(path, field: OrderField):
-    """Dump a field in the NLLC2 format, NLLC1 with the domain's geometry and size."""
+    """Dump a field in the NLLC2 layout."""
     dom = field.domain
     with open(path, "wb") as fh:
-        fh.write(b"NLLC2")
-        fh.write(_HEADERS[b"NLLC2"].pack(*dom.shape, field.m, _GEOMETRIES.index(dom.geometry),
-                                         dom.h, field.eps, dom.omega_radius))
-        fh.write(dom.region.astype(np.uint8).tobytes(order="C"))
+        fh.write(_MAGIC)
+        fh.write(_HEADER.pack(*dom.shape, field.m, 0, dom.h, field.eps, dom.omega_radius))
+        fh.write((~dom.omega_mask).astype(np.uint8).tobytes(order="C"))
         fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes(order="C"))
 
 
 def read_nllc1(path) -> OrderField:
-    """Read a dump of write_nllc1, or an NLLC1 dump: a ball of radius 0, as that
-    format kept no geometry.
+    """Read a dump of write_nllc1.
 
-    Raises DumpFormatError on a wrong magic or geometry code, on an h or eps
-    that is not finite and > 0, a negative or non-finite size of Omega, a
-    region tag other than INTERIOR, LAYER and EXTERIOR, and on a file whose
-    size is not the one its header declares (a truncated dump or trailing bytes).
+    Raises DumpFormatError on a magic other than NLLC2, a geometry code other
+    than 0, an h or eps that is not finite and > 0, a negative or non-finite
+    radius of Omega, a cell byte other than 0 and 1, and on a file whose size
+    is not the one its header declares (a truncated dump or trailing bytes).
     """
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:5]
-    if magic not in _HEADERS:
-        raise DumpFormatError(f"bad magic {magic!r}: not an NLLC1 or NLLC2 dump")
-    head = _HEADERS[magic]
-    header = 5 + head.size
+    if magic != _MAGIC:
+        raise DumpFormatError(f"bad magic {magic!r}: not an NLLC2 dump")
+    header = 5 + _HEADER.size
     if len(data) < header:
-        raise DumpFormatError(f"{magic.decode()} dump of {len(data)} bytes is shorter than its header")
-    if magic == b"NLLC1":
-        (nx, ny, nz, m, h, eps), geometry, size = head.unpack_from(data, 5), 0, 0.0
-    else:
-        nx, ny, nz, m, geometry, h, eps, size = head.unpack_from(data, 5)
-    if geometry >= len(_GEOMETRIES):
-        raise DumpFormatError(f"unknown geometry code {geometry}")
-    if not (0 < h < np.inf and 0 < eps < np.inf and 0 <= size < np.inf):  # NaN fails too
-        raise DumpFormatError(f"impossible header: h = {h!r}, eps = {eps!r}, Omega's size {size!r}")
+        raise DumpFormatError(f"NLLC2 dump of {len(data)} bytes is shorter than its header")
+    nx, ny, nz, m, code, h, eps, radius = _HEADER.unpack_from(data, 5)
+    if code != 0:
+        raise DumpFormatError(f"unknown geometry code {code}")
+    if not (0 < h < np.inf and 0 < eps < np.inf and 0 <= radius < np.inf):  # NaN fails too
+        raise DumpFormatError(f"impossible header: h = {h!r}, eps = {eps!r}, Omega's radius {radius!r}")
     cells = nx * ny * nz
     expect = header + cells * (1 + 8 * m)
     if len(data) != expect:
         raise DumpFormatError(f"dump of {len(data)} bytes; its header declares {expect}")
-    region = np.frombuffer(data, np.uint8, cells, header).reshape(nx, ny, nz)
-    if region.max(initial=0) > EXTERIOR:
-        raise DumpFormatError(f"region tag {region.max()} is none of 0, 1 and 2")
+    off = np.frombuffer(data, np.uint8, cells, header).reshape(nx, ny, nz)
+    if off.max(initial=0) > 1:
+        raise DumpFormatError(f"cell byte {off.max()} is neither 0 nor 1")
     values = np.frombuffer(data, "<f8", cells * m, header + cells).reshape(nx, ny, nz, m).copy()
-    return OrderField(Domain(h, region.copy(), _GEOMETRIES[geometry], size), eps, values)
+    return OrderField(Domain(h, off == 0, radius), eps, values)

@@ -518,25 +518,6 @@ def ellipticity_bounds(spec: KernelSpec, tensor: ElasticTensor,
     return EllipticityBounds(lower, lower_quoted, upper, float(lam[0]), float(lam[-1]), disc)
 
 
-def radial_tail(spec: KernelSpec, r) -> np.ndarray:
-    """integral_{|z| > r} lambda_max(K(z)) dz per radius r.
-
-    A midpoint table of lambda_max on the ray out to the support radius (64
-    times the integration radius for an unbounded kernel) plus
-    4 pi _closed_tail(2) beyond it.
-    """
-    R = spec.support_radius
-    r_hi = R if np.isfinite(R) else 64.0 * _integration_radius(spec)
-    rs = np.linspace(0.0, r_hi, 2049)
-    mid = 0.5 * (rs[:-1] + rs[1:])
-    lam = np.linalg.eigvalsh(evaluate_kernel(spec, _ray(mid)))[:, -1]
-    cum = np.concatenate([[0.0], np.cumsum(4.0 * np.pi * mid**2 * lam * np.diff(rs))])
-    r = np.asarray(r, dtype=float)
-    beyond = np.vectorize(lambda s: 4.0 * np.pi * _closed_tail(spec, 2, max(s, r_hi)),
-                          otypes=[float])(r)
-    return np.interp(np.minimum(r, r_hi), rs, cum[-1] - cum) + beyond
-
-
 # ---------------------------------------------------------------------------
 # lattice sampling
 

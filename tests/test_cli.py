@@ -131,7 +131,7 @@ def test_zero_kernel_minimize_is_trivial(tmp_path):
     kv = read_kv(out / "minimize_report.txt")
     assert abs(float(kv["energy"])) < 1e-9
     f = fld.read_nllc1(out / "minimizer.nllc1")
-    om = f.domain.region == 1
+    om = f.domain.omega_mask
     assert np.allclose(f.values[om], 0.0, atol=1e-8)
 
 

@@ -37,7 +37,15 @@ def random_field(dom, eps, s0, seed=0, rough=0.3):
     return fld.OrderField(dom, eps, vals)
 
 
-DOMAINS = pytest.mark.parametrize("make_domain", [fld.ball_domain, fld.cube_domain],
+def cube_domain(n, h, half_width):
+    """Cube Omega of the given half width centred in an n^3 box: a max-norm
+    mask, which Domain takes as it takes any other."""
+    c = np.abs(np.arange(n) - (n - 1) / 2.0) * h
+    return fld.Domain(h, np.maximum.reduce(np.meshgrid(c, c, c, indexing="ij")) <= half_width,
+                      half_width)
+
+
+DOMAINS = pytest.mark.parametrize("make_domain", [fld.ball_domain, cube_domain],
                                   ids=["ball", "cube"])
 
 
@@ -137,7 +145,7 @@ def scaling_gap(f, rho, sampled, bulk):
     under the kernel K rho^3."""
     dom, origin = f.domain, np.zeros(3)
     lhs = fld.local_energy(f, fld.ball_mask(dom, origin, rho), sampled, bulk) / rho
-    sdom = fld.Domain(dom.h / rho, dom.region, dom.geometry, dom.omega_radius / rho)
+    sdom = fld.Domain(dom.h / rho, dom.omega_mask, dom.omega_radius / rho)
     skernel = dataclasses.replace(sampled, eps=sampled.eps / rho, h=sampled.h / rho,
                                   values=sampled.values * rho**3, r_trunc=sampled.r_trunc / rho)
     sfield = fld.OrderField(sdom, f.eps / rho, f.values)
@@ -171,37 +179,54 @@ def test_nllc1_roundtrip_bitwise():
         g = fld.read_nllc1(p)
     assert g.eps == f.eps
     assert g.domain.h == dom.h
-    assert np.array_equal(g.domain.region, dom.region)
+    assert np.array_equal(g.domain.omega_mask, dom.omega_mask)
     assert np.array_equal(g.values, f.values)
 
 
 @DOMAINS
 def test_nllc_roundtrip_keeps_geometry_and_size(make_domain, tmp_path):
-    # a dump keeps the domain's geometry and Omega's size, and writing what
-    # was read gives the same bytes
+    # a dump keeps Omega's mask and radius, and writing what was read gives
+    # the same bytes
     dom = make_domain(14, 0.1, 0.25)
     f = random_field(dom, 0.5, S1.sigma_max * 0.8, seed=11)
     p, q = tmp_path / "f.nllc1", tmp_path / "g.nllc1"
     fld.write_nllc1(p, f)
     g = fld.read_nllc1(p)
-    assert (g.domain.geometry, g.domain.omega_radius) == (dom.geometry, dom.omega_radius)
-    assert np.array_equal(g.domain.region, dom.region)
+    assert g.domain.omega_radius == dom.omega_radius
+    assert np.array_equal(g.domain.omega_mask, dom.omega_mask)
     assert np.array_equal(g.values, f.values)
     fld.write_nllc1(q, g)
     assert q.read_bytes() == p.read_bytes()
 
 
-def test_nllc1_dumps_still_read(tmp_path):
-    # the first format carried no geometry: its dumps read back as a ball of radius 0
-    dom = fld.cube_domain(6, 0.1, 0.15)
-    f = random_field(dom, 0.4, S1.sigma_max * 0.8, seed=12)
-    p = tmp_path / "old.nllc1"
-    p.write_bytes(b"NLLC1" + struct.pack("<4I", *dom.shape, 2) + struct.pack("<2d", 0.1, 0.4)
-                  + dom.region.tobytes() + f.values.astype("<f8").tobytes())
+def test_nllc2_layout_is_pinned(tmp_path):
+    # magic, then shape, m, geometry code 0, h, eps and Omega's radius, then
+    # one byte per cell (0 on Omega, 1 off it), then the values as <f8
+    off = np.ones((2, 3, 1), dtype=np.uint8)
+    off[1, 1, 0] = 0
+    values = np.arange(12.0).reshape(2, 3, 1, 2) / 8.0
+    data = (b"NLLC2" + struct.pack("<5I3d", 2, 3, 1, 2, 0, 0.25, 0.5, 0.125)
+            + off.tobytes() + values.astype("<f8").tobytes())
+    p, q = tmp_path / "hand.nllc1", tmp_path / "again.nllc1"
+    p.write_bytes(data)
     g = fld.read_nllc1(p)
-    assert (g.domain.geometry, g.domain.omega_radius, g.domain.h, g.eps) == ("ball", 0.0, 0.1, 0.4)
-    assert np.array_equal(g.domain.region, dom.region)
-    assert np.array_equal(g.values, f.values)
+    assert (g.domain.h, g.eps, g.domain.omega_radius) == (0.25, 0.5, 0.125)
+    assert np.array_equal(g.domain.omega_mask, off == 0)
+    assert np.array_equal(g.values, values)
+    fld.write_nllc1(q, g)
+    assert q.read_bytes() == data
+
+
+def test_the_omega_mask_is_read_only():
+    # a domain stores Omega once: writing into the mask raises instead of
+    # changing every field that shares the domain
+    mask = np.zeros((4, 4, 4), dtype=bool)
+    mask[1:3, 1:3, 1:3] = True
+    dom = fld.Domain(0.1, mask, 0.1)
+    with pytest.raises(ValueError):
+        dom.omega_mask[0, 0, 0] = True
+    mask[0, 0, 0] = True  # the domain holds its own copy
+    assert dom.n_omega == 8
 
 
 def test_nllc1_bad_magic():
@@ -234,48 +259,24 @@ def test_nllc1_size_mismatch_is_a_format_error(damage):
 
 @pytest.mark.parametrize("header", [
     {"h": -0.1}, {"h": 0.0}, {"h": np.inf}, {"eps": np.nan}, {"eps": -0.4}, {"eps": np.inf},
-    {"size": -0.15}, {"size": np.nan}, {"size": np.inf}, {"tag": 7},
+    {"size": -0.15}, {"size": np.nan}, {"size": np.inf}, {"tag": 2}, {"tag": 7},
+    {"geometry": 1}, {"magic": "NLLC1"},
 ], ids=lambda header: "-".join(f"{k}={v}" for k, v in header.items()))
 def test_nllc_dump_with_an_impossible_header_is_a_format_error(tmp_path, header):
-    # each of these read back without error, into a domain no builder makes
-    dom = fld.cube_domain(6, 0.1, 0.15)
+    # each of these read back without error, into a domain no builder makes;
+    # an NLLC1 dump (no geometry code or size), geometry 1 and tag 2 were a
+    # first format, a cube and a third region tag
+    dom = cube_domain(6, 0.1, 0.15)
     f = random_field(dom, 0.4, S1.sigma_max * 0.8, seed=12)
-    v = {"h": 0.1, "eps": 0.4, "size": 0.15, "tag": fld.EXTERIOR, **header}
-    region = dom.region.copy()
-    region[0, 0, 0] = v["tag"]
+    v = {"magic": "NLLC2", "geometry": 0, "h": 0.1, "eps": 0.4, "size": 0.15, "tag": 1, **header}
+    head = (struct.pack("<4I2d", *dom.shape, 2, v["h"], v["eps"]) if v["magic"] == "NLLC1"
+            else struct.pack("<5I3d", *dom.shape, 2, v["geometry"], v["h"], v["eps"], v["size"]))
+    off = (~dom.omega_mask).astype(np.uint8)
+    off[0, 0, 0] = v["tag"]
     p = tmp_path / "bad.nllc1"
-    p.write_bytes(b"NLLC2" + struct.pack("<5I3d", *dom.shape, 2, 1, v["h"], v["eps"], v["size"])
-                  + region.tobytes() + f.values.astype("<f8").tobytes())
+    p.write_bytes(v["magic"].encode() + head + off.tobytes() + f.values.astype("<f8").tobytes())
     with pytest.raises(DumpFormatError):
         fld.read_nllc1(p)
-
-
-def test_h_eps_profile_decreasing_in_thickness():
-    spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
-    dom = fld.ball_domain(24, 0.1, 0.3)
-    d = dom.centre_distance()
-    # the data cut to zero beyond a layer of thickness lt around Omega
-    sups = [fld.h_eps_profile(dom, spec, 0.5, d > 0.3 + lt)[1] for lt in (0.1, 0.2, 0.3)]
-    assert sups[0] >= sups[1] >= sups[2]
-    # no cut cell: the layer is infinite and there is no tail
-    assert fld.h_eps_profile(dom, spec, 0.5, np.zeros(dom.shape, dtype=bool))[1] == 0.0
-
-
-def test_cube_domain_regions_padding_and_layer():
-    spec = kernel.kernel_preset("annulus", 2, {"k": 1.3, "rho1": 0.2, "rho2": 1.0})
-    n, h, half = 20, 0.1, 0.351
-    c = np.abs((np.arange(n) - (n - 1) / 2.0) * h)
-    dist = np.maximum.reduce(np.meshgrid(c, c, c, indexing="ij"))
-    dom = fld.cube_domain(n, h, half)
-    assert dom.geometry == "cube"
-    assert np.array_equal(dom.omega_mask, dist <= half)
-    assert np.array_equal(dom.region == fld.LAYER, dist > half)
-    # interior cells sit at |x|_inf <= 0.35, i.e. indices 6..13 per axis
-    assert dom.padding_cells() == 6
-    d = dom.centre_distance()
-    sups = [fld.h_eps_profile(dom, spec, 0.5, d > half + lt)[1] for lt in (0.095, 0.195, 0.295)]
-    assert sups[0] > sups[1] > sups[2] > 0.0
-    assert fld.h_eps_profile(dom, spec, 0.5, np.zeros(dom.shape, dtype=bool))[1] == 0.0
 
 
 def test_boundary_presets_shapes_and_norms():
@@ -332,7 +333,7 @@ def admissible(model, shape, rng):
 
 @settings(max_examples=24, deadline=None)
 @given(case=st.sampled_from(sorted(SPLIT_CASES)),
-       make_domain=st.sampled_from([fld.ball_domain, fld.cube_domain]),
+       make_domain=st.sampled_from([fld.ball_domain, cube_domain]),
        size=st.floats(0.09, 0.35), trim=st.tuples(*[st.integers(0, 7)] * 3),
        seed=st.integers(0, 2**32 - 1))
 def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
@@ -344,8 +345,8 @@ def test_omega_split_matches_the_whole_box(case, make_domain, size, trim, seed):
     for axis, t in enumerate(trim):  # drop the top t planes of Omega: a non-cubic window
         idx = np.nonzero(om)[axis]
         cut = np.arange(SPLIT_N) > max(idx.max() - t, idx.min())
-        dom.region[om & np.expand_dims(cut, [a for a in range(3) if a != axis])] = fld.LAYER
-        om = dom.omega_mask
+        om = om & ~np.expand_dims(cut, [a for a in range(3) if a != axis])
+    dom = fld.Domain(dom.h, om, dom.omega_radius)
     rng = np.random.default_rng(seed)
     start = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, rng))
     split = fld.omega_split(start, sampled)
@@ -384,8 +385,7 @@ def test_omega_split_needs_a_padded_omega():
 def test_an_empty_omega_is_a_resolution_mismatch(run):
     # a box with no Omega cell has no padding to measure
     model, sampled, bulk = split_case("s1")
-    dom = fld.ball_domain(SPLIT_N, SPLIT_H, 0.3)
-    dom.region[dom.omega_mask] = fld.LAYER
+    dom = fld.Domain(SPLIT_H, np.zeros((SPLIT_N,) * 3, dtype=bool), 0.3)
     f = fld.OrderField(dom, SPLIT_EPS, admissible(model, dom.shape, np.random.default_rng(0)))
     with pytest.raises(ResolutionMismatch, match="no cell"):
         run(f, sampled, bulk)
@@ -532,7 +532,7 @@ def frame_rotation(g):
 
 @settings(max_examples=16, deadline=None)
 @given(case=st.sampled_from(sorted(SPLIT_CASES)),
-       make_domain=st.sampled_from([fld.ball_domain, fld.cube_domain]),
+       make_domain=st.sampled_from([fld.ball_domain, cube_domain]),
        perm=st.permutations(range(3)), signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
        angle=st.floats(0.0, 2.0 * np.pi), reflect=st.booleans(),
        seed=st.integers(0, 2**32 - 1))

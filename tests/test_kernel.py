@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nllc import field as fld, kernel
+from nllc import kernel
 from nllc.errors import QuadratureUnderresolved, ResolutionMismatch
 
 
@@ -186,13 +186,6 @@ def test_elastic_tensor_raises_without_a_closed_form_tail():
     # int f r^4 dr diverges; dropping the missing tail gave a finite L (19.54 Id)
     with pytest.raises(QuadratureUnderresolved, match="tail_radial_moment"):
         kernel.elastic_tensor(FAT_TAIL)
-
-
-def test_h_eps_profile_raises_without_a_closed_form_tail():
-    # the H_eps tail table beyond its last node comes from the same tail rule
-    dom = fld.ball_domain(12, 0.1, 0.25)
-    with pytest.raises(QuadratureUnderresolved, match="tail_radial_moment"):
-        fld.h_eps_profile(dom, FAT_TAIL, 0.5, dom.centre_distance() > 0.25 + 0.2)
 
 
 def test_elastic_tensor_annulus_closed_form():

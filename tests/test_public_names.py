@@ -16,9 +16,6 @@ REFERENCES = {
     "gradient_descent": "test_fixed_point_and_descent_minimisers_agree_and_stay_physical: "
                         "the independent minimiser the EL fixed point is checked against",
     "energy_gradient": "test_energy_gradient_matches_finite_differences: the EL gradient",
-    "cube_domain": "tests/test_field.py DOMAINS: the second geometry of the domain tests",
-    "h_eps_profile": "test_heavy_tail_layer_error_is_controlled_by_the_tail_bound: "
-                     "the tail bound of a finite layer",
     "singular_set": "ROADMAP item 1: convergence.csv from eps-sweep",
     "uniform_convergence_report": "ROADMAP item 1: convergence.csv from eps-sweep",
 }
